@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import warnings
 from typing import Any, Sequence
@@ -27,6 +26,7 @@ from .config import initial_c1_from_config, load_config, model_from_config
 from .dynamics import (
     DensityMatrix3,
     Trajectory,
+    _c0_from_c1,
     build_discretized,
     decay_rate,
     solve_amplitudes,
@@ -164,9 +164,7 @@ def _run_method(method: str, config: dict) -> Trajectory:
     if method == "amplitudes":
         return solve_amplitudes(embed_from_model(model), c1_0, t_max, h)
     if method == "qme":
-        rho_0 = DensityMatrix3.from_amplitudes(
-            math.sqrt(max(0.0, 1.0 - abs(c1_0) ** 2)), c1_0, 0.0
-        )
+        rho_0 = DensityMatrix3.from_amplitudes(_c0_from_c1(c1_0), c1_0, 0.0)
         return solve_qme(embed_from_model(model), rho_0, t_max, h)
     if method == "discretized":
         reservoir = build_discretized(
@@ -258,11 +256,11 @@ def _evolve_table(traj: Trajectory) -> tuple[list[str], list[np.ndarray], list[s
         columns = ["t", "rho_00", "rho_11", "rho_22", "trace", "min_eigenvalue"]
         data = [traj.times, rho[:, 0, 0].real, rho[:, 1, 1].real, rho[:, 2, 2].real,
                 trace, min_eig]
-        if float(np.min(min_eig)) < _EIG_VIOLATION:
+        if not np.min(min_eig) >= _EIG_VIOLATION:
             violations.append(
                 f"density matrix loses positivity (min eigenvalue {np.min(min_eig):.3e})"
             )
-        if float(np.max(np.abs(trace - 1.0))) > _TRACE_VIOLATION:
+        if not np.max(np.abs(trace - 1.0)) <= _TRACE_VIOLATION:
             violations.append(
                 f"trace drifts by {np.max(np.abs(trace - 1.0)):.3e}"
             )
@@ -274,11 +272,11 @@ def _evolve_table(traj: Trajectory) -> tuple[list[str], list[np.ndarray], list[s
         columns = ["t", "c1_abs2", "b1_abs2", "pi_j", "norm_sum"]
         data = [traj.times, traj.c1_abs2, np.abs(traj.b1) ** 2, traj.pi_j, norm]
         increments = np.diff(traj.pi_j)
-        if increments.size and float(np.min(increments)) < _INCREMENT_VIOLATION:
+        if increments.size and not np.min(increments) >= _INCREMENT_VIOLATION:
             violations.append(
                 f"jump probability decreases (min increment {np.min(increments):.3e})"
             )
-        if float(np.max(np.abs(norm - 1.0))) > _TRACE_VIOLATION:
+        if not np.max(np.abs(norm - 1.0)) <= _TRACE_VIOLATION:
             violations.append(
                 f"norm identity drifts by {np.max(np.abs(norm - 1.0)):.3e}"
             )
@@ -288,7 +286,7 @@ def _evolve_table(traj: Trajectory) -> tuple[list[str], list[np.ndarray], list[s
         norm = abs(traj.c0) ** 2 + traj.c1_abs2 + reservoir
         columns = ["t", "c1_abs2", "reservoir_population", "norm_sum"]
         data = [traj.times, traj.c1_abs2, reservoir, norm]
-        if float(np.max(np.abs(norm - 1.0))) > _TRACE_VIOLATION:
+        if not np.max(np.abs(norm - 1.0)) <= _TRACE_VIOLATION:
             violations.append(
                 f"norm conservation drifts by {np.max(np.abs(norm - 1.0)):.3e}"
             )
@@ -310,16 +308,16 @@ def cmd_evolve(config: dict, out: str, fmt: str, header: bool) -> int:
     return EXIT_OK
 
 
+def _c1_abs(traj: Trajectory) -> np.ndarray:
+    """|c1(t)|; the master equation stores it as sqrt(rho_11)."""
+    return np.abs(traj.c1) if traj.c1 is not None else np.sqrt(traj.rho[:, 1, 1].real)
+
+
 def cmd_compare(config: dict, out: str, fmt: str, header: bool) -> int:
     section = config["compare"]
     traj_a = _run_method(section["method_a"], config)
     traj_b = _run_method(section["method_b"], config)
-    abs_a = np.abs(traj_a.c1) if traj_a.c1 is not None else np.sqrt(
-        traj_a.rho[:, 1, 1].real
-    )
-    abs_b = np.abs(traj_b.c1) if traj_b.c1 is not None else np.sqrt(
-        traj_b.rho[:, 1, 1].real
-    )
+    abs_a, abs_b = _c1_abs(traj_a), _c1_abs(traj_b)
     residual = np.abs(abs_a - abs_b)
     max_residual = float(np.max(residual))
     columns = ["t", f"c1_abs_{section['method_a']}", f"c1_abs_{section['method_b']}",
@@ -331,7 +329,7 @@ def cmd_compare(config: dict, out: str, fmt: str, header: bool) -> int:
     }
     text = _render_table("compare", config, columns, rows, meta, fmt, header)
     _write_text(out, text)
-    if max_residual > section["tolerance"]:
+    if not max_residual <= section["tolerance"]:
         raise PropertyViolation(
             f"cross-method residual {max_residual:.3e} exceeds tolerance "
             f"{section['tolerance']:.3e}"
@@ -400,7 +398,7 @@ def cmd_fanodiag(config: dict, out: str, fmt: str, header: bool) -> int:
     text = _render_table("fanodiag", config, columns, rows, meta, fmt, header)
     _write_text(out, text)
     print(f"max relative deviation of 2pi|Lambda|^2 from 2piJ: {max_rel_error:.3e}")
-    if max_rel_error > 1e-12:
+    if not max_rel_error <= 1e-12:
         raise PropertyViolation(
             f"coupling identity violated: max relative error {max_rel_error:.3e}"
         )

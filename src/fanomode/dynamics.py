@@ -9,7 +9,8 @@ explicit reservoir modes) and use fixed-step deterministic integrators:
   analytically.
 * :func:`solve_amplitudes`   -- coupled (c1, b1) pseudomode amplitudes,
   classical RK4 on the 2x2 non-Hermitian system.
-* :func:`solve_qme`          -- full 3x3 master equation, classical RK4.
+* :func:`solve_qme`          -- full 3x3 master equation, classical RK4 as
+  one precomputed step matrix of its vectorized 9x9 Liouvillian.
 * :func:`solve_discretized`  -- Schroedinger evolution against an explicit
   frequency comb sampling J(omega); the brute-force oracle.
 
@@ -32,12 +33,6 @@ from .spectral import TWO_PI, PoleSpectral, evaluate_J
 
 # Basis ordering of the truncated atom + pseudomode space.
 GROUND, ATOM_EXCITED, CAVITY_EXCITED = 0, 1, 2
-
-SIGMA = np.zeros((3, 3), dtype=complex)
-SIGMA[GROUND, ATOM_EXCITED] = 1.0
-
-A_OP = np.zeros((3, 3), dtype=complex)
-A_OP[GROUND, CAVITY_EXCITED] = 1.0
 
 
 @dataclass(frozen=True)
@@ -177,7 +172,33 @@ def _time_grid(t_max: float, h: float) -> np.ndarray:
     if not np.isfinite(t_max) or t_max < h:
         raise ParameterError(f"t_max must be >= h, got t_max={t_max}, h={h}")
     n = max(1, round(t_max / h))
+    if abs(n * h - t_max) > 1e-9 * t_max:
+        raise ParameterError(f"t_max must be a multiple of h, got t_max={t_max}, h={h}")
     return h * np.arange(n + 1)
+
+
+def _rk4_step(a_mat: np.ndarray, h: float):
+    """Classical RK4 for y' = A y as y_{i+1} = step @ y_i, plus the stage
+    matrices S_1..S_4 (S_1 = 1) with stage derivatives k_j = A S_j y_i.
+    """
+    eye = np.eye(len(a_mat), dtype=complex)
+    stage2 = eye + 0.5 * h * a_mat
+    stage3 = eye + 0.5 * h * (a_mat @ stage2)
+    stage4 = eye + h * (a_mat @ stage3)
+    step = eye + (h / 6.0) * (a_mat @ (eye + 2.0 * stage2 + 2.0 * stage3 + stage4))
+    return step, (eye, stage2, stage3, stage4)
+
+
+def _propagate(step: np.ndarray, y0, n: int) -> np.ndarray:
+    """States y_0..y_n of y_{i+1} = step @ y_i; non-finite ones raise StepSizeError."""
+    states = np.empty((n + 1, len(step)), dtype=complex)
+    states[0] = y0
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        for i in range(n):
+            states[i + 1] = step @ states[i]
+    if not np.all(np.isfinite(states)):
+        raise StepSizeError("state is not finite (RK4 unstable at this h); reduce h")
+    return states
 
 
 def _c0_from_c1(c1_0: complex) -> float:
@@ -212,7 +233,7 @@ def solve_amplitudes(
     with b1(0) = 0 (reservoir vacuum), by classical RK4 in the omega_A
     rotating frame.  The jump probability Pi_j is accumulated alongside by
     integrating its rate with the same RK4 stages, so the norm identity
-    holds to the integrator order.
+    holds to the integrator order.  Non-finite states raise StepSizeError.
     """
     times = _time_grid(t_max, h)
     c0 = _c0_from_c1(c1_0)
@@ -225,25 +246,14 @@ def solve_amplitudes(
         ],
         dtype=complex,
     )
-    eye = np.eye(2, dtype=complex)
-    stage2 = eye + 0.5 * h * a_mat
-    stage3 = eye + 0.5 * h * (a_mat @ stage2)
-    stage4 = eye + h * (a_mat @ stage3)
-    step = eye + (h / 6.0) * (a_mat @ (eye + 2.0 * stage2 + 2.0 * stage3 + stage4))
-
-    states = np.empty((n + 1, 2), dtype=complex)
-    states[0] = (c1_0, 0.0)
-    for i in range(n):
-        states[i + 1] = step @ states[i]
+    step, stages = _rk4_step(a_mat, h)
+    states = _propagate(step, (c1_0, 0.0), n)
 
     def rates(mat: np.ndarray) -> np.ndarray:
         s = states[:-1] @ mat.T
         return _jump_rate(qme.gamma, qme.kappa, qme.gamma_F, s[:, 0], s[:, 1])
 
-    k1 = rates(eye)
-    k2 = rates(stage2)
-    k3 = rates(stage3)
-    k4 = rates(stage4)
+    k1, k2, k3, k4 = (rates(stage) for stage in stages)
     increments = (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     pi_j = np.concatenate(([0.0], np.cumsum(increments)))
 
@@ -395,16 +405,30 @@ def solve_volterra(
     )
 
 
-def _qme_rhs_operators(qme: EmbeddedQME):
+def _liouvillian(qme: EmbeddedQME) -> np.ndarray:
+    """The master equation as a 9x9 matrix on row-major vec(rho).
+
+    With vec(A X B) = (A kron B^T) vec(X) and K = -i H_AC - sum_{mn} G_mn
+    X_n^dag X_m / 2: L = K kron 1 + 1 kron conj(K) + sum G_mn X_m kron conj(X_n).
+    """
     h_ac = np.zeros((3, 3), dtype=complex)
     h_ac[ATOM_EXCITED, ATOM_EXCITED] = qme.omega_A
     h_ac[CAVITY_EXCITED, CAVITY_EXCITED] = qme.omega_C
     h_ac[ATOM_EXCITED, CAVITY_EXCITED] = qme.mu
     h_ac[CAVITY_EXCITED, ATOM_EXCITED] = np.conj(qme.mu)
-
+    # X_1: atom lowering, X_2: pseudomode annihilation.
+    ops = np.zeros((2, 3, 3), dtype=complex)
+    ops[0, GROUND, ATOM_EXCITED] = 1.0
+    ops[1, GROUND, CAVITY_EXCITED] = 1.0
     gm = kossakowski(qme).matrix
-    ops = (SIGMA, A_OP)
-    return h_ac, gm, ops
+    eye = np.eye(3)
+    k_eff = -1j * h_ac
+    jumps = np.zeros((9, 9), dtype=complex)
+    for (m_idx, n_idx), coeff in np.ndenumerate(gm):
+        x_m, x_n = ops[m_idx], ops[n_idx]
+        k_eff -= 0.5 * coeff * (x_n.conj().T @ x_m)
+        jumps += coeff * np.kron(x_m, x_n.conj())
+    return np.kron(k_eff, eye) + np.kron(eye, k_eff.conj()) + jumps
 
 
 def solve_qme(
@@ -416,46 +440,22 @@ def solve_qme(
                   + sum_{mn} G_mn (X_m rho X_n^dag - {X_n^dag X_m, rho} / 2)
 
     with X_1 the atom lowering operator and X_2 the pseudomode annihilation
-    operator, by classical RK4.  The generator is traceless in range, so the
-    trace is preserved to roundoff.
+    operator, by classical RK4.  The equation is linear and time-invariant,
+    so it is vectorized once into its 9x9 Liouvillian and every step is one
+    product with the precomputed RK4 step matrix.  The generator is
+    traceless in range, so the trace is preserved to roundoff.  Non-finite
+    states raise StepSizeError.
     """
     if not isinstance(rho_0, DensityMatrix3):
         rho_0 = DensityMatrix3(rho_0)
     times = _time_grid(t_max, h)
     n = len(times) - 1
-    h_ac, gm, ops = _qme_rhs_operators(qme)
-
-    pairs = []
-    for m_idx in range(2):
-        for n_idx in range(2):
-            coeff = gm[m_idx, n_idx]
-            if coeff == 0:
-                continue
-            x_m = ops[m_idx]
-            xnd = ops[n_idx].conj().T
-            pairs.append((coeff, x_m, xnd, xnd @ x_m))
-
-    def rhs(rho: np.ndarray) -> np.ndarray:
-        out = -1j * (h_ac @ rho - rho @ h_ac)
-        for coeff, x_m, xnd, xndxm in pairs:
-            out += coeff * (x_m @ rho @ xnd - 0.5 * (xndxm @ rho + rho @ xndxm))
-        return out
-
-    rhos = np.empty((n + 1, 3, 3), dtype=complex)
-    rhos[0] = rho_0.matrix
-    rho = rhos[0]
-    for i in range(n):
-        k1 = rhs(rho)
-        k2 = rhs(rho + 0.5 * h * k1)
-        k3 = rhs(rho + 0.5 * h * k2)
-        k4 = rhs(rho + h * k3)
-        rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        rhos[i + 1] = rho
-
+    step, _ = _rk4_step(_liouvillian(qme), h)
+    states = _propagate(step, rho_0.matrix.reshape(9), n)
     return Trajectory(
         times=times,
         method="qme",
-        rho=rhos,
+        rho=states.reshape(n + 1, 3, 3),
         metadata={"qme": qme, "rho_0": rho_0.matrix, "t_max": t_max, "h": h},
     )
 

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from fanomode import cli
 from fanomode.cli import main
 from fanomode.config import DEFAULT_CONFIG, load_config
 from fanomode.errors import ConfigError
@@ -18,6 +19,11 @@ def run(*args: str) -> int:
 
 def load_rows(path) -> np.ndarray:
     return np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+
+
+# RK4 far outside its stability region: the state overflows to inf/nan.
+UNSTABLE = ("--set", "solver.h=0.9", "--set", "solver.t_max=1800",
+            "--set", "model.g_abs=5")
 
 
 class TestSpectrum:
@@ -183,6 +189,21 @@ class TestEvolve:
     def test_unknown_method(self, capsys):
         assert run("evolve", "--set", "solver.method=magic") == 1
 
+    @pytest.mark.parametrize("method", ["amplitudes", "qme"])
+    def test_overflow_is_solver_failure(self, tmp_path, capsys, method):
+        # used to write NaN rows and exit 0 (amplitudes), or to die with an
+        # uncaught LinAlgError traceback from eigvalsh (qme)
+        code = run("evolve", "--out", str(tmp_path / "nan.csv"),
+                   "--set", f"solver.method={method}", *UNSTABLE)
+        assert code == 3
+        assert "not finite" in capsys.readouterr().err
+
+    def test_t_max_not_multiple_of_h_rejected(self, capsys):
+        # t_max = 1, h = 0.3 used to end silently at t = 0.9
+        code = run("evolve", "--set", "solver.t_max=1", "--set", "solver.h=0.3")
+        assert code == 1
+        assert "multiple of h" in capsys.readouterr().err
+
 
 class TestCompare:
     def test_volterra_vs_amplitudes_passes(self, tmp_path):
@@ -202,6 +223,27 @@ class TestCompare:
         )
         assert code == 2
         assert "residual" in capsys.readouterr().err
+
+    def test_overflow_is_solver_failure(self, tmp_path, capsys):
+        # NaN residuals used to pass: nan > tolerance is False
+        code = run("compare", "--out", str(tmp_path / "nan.csv"),
+                   "--set", "compare.method_a=amplitudes", *UNSTABLE)
+        assert code == 3
+
+    def test_nan_residual_fails(self, tmp_path, capsys, monkeypatch):
+        real_run_method = cli._run_method
+
+        def nan_run_method(method, config):
+            traj = real_run_method(method, config)
+            if method == config["compare"]["method_a"]:
+                traj.c1[-1] = np.nan
+            return traj
+
+        monkeypatch.setattr(cli, "_run_method", nan_run_method)
+        code = run("compare", "--out", str(tmp_path / "nan.csv"),
+                   "--set", "solver.t_max=1.0")
+        assert code == 2
+        assert "residual nan exceeds" in capsys.readouterr().err
 
 
 class TestLindbladCheck:

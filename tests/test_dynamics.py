@@ -53,6 +53,49 @@ def effective_hamiltonian_solution(qme: EmbeddedQME, c1_0: complex, times):
     return modes @ eigvecs.T
 
 
+def qme_reference_rk4(qme: EmbeddedQME, rho_0: np.ndarray, t_max: float, h: float):
+    """Reference: matrix-form RK4 applying each superoperator term to rho."""
+    h_ac = np.zeros((3, 3), dtype=complex)
+    h_ac[1, 1], h_ac[2, 2] = qme.omega_A, qme.omega_C
+    h_ac[1, 2], h_ac[2, 1] = qme.mu, np.conj(qme.mu)
+    ops = np.zeros((2, 3, 3), dtype=complex)
+    ops[0, 0, 1] = ops[1, 0, 2] = 1.0  # atom lowering, pseudomode annihilation
+    gm = kossakowski(qme).matrix
+    pairs = []
+    for m_idx in range(2):
+        for n_idx in range(2):
+            x_m, xnd = ops[m_idx], ops[n_idx].conj().T
+            pairs.append((gm[m_idx, n_idx], x_m, xnd, xnd @ x_m))
+
+    def rhs(rho):
+        out = -1j * (h_ac @ rho - rho @ h_ac)
+        for coeff, x_m, xnd, xndxm in pairs:
+            out += coeff * (x_m @ rho @ xnd - 0.5 * (xndxm @ rho + rho @ xndxm))
+        return out
+
+    n = round(t_max / h)
+    rhos = np.empty((n + 1, 3, 3), dtype=complex)
+    rhos[0] = rho = rho_0
+    for i in range(n):
+        k1 = rhs(rho)
+        k2 = rhs(rho + 0.5 * h * k1)
+        k3 = rhs(rho + 0.5 * h * k2)
+        k4 = rhs(rho + h * k3)
+        rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        rhos[i + 1] = rho
+    return rhos
+
+
+def random_initial_states(rng: np.random.Generator):
+    """One coherent (c0, c1, 0) state with its c1(0), and one full-rank mixed state."""
+    c1_0 = complex(0.9 * rng.uniform() * np.exp(2j * np.pi * rng.uniform()))
+    c0 = math.sqrt(1.0 - abs(c1_0) ** 2)
+    coherent = DensityMatrix3.from_amplitudes(c0, c1_0, 0.0)
+    w = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    mixed = DensityMatrix3(w @ w.conj().T / np.trace(w @ w.conj().T).real)
+    return c1_0, coherent, mixed
+
+
 class TestSolveAmplitudes:
     def test_free_rotation(self):
         qme = EmbeddedQME(omega_A=1.3, omega_C=0.4, mu=0.0, gamma=0.0,
@@ -243,6 +286,39 @@ class TestSolveQME:
         assert final[1, 1].real + final[2, 2].real < 1e-6
         assert final[0, 0].real == pytest.approx(1.0, abs=1e-6)
 
+    def test_matches_matrix_form_rk4(self, rng):
+        # same integrator, vectorized: only roundoff separates the two, so a
+        # wrong kron or transpose order in the Liouvillian cannot hide
+        for _ in range(3):
+            qme = embed_from_model(random_lindblad_model(rng, resonant=False))
+            _, coherent, mixed = random_initial_states(rng)
+            for rho_0 in (coherent, mixed):
+                traj = solve_qme(qme, rho_0, 2.0, 5e-3)
+                reference = qme_reference_rk4(qme, rho_0.matrix, 2.0, 5e-3)
+                assert np.max(np.abs(traj.rho - reference)) <= 1e-12
+
+    def test_matches_amplitudes_random(self, rng):
+        # acceptance criterion 4's bounds on random Lindblad models
+        for _ in range(3):
+            qme = embed_from_model(random_lindblad_model(rng, resonant=False))
+            c1_0, coherent, _ = random_initial_states(rng)
+            rho = solve_qme(qme, coherent, 5.0, 1e-3).rho
+            ta = solve_amplitudes(qme, c1_0, 5.0, 1e-3)
+            assert np.max(np.abs(rho[:, 1, 1].real - ta.c1_abs2)) < 1e-8
+            assert np.max(np.abs(rho[:, 2, 2].real - np.abs(ta.b1) ** 2)) < 1e-8
+            assert np.max(np.abs(rho[:, 1, 2] - ta.c1 * np.conj(ta.b1))) < 1e-8
+            trace = np.trace(rho, axis1=1, axis2=2)
+            assert np.max(np.abs(trace - 1.0)) < 1e-10
+            assert np.min(np.linalg.eigvalsh(rho)) > -1e-10
+
+    def test_unstable_step_raises(self):
+        # RK4 far outside its stability region overflows to inf/nan
+        qme = embed_from_model(FanoModel(gamma=0.25, kappa=1.0, g_abs=5.0, eta=1.0))
+        with pytest.raises(StepSizeError):
+            solve_qme(qme, DensityMatrix3.excited_atom(), 1800.0, 0.9)
+        with pytest.raises(StepSizeError):
+            solve_amplitudes(qme, 1.0, 1800.0, 0.9)
+
     def test_invalid_initial_state(self):
         qme = embed_from_model(PRESET)
         with pytest.raises(ParameterError):
@@ -412,6 +488,15 @@ class TestTrajectory:
         traj = solve_amplitudes(embed_from_model(PRESET), 1.0, 1.0, 1e-3)
         assert np.all(np.diff(traj.times) > 0)
         assert traj.h == pytest.approx(1e-3)
+
+    def test_time_grid_rejects_partial_last_step(self):
+        # t_max = 1 with h = 0.3 used to stop silently at t = 0.9
+        qme = embed_from_model(PRESET)
+        with pytest.raises(ParameterError, match="multiple of h"):
+            solve_amplitudes(qme, 1.0, 1.0, 0.3)
+        with pytest.raises(ParameterError, match="multiple of h"):
+            solve_qme(qme, DensityMatrix3.excited_atom(), 1.0, 0.3)
+        assert solve_amplitudes(qme, 1.0, 0.9, 0.3).times[-1] == pytest.approx(0.9)
 
     def test_qme_trajectory_has_no_c1(self):
         traj = solve_qme(embed_from_model(PRESET), DensityMatrix3.ground(), 0.1, 1e-3)

@@ -7,6 +7,12 @@ decay-rate.  Every run is controlled by one JSON config (see
 printed with 17 significant digits so values round-trip exactly, and carries
 no wall-clock content: identical configs give byte-identical files.
 
+Each ``cmd_*`` is a function of the config alone: it returns a table or a
+key/value report, the summary lines it prints and the property violations it
+found.  :func:`main` alone renders, writes and fails: a table goes to the
+output path or to stdout, a report only to an output path; the summary prints
+to stdout after the output; a violation exits 2 after the file is written.
+
 Exit codes: 0 success, 1 usage or invalid input, 2 property violation,
 3 solver failure.
 """
@@ -17,12 +23,13 @@ import argparse
 import json
 import sys
 import warnings
+from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 import numpy as np
 
 from . import __version__
-from .config import initial_c1_from_config, load_config, model_from_config
+from .config import _FORMATS, initial_c1_from_config, load_config, model_from_config
 from .dynamics import (
     DensityMatrix3,
     Trajectory,
@@ -46,7 +53,7 @@ from .errors import (
     StepSizeError,
     UnsupportedRegimeError,
 )
-from .fanodiag import fano_lambda
+from .fanodiag import _lambda_identity
 from .spectral import (
     TWO_PI,
     ReducedForm,
@@ -95,61 +102,58 @@ def _write_text(path: str, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _render_table(
-    command: str,
-    config: dict,
-    columns: list[str],
-    rows: np.ndarray,
-    meta: dict[str, Any],
-    fmt: str,
-    header: bool,
-) -> str:
-    if fmt == "csv":
-        lines = []
+@dataclass
+class _Output:
+    """What one command computed, for :func:`main` to render, write and judge.
+
+    Either a table (``columns``, ``rows`` and the header's ``meta``) or a
+    key/value ``report``; ``summary`` lines go to stdout and ``violations``
+    are the property violations the run found.
+    """
+
+    columns: list[str] = field(default_factory=list)
+    rows: np.ndarray | None = None
+    meta: dict[str, Any] = field(default_factory=dict)
+    report: dict[str, Any] | None = None
+    summary: list[str] = field(default_factory=list)
+    violations: list[str] = field(default_factory=list)
+
+
+def _render(command: str, config: dict, output: _Output, fmt: str, header: bool) -> str:
+    """CSV under a ``#`` header, or its JSON mirror.
+
+    The header names the tool, the command and the config; a table's header
+    also carries the units note, its meta and its column names.
+    """
+    table = output.report is None
+    if fmt == "json":
+        doc = (
+            {"columns": output.columns, "rows": output.rows.tolist()}
+            if table else dict(output.report)
+        )
         if header:
-            lines.append(f"# fanomode {__version__}")
-            lines.append(f"# command: {command}")
+            doc.update(tool=f"fanomode {__version__}", command=command, config=config)
+            if table:
+                doc.update(units=_UNITS_NOTE, meta=output.meta)
+        return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    lines = []
+    if header:
+        lines += [f"# fanomode {__version__}", f"# command: {command}"]
+        if table:
             lines.append(f"# units: {_UNITS_NOTE}")
-            lines.append(
-                "# config: " + json.dumps(config, sort_keys=True, separators=(",", ":"))
-            )
-            for key in sorted(meta):
-                lines.append(f"# {key}: {meta[key]}")
-            lines.append("# columns: " + ",".join(columns))
-        for row in rows:
-            lines.append(",".join(_format_number(v) for v in row))
-        return "\n".join(lines) + "\n"
-    payload: dict[str, Any] = {"columns": columns, "rows": rows.tolist()}
-    if header:
-        payload["tool"] = f"fanomode {__version__}"
-        payload["command"] = command
-        payload["units"] = _UNITS_NOTE
-        payload["config"] = config
-        payload["meta"] = meta
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def _render_report(
-    command: str, config: dict, payload: dict[str, Any], fmt: str, header: bool
-) -> str:
-    if fmt == "csv":
-        lines = []
-        if header:
-            lines.append(f"# fanomode {__version__}")
-            lines.append(f"# command: {command}")
-            lines.append(
-                "# config: " + json.dumps(config, sort_keys=True, separators=(",", ":"))
-            )
+        lines.append(
+            "# config: " + json.dumps(config, sort_keys=True, separators=(",", ":"))
+        )
+        lines += [f"# {key}: {output.meta[key]}" for key in sorted(output.meta)]
+        if table:
+            lines.append("# columns: " + ",".join(output.columns))
+    if table:
+        lines += [",".join(_format_number(v) for v in row) for row in output.rows]
+    else:
         lines.append("key,value")
-        for key, value in payload.items():
-            lines.append(f"{key},{'' if value is None else value}")
-        return "\n".join(lines) + "\n"
-    doc: dict[str, Any] = dict(payload)
-    if header:
-        doc["tool"] = f"fanomode {__version__}"
-        doc["command"] = command
-        doc["config"] = config
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        lines += [f"{key},{'' if value is None else value}"
+                  for key, value in output.report.items()]
+    return "\n".join(lines) + "\n"
 
 
 def _run_method(method: str, config: dict) -> Trajectory:
@@ -177,7 +181,7 @@ def _run_method(method: str, config: dict) -> Trajectory:
     )
 
 
-def cmd_spectrum(config: dict, out: str, fmt: str, header: bool) -> int:
+def cmd_spectrum(config: dict) -> _Output:
     section = config["spectrum"]
     if section["n_points"] < 2:
         raise ConfigError("spectrum.n_points must be >= 2")
@@ -200,14 +204,10 @@ def cmd_spectrum(config: dict, out: str, fmt: str, header: bool) -> int:
             f"2piJ/gamma at eta={curve['eta']:g} |q|={curve['q_abs']:g} "
             f"dphi={curve['delta_phi']:g}"
         )
-    text = _render_table(
-        "spectrum", config, columns, np.column_stack(data), meta, fmt, header
-    )
-    _write_text(out, text)
-    return EXIT_OK
+    return _Output(columns, np.column_stack(data), meta)
 
 
-def cmd_kernel(config: dict, out: str, fmt: str, header: bool) -> int:
+def cmd_kernel(config: dict) -> _Output:
     section = config["kernel"]
     if section["n_points"] < 2:
         raise ConfigError("kernel.n_points must be >= 2")
@@ -233,17 +233,18 @@ def cmd_kernel(config: dict, out: str, fmt: str, header: bool) -> int:
             )
             values[i] = result.value
             estimates[i] = result.error_estimate
+        deviation = np.abs(values - kernel.regular)
         columns += ["re_quadrature", "im_quadrature", "quadrature_error_estimate",
                     "abs_deviation"]
-        data += [values.real, values.imag, estimates, np.abs(values - kernel.regular)]
-        meta["max_abs_deviation"] = _format_number(
-            float(np.max(np.abs(values - kernel.regular)))
-        )
-    text = _render_table(
-        "kernel", config, columns, np.column_stack(data), meta, fmt, header
-    )
-    _write_text(out, text)
-    return EXIT_OK
+        data += [values.real, values.imag, estimates, deviation]
+        meta["max_abs_deviation"] = _format_number(float(np.max(deviation)))
+    return _Output(columns, np.column_stack(data), meta)
+
+
+def _drift(values: np.ndarray, what: str) -> list[str]:
+    """A violation when ``values`` leave 1 by more than integrator noise."""
+    drift = np.max(np.abs(values - 1.0))
+    return [] if drift <= _TRACE_VIOLATION else [f"{what} drifts by {drift:.3e}"]
 
 
 def _evolve_table(traj: Trajectory) -> tuple[list[str], list[np.ndarray], list[str]]:
@@ -260,11 +261,7 @@ def _evolve_table(traj: Trajectory) -> tuple[list[str], list[np.ndarray], list[s
             violations.append(
                 f"density matrix loses positivity (min eigenvalue {np.min(min_eig):.3e})"
             )
-        if not np.max(np.abs(trace - 1.0)) <= _TRACE_VIOLATION:
-            violations.append(
-                f"trace drifts by {np.max(np.abs(trace - 1.0)):.3e}"
-            )
-        return columns, data, violations
+        return columns, data, violations + _drift(trace, "trace")
     if traj.method == "amplitudes":
         norm = (
             abs(traj.c0) ** 2 + traj.c1_abs2 + np.abs(traj.b1) ** 2 + traj.pi_j
@@ -276,36 +273,21 @@ def _evolve_table(traj: Trajectory) -> tuple[list[str], list[np.ndarray], list[s
             violations.append(
                 f"jump probability decreases (min increment {np.min(increments):.3e})"
             )
-        if not np.max(np.abs(norm - 1.0)) <= _TRACE_VIOLATION:
-            violations.append(
-                f"norm identity drifts by {np.max(np.abs(norm - 1.0)):.3e}"
-            )
-        return columns, data, violations
+        return columns, data, violations + _drift(norm, "norm identity")
     if traj.method == "discretized":
         reservoir = traj.extras["reservoir_population"]
         norm = abs(traj.c0) ** 2 + traj.c1_abs2 + reservoir
         columns = ["t", "c1_abs2", "reservoir_population", "norm_sum"]
         data = [traj.times, traj.c1_abs2, reservoir, norm]
-        if not np.max(np.abs(norm - 1.0)) <= _TRACE_VIOLATION:
-            violations.append(
-                f"norm conservation drifts by {np.max(np.abs(norm - 1.0)):.3e}"
-            )
-        return columns, data, violations
+        return columns, data, _drift(norm, "norm conservation")
     return ["t", "c1_abs2"], [traj.times, traj.c1_abs2], violations
 
 
-def cmd_evolve(config: dict, out: str, fmt: str, header: bool) -> int:
+def cmd_evolve(config: dict) -> _Output:
     method = config["solver"]["method"]
-    traj = _run_method(method, config)
-    columns, data, violations = _evolve_table(traj)
-    meta = {"method": method}
-    text = _render_table(
-        "evolve", config, columns, np.column_stack(data), meta, fmt, header
-    )
-    _write_text(out, text)
-    if violations:
-        raise PropertyViolation("; ".join(violations))
-    return EXIT_OK
+    columns, data, violations = _evolve_table(_run_method(method, config))
+    return _Output(columns, np.column_stack(data), {"method": method},
+                   violations=violations)
 
 
 def _c1_abs(traj: Trajectory) -> np.ndarray:
@@ -313,7 +295,7 @@ def _c1_abs(traj: Trajectory) -> np.ndarray:
     return np.abs(traj.c1) if traj.c1 is not None else np.sqrt(traj.rho[:, 1, 1].real)
 
 
-def cmd_compare(config: dict, out: str, fmt: str, header: bool) -> int:
+def cmd_compare(config: dict) -> _Output:
     section = config["compare"]
     traj_a = _run_method(section["method_a"], config)
     traj_b = _run_method(section["method_b"], config)
@@ -327,17 +309,14 @@ def cmd_compare(config: dict, out: str, fmt: str, header: bool) -> int:
         "max_residual": _format_number(max_residual),
         "tolerance": _format_number(section["tolerance"]),
     }
-    text = _render_table("compare", config, columns, rows, meta, fmt, header)
-    _write_text(out, text)
-    if not max_residual <= section["tolerance"]:
-        raise PropertyViolation(
-            f"cross-method residual {max_residual:.3e} exceeds tolerance "
-            f"{section['tolerance']:.3e}"
-        )
-    return EXIT_OK
+    violations = [] if max_residual <= section["tolerance"] else [
+        f"cross-method residual {max_residual:.3e} exceeds tolerance "
+        f"{section['tolerance']:.3e}"
+    ]
+    return _Output(columns, rows, meta, violations=violations)
 
 
-def cmd_lindblad_check(config: dict, out: str, fmt: str, header: bool) -> int:
+def cmd_lindblad_check(config: dict) -> _Output:
     model = model_from_config(config)
     qme = embed_from_model(model)
     gm = kossakowski(qme)
@@ -355,57 +334,44 @@ def cmd_lindblad_check(config: dict, out: str, fmt: str, header: bool) -> int:
         "psd_tolerance": report.tolerance,
         "verdict": "PASS" if report.passed else "FAIL",
     }
-    print(f"Kossakowski matrix: {gm.matrix.tolist()}")
-    print(
+    summary = [
+        f"Kossakowski matrix: {gm.matrix.tolist()}",
         f"eigenvalues: ({report.eigenvalues[0]:.17g}, {report.eigenvalues[1]:.17g})"
-        f"  det: {report.det:.17g}"
-    )
-    print(
+        f"  det: {report.det:.17g}",
         f"scalar condition (-Im z1) pi J0 - |nu|^2 = {report.scalar_condition:.17g}"
-        f"  repair threshold J0* = {report.j0_repair_threshold:.17g}"
-    )
-    print(f"verdict: {payload['verdict']}")
-    if out:
-        _write_text(out, _render_report("lindblad-check", config, payload, fmt, header))
-    if not report.passed:
-        raise PropertyViolation("generator is not of Lindblad form")
-    return EXIT_OK
+        f"  repair threshold J0* = {report.j0_repair_threshold:.17g}",
+        f"verdict: {payload['verdict']}",
+    ]
+    violations = [] if report.passed else ["generator is not of Lindblad form"]
+    return _Output(report=payload, summary=summary, violations=violations)
 
 
-def cmd_fanodiag(config: dict, out: str, fmt: str, header: bool) -> int:
+def cmd_fanodiag(config: dict) -> _Output:
     section = config["fanodiag"]
     if section["n_points"] < 2:
         raise ConfigError("fanodiag.n_points must be >= 2")
     if section["half_width"] <= 0:
         raise ConfigError("fanodiag.half_width must be > 0")
     model = model_from_config(config)
-    if model.eta != 1.0:
-        raise UnsupportedRegimeError(
-            f"the coupling identity holds only for eta = 1, got eta = {model.eta}"
-        )
     grid = np.linspace(
         model.omega_C - section["half_width"],
         model.omega_C + section["half_width"],
         section["n_points"],
     )
-    lam_sq = TWO_PI * np.abs(fano_lambda(model, grid, section["psi"])) ** 2
-    j_vals = TWO_PI * evaluate_J(pole_residue_from_model(model), grid)
-    diff = np.abs(lam_sq - j_vals)
-    max_rel_error = float(np.max(diff) / max(np.max(np.abs(j_vals)), 1e-300))
+    lam_sq, j_vals, diff, max_rel_error = _lambda_identity(model, grid, section["psi"])
     columns = ["omega", "twopi_lambda_sq", "twopi_J", "abs_diff"]
     rows = np.column_stack([grid, lam_sq, j_vals, diff])
     meta = {"max_rel_error": _format_number(max_rel_error)}
-    text = _render_table("fanodiag", config, columns, rows, meta, fmt, header)
-    _write_text(out, text)
-    print(f"max relative deviation of 2pi|Lambda|^2 from 2piJ: {max_rel_error:.3e}")
-    if not max_rel_error <= 1e-12:
-        raise PropertyViolation(
-            f"coupling identity violated: max relative error {max_rel_error:.3e}"
-        )
-    return EXIT_OK
+    summary = [
+        f"max relative deviation of 2pi|Lambda|^2 from 2piJ: {max_rel_error:.3e}"
+    ]
+    violations = [] if max_rel_error <= 1e-12 else [
+        f"coupling identity violated: max relative error {max_rel_error:.3e}"
+    ]
+    return _Output(columns, rows, meta, summary=summary, violations=violations)
 
 
-def cmd_decay_rate(config: dict, out: str, fmt: str, header: bool) -> int:
+def cmd_decay_rate(config: dict) -> _Output:
     section = config["decay_rate"]
     model = model_from_config(config)
     spec = pole_residue_from_model(model)
@@ -433,37 +399,30 @@ def cmd_decay_rate(config: dict, out: str, fmt: str, header: bool) -> int:
         "status": "warning" if notes else "ok",
         "notes": "; ".join(notes),
     }
-    print(f"fitted decay rate:    {fitted:.17g}")
-    print(f"predicted 2piJ(w_A):  {predicted:.17g}")
+    summary = [
+        f"fitted decay rate:    {fitted:.17g}",
+        f"predicted 2piJ(w_A):  {predicted:.17g}",
+    ]
     if deviation is not None:
-        print(f"relative deviation:   {deviation:.3e}")
-    for note in notes:
-        print(f"warning: {note}")
-    if out:
-        _write_text(out, _render_report("decay-rate", config, payload, fmt, header))
-    return EXIT_OK
+        summary.append(f"relative deviation:   {deviation:.3e}")
+    summary += [f"warning: {note}" for note in notes]
+    return _Output(report=payload, summary=summary)
 
 
-_COMMANDS = {
-    "spectrum": cmd_spectrum,
-    "kernel": cmd_kernel,
-    "evolve": cmd_evolve,
-    "compare": cmd_compare,
-    "lindblad-check": cmd_lindblad_check,
-    "fanodiag": cmd_fanodiag,
-    "decay-rate": cmd_decay_rate,
-}
-
-_DESCRIPTIONS = {
-    "spectrum": "emit 2piJ/gamma over the reduced detuning for configured curves",
-    "kernel": "emit the memory kernel's regular part (optionally cross-checked "
-              "against direct quadrature)",
-    "evolve": "run one time-evolution method and emit its populations",
-    "compare": "run two methods on the same model and emit their residual",
-    "lindblad-check": "report the Kossakowski matrix and the positivity verdict",
-    "fanodiag": "check the diagonalized-coupling identity against the spectral "
-                "function (eta = 1 only)",
-    "decay-rate": "fit the emitter decay rate and compare with 2piJ(omega_A)",
+_COMMANDS = {  # name -> (function, help text)
+    "spectrum": (cmd_spectrum, "emit 2piJ/gamma over the reduced detuning for "
+                 "configured curves"),
+    "kernel": (cmd_kernel, "emit the memory kernel's regular part (optionally "
+               "cross-checked against direct quadrature)"),
+    "evolve": (cmd_evolve, "run one time-evolution method and emit its populations"),
+    "compare": (cmd_compare, "run two methods on the same model and emit their "
+                "residual"),
+    "lindblad-check": (cmd_lindblad_check, "report the Kossakowski matrix and the "
+                       "positivity verdict"),
+    "fanodiag": (cmd_fanodiag, "check the diagonalized-coupling identity against "
+                 "the spectral function (eta = 1 only)"),
+    "decay-rate": (cmd_decay_rate, "fit the emitter decay rate and compare with "
+                   "2piJ(omega_A)"),
 }
 
 
@@ -473,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="JSON run configuration")
     common.add_argument("--out", metavar="PATH", help="output file (default: stdout)")
-    common.add_argument("--format", choices=("csv", "json"), help="output format")
+    common.add_argument("--format", choices=_FORMATS, help="output format")
     common.add_argument(
         "--set", action="append", default=[], metavar="KEY=VALUE", dest="overrides",
         help="override one config entry by dotted path (repeatable)",
@@ -482,12 +441,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-header", action="store_true", help="omit the metadata header"
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        subparsers.add_parser(name, parents=[common], help=_DESCRIPTIONS[name])
+    for name, (_, help_text) in _COMMANDS.items():
+        subparsers.add_parser(name, parents=[common], help=help_text)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command; tables go to ``--out`` or stdout, reports only to a
+    file, then the summary prints, and a property violation exits 2."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -498,7 +459,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         out = args.out if args.out is not None else config["output"]["path"]
         fmt = args.format if args.format is not None else config["output"]["format"]
         header = config["output"]["header"] and not args.no_header
-        return _COMMANDS[args.command](config, out, fmt, header)
+        output = _COMMANDS[args.command][0](config)
+        if out or output.report is None:
+            _write_text(out, _render(args.command, config, output, fmt, header))
+        for line in output.summary:
+            print(line)
+        if output.violations:
+            raise PropertyViolation("; ".join(output.violations))
+        return EXIT_OK
     except PropertyViolation as exc:
         print(f"fanomode: property violation: {exc}", file=sys.stderr)
         return EXIT_PROPERTY

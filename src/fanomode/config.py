@@ -11,12 +11,15 @@ from __future__ import annotations
 
 import copy
 import json
+import sys
 from typing import Any
 
 from .errors import ConfigError
 from .spectral import FanoModel
 
 SCHEMA_VERSION = 1
+
+_FORMATS = ("csv", "json")
 
 _CURVE_TEMPLATE = {"eta": 1.0, "q_abs": 2.0, "delta_phi": 0.0}
 
@@ -112,6 +115,8 @@ def _check_types(template: Any, value: Any, path: str) -> Any:
     if isinstance(template, float):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{path!r} must be a number, got {value!r}")
+        if not abs(value) <= sys.float_info.max:  # NaN, inf, or an int beyond float
+            raise ConfigError(f"{path!r} must be a finite number, got {value!r}")
         return float(value)
     if isinstance(template, str):
         if not isinstance(value, str):
@@ -143,7 +148,7 @@ def apply_override(config: dict, assignment: str) -> None:
         raise ConfigError(f"override {assignment!r} is not of the form key=value")
     try:
         value = json.loads(raw)
-    except json.JSONDecodeError:
+    except ValueError:  # not JSON, or an integer too long to convert
         value = raw
     node = config
     parts = key.split(".")
@@ -168,7 +173,7 @@ def load_config(path: str | None = None, overrides: list[str] | None = None) -> 
                 incoming = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not JSON, or an integer too long to convert
             raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from exc
         if not isinstance(incoming, dict):
             raise ConfigError("config file must hold a JSON object")
@@ -182,6 +187,11 @@ def load_config(path: str | None = None, overrides: list[str] | None = None) -> 
         raise ConfigError(
             f"unsupported schema_version {config['schema_version']!r} "
             f"(this build reads version {SCHEMA_VERSION})"
+        )
+    if config["output"]["format"] not in _FORMATS:
+        raise ConfigError(
+            f"'config.output.format' must be one of {', '.join(_FORMATS)}, "
+            f"got {config['output']['format']!r}"
         )
     return config
 

@@ -18,7 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnsupportedRegimeError
-from .spectral import TWO_PI, FanoModel, evaluate_J, pole_residue_from_model
+from .spectral import (
+    TWO_PI,
+    FanoModel,
+    _match_scalar,
+    evaluate_J,
+    pole_residue_from_model,
+)
 
 
 def fano_alpha(
@@ -36,9 +42,7 @@ def fano_alpha(
         * cmath.exp(1j * (psi - model.theta_C))
         / (w - model.omega_C - 0.5j * model.kappa)
     )
-    if np.isscalar(omega) or np.ndim(omega) == 0:
-        return complex(out)
-    return out
+    return _match_scalar(omega, out)
 
 
 def fano_lambda(
@@ -59,9 +63,7 @@ def fano_lambda(
         1j * model.theta_C
     ) + detuning * math.sqrt(model.gamma / TWO_PI) * cmath.exp(1j * model.theta_A)
     out = cmath.exp(-1j * psi) * numerator / (detuning + 0.5j * model.kappa)
-    if np.isscalar(omega) or np.ndim(omega) == 0:
-        return complex(out)
-    return out
+    return _match_scalar(omega, out)
 
 
 @dataclass(frozen=True)
@@ -89,22 +91,35 @@ class FanoDiagCoefficients:
             * cmath.exp(1j * self.psi)
             / (w - self.model.omega_C - 0.5j * self.model.kappa)
         )
-        if np.isscalar(omega) or np.ndim(omega) == 0:
-            return complex(out)
-        return out
+        return _match_scalar(omega, out)
 
     def beta_delta_coeff(self, omega: float | np.ndarray) -> complex | np.ndarray:
         """Coefficient of delta(omega - omega') in beta(omega, omega')."""
         w = np.asarray(omega, dtype=float)
         detuning = w - self.model.omega_C
         out = cmath.exp(1j * self.psi) * detuning / (detuning - 0.5j * self.model.kappa)
-        if np.isscalar(omega) or np.ndim(omega) == 0:
-            return complex(out)
-        return out
+        return _match_scalar(omega, out)
 
     def coupling(self, omega: float | np.ndarray) -> complex | np.ndarray:
         """Atom-eigenmode coupling Lambda(omega)."""
         return fano_lambda(self.model, omega, self.psi)
+
+
+def _lambda_identity(
+    model: FanoModel, omega_grid: np.ndarray, psi: float = 0.0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """2 pi |Lambda|^2, 2 pi J, their absolute difference on ``omega_grid``,
+    and the max relative error; raises unless eta = 1."""
+    if model.eta != 1.0:
+        raise UnsupportedRegimeError(
+            f"the coupling identity holds only for eta = 1, got eta = {model.eta}"
+        )
+    grid = np.asarray(omega_grid, dtype=float)
+    lam_sq = TWO_PI * np.abs(fano_lambda(model, grid, psi)) ** 2
+    j_vals = TWO_PI * evaluate_J(pole_residue_from_model(model), grid)
+    diff = np.abs(lam_sq - j_vals)
+    scale = max(float(np.max(np.abs(j_vals))), 1e-300)
+    return lam_sq, j_vals, diff, float(np.max(diff) / scale)
 
 
 def verify_lambda_identity(model: FanoModel, omega_grid: np.ndarray) -> float:
@@ -114,12 +129,4 @@ def verify_lambda_identity(model: FanoModel, omega_grid: np.ndarray) -> float:
     by the grid maximum of 2 pi J rather than pointwise.  Only defined for
     eta = 1; other models raise :class:`UnsupportedRegimeError`.
     """
-    if model.eta != 1.0:
-        raise UnsupportedRegimeError(
-            f"the coupling identity holds only for eta = 1, got eta = {model.eta}"
-        )
-    grid = np.asarray(omega_grid, dtype=float)
-    lam_sq = TWO_PI * np.abs(fano_lambda(model, grid)) ** 2
-    j_vals = TWO_PI * evaluate_J(pole_residue_from_model(model), grid)
-    scale = max(float(np.max(np.abs(j_vals))), 1e-300)
-    return float(np.max(np.abs(lam_sq - j_vals)) / scale)
+    return _lambda_identity(model, omega_grid)[-1]

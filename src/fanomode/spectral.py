@@ -34,6 +34,12 @@ def _check_finite(**values) -> None:
             raise ParameterError(f"{name} must be finite, got {value!r}")
 
 
+def _match_scalar(arg, out):
+    """``out`` as a Python float or complex when ``arg`` is a scalar or a
+    0-d array, else ``out`` unchanged."""
+    return out.item() if np.ndim(arg) == 0 else out
+
+
 @dataclass(frozen=True)
 class FanoModel:
     """Parameter bundle of the dissipative atom-cavity system.
@@ -212,9 +218,7 @@ def evaluate_J(spec: PoleSpectral, omega: float | np.ndarray) -> float | np.ndar
     out = spec.J0 + 2.0 * (spec.r1.real * x - spec.z1.imag * spec.r1.imag) / (
         x * x + spec.z1.imag**2
     )
-    if np.isscalar(omega) or np.ndim(omega) == 0:
-        return float(out)
-    return out
+    return _match_scalar(omega, out)
 
 
 def reduced_form_from_model(model: FanoModel) -> ReducedForm:
@@ -228,9 +232,7 @@ def evaluate_reduced_J(rf: ReducedForm, epsilon: float | np.ndarray) -> float | 
     shifted = eps + math.sqrt(rf.eta) * rf.q
     bracket = np.abs(shifted) ** 2 + (1.0 - rf.eta) * (1.0 + abs(rf.q) ** 2)
     out = rf.gamma / TWO_PI * bracket / (eps * eps + 1.0)
-    if np.isscalar(epsilon) or np.ndim(epsilon) == 0:
-        return float(out)
-    return out
+    return _match_scalar(epsilon, out)
 
 
 def memory_kernel(spec: PoleSpectral, tau: float | np.ndarray) -> MemoryKernel:
@@ -242,9 +244,7 @@ def memory_kernel(spec: PoleSpectral, tau: float | np.ndarray) -> MemoryKernel:
     t = np.asarray(tau, dtype=float)
     if np.any(t < 0):
         raise DomainError(f"tau must be >= 0, got {tau!r}")
-    regular = -1j * TWO_PI * spec.r1 * np.exp(-1j * spec.z1 * t)
-    if np.isscalar(tau) or np.ndim(tau) == 0:
-        regular = complex(regular)
+    regular = _match_scalar(tau, -1j * TWO_PI * spec.r1 * np.exp(-1j * spec.z1 * t))
     return MemoryKernel(delta_weight=TWO_PI * spec.J0, regular=regular)
 
 

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from fanomode import cli
+from fanomode import __version__, cli
 from fanomode.cli import main
 from fanomode.config import DEFAULT_CONFIG, load_config
 from fanomode.errors import ConfigError
@@ -340,6 +340,94 @@ class TestDecayRate:
         assert doc["status"] == "warning"
 
 
+class TestOutputLayout:
+    """Where each kind of output goes and how its header is laid out."""
+
+    REPORT_KEYS = {
+        "gamma", "kappa", "gamma_F", "eigenvalue_min", "eigenvalue_max", "det",
+        "trace", "scalar_condition", "j0_repair_threshold", "psd_tolerance",
+        "verdict",
+    }
+    KERNEL = ("kernel", "--set", "kernel.n_points=3", "--set", "kernel.tau_max=1.0",
+              "--set", "kernel.quadrature_check=true",
+              "--set", "kernel.quadrature_window=10.0",
+              "--set", "kernel.quadrature_points=101")
+
+    def test_csv_table_header_order(self, tmp_path):
+        out = tmp_path / "kernel.csv"
+        assert run(*self.KERNEL, "--out", str(out)) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == f"# fanomode {__version__}"
+        assert lines[1] == "# command: kernel"
+        assert lines[2].startswith("# units: ")
+        assert lines[3].startswith("# config: {")
+        config = json.loads(lines[3][len("# config: "):])
+        assert config["kernel"]["quadrature_check"] is True
+        # meta is sorted by key, not in the order the command built it
+        assert [line.split(":")[0] for line in lines[4:7]] == [
+            "# delta_weight", "# max_abs_deviation", "# pole"]
+        assert lines[7] == ("# columns: tau,re_regular,im_regular,abs_regular,"
+                            "re_quadrature,im_quadrature,quadrature_error_estimate,"
+                            "abs_deviation")
+        assert len(lines) == 8 + 3
+        assert not any(line.startswith("#") for line in lines[8:])
+
+    def test_csv_report_head(self, tmp_path):
+        out = tmp_path / "check.csv"
+        assert run("lindblad-check", "--out", str(out)) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == f"# fanomode {__version__}"
+        assert lines[1] == "# command: lindblad-check"
+        assert lines[2].startswith("# config: {")
+        assert lines[3] == "key,value"
+        assert {line.split(",", 1)[0] for line in lines[4:]} == self.REPORT_KEYS
+
+    @pytest.mark.parametrize("header", [True, False])
+    def test_json_key_sets(self, tmp_path, header):
+        flags = () if header else ("--no-header",)
+        table, report = tmp_path / "table.json", tmp_path / "report.json"
+        assert run("evolve", "--format", "json", "--out", str(table),
+                   "--set", "solver.t_max=0.01", *flags) == 0
+        assert run("lindblad-check", "--format", "json", "--out", str(report),
+                   *flags) == 0
+        head = {"tool", "command", "config"} if header else set()
+        table_head = head | {"units", "meta"} if header else set()
+        assert set(json.loads(table.read_text())) == {"columns", "rows"} | table_head
+        assert set(json.loads(report.read_text())) == self.REPORT_KEYS | head
+
+    def test_table_to_stdout_before_summary(self, capsys):
+        assert run("fanodiag", "--set", "fanodiag.n_points=3") == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"# fanomode {__version__}"
+        assert lines[-2].count(",") == 3  # last table row
+        assert lines[-1].startswith("max relative deviation of 2pi|Lambda|^2")
+
+    def test_report_without_out_prints_only_summary(self, capsys):
+        assert run("lindblad-check") == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 4
+        assert lines[0].startswith("Kossakowski matrix: ")
+        assert lines[1].startswith("eigenvalues: ")
+        assert lines[2].startswith("scalar condition ")
+        assert lines[-1] == "verdict: PASS"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("argv", [
+        ("compare", "--set", "compare.tolerance=1e-15", "--set", "solver.t_max=0.1"),
+        ("lindblad-check", "--set", "model.eta=1.2"),
+    ], ids=["table", "report"])
+    def test_violation_still_writes_file(self, tmp_path, capsys, argv, fmt):
+        out = tmp_path / f"out.{fmt}"
+        assert run(*argv, "--format", fmt, "--out", str(out)) == 2
+        assert "property violation" in capsys.readouterr().err
+        text = out.read_text()
+        assert text.endswith("\n")
+        if fmt == "json":
+            assert json.loads(text)["command"] == argv[0]
+        else:
+            assert text.startswith(f"# fanomode {__version__}\n# command: {argv[0]}\n")
+
+
 class TestConfig:
     def test_config_file_and_override(self, tmp_path):
         cfg = tmp_path / "run.json"
@@ -375,6 +463,58 @@ class TestConfig:
             load_config(None, ["spectrum.n_points=12.5"])
         with pytest.raises(ConfigError, match="boolean"):
             load_config(None, ["output.header=1"])
+
+    @pytest.mark.parametrize(
+        "literal", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400],
+        ids=["nan", "inf", "-inf", "int_beyond_float"],
+    )
+    def test_non_finite_number_rejected(self, tmp_path, literal):
+        with pytest.raises(ConfigError, match="finite"):
+            load_config(None, [f"kernel.tau_max={literal}"])
+        with pytest.raises(ConfigError, match="finite"):
+            load_config(None, [f'spectrum.curves=[{{"eta":{literal}}}]'])
+        cfg = tmp_path / "run.json"
+        cfg.write_text('{"schema_version": 1, "solver": {"c1_re": %s}}' % literal)
+        with pytest.raises(ConfigError, match="finite"):
+            load_config(str(cfg), [])
+
+    def test_integer_too_long_to_parse_rejected(self, tmp_path):
+        # used to escape as a ValueError traceback from json
+        digits = "1" + "0" * 5000
+        with pytest.raises(ConfigError, match="must be a number"):
+            load_config(None, [f"kernel.tau_max={digits}"])
+        cfg = tmp_path / "run.json"
+        cfg.write_text('{"schema_version": 1, "kernel": {"tau_max": %s}}' % digits)
+        with pytest.raises(ConfigError, match="not valid JSON"):
+            load_config(str(cfg), [])
+
+    @pytest.mark.parametrize("argv", [
+        ("kernel", "--set", "kernel.tau_max=NaN", "--set", "kernel.n_points=3"),
+        ("evolve", "--set", "solver.method=volterra", "--set", "solver.c1_re=NaN",
+         "--set", "solver.t_max=0.01"),
+        ("evolve", "--set", "solver.c1_re=NaN", "--set", "solver.t_max=0.01"),
+    ])
+    def test_cli_non_finite_number_is_usage_error(self, tmp_path, capsys, argv):
+        # used to exit 0 with NaN rows, or 3 blaming the step size
+        out = tmp_path / "nan.csv"
+        assert run(*argv, "--out", str(out)) == 1
+        assert "finite number" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", "--set", "output.format=xml"),
+        ("lindblad-check", "--set", "output.format=CSV"),
+    ])
+    def test_unknown_output_format_rejected(self, tmp_path, capsys, argv):
+        # used to write JSON silently and exit 0
+        out = tmp_path / "out.dat"
+        assert run(*argv, "--out", str(out)) == 1
+        assert "output.format" in capsys.readouterr().err
+        assert not out.exists()
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"schema_version": 1, "output": {"format": "xml"}}))
+        with pytest.raises(ConfigError, match="csv, json"):
+            load_config(str(cfg), [])
 
     def test_defaults_are_not_mutated(self):
         load_config(None, ["model.gamma=0.9"])

@@ -19,7 +19,14 @@ from fanomode.fanodiag import (
     fano_lambda,
     verify_lambda_identity,
 )
-from fanomode.spectral import FanoModel, evaluate_J, pole_residue_from_model
+from fanomode.spectral import (
+    FanoModel,
+    evaluate_J,
+    evaluate_reduced_J,
+    memory_kernel,
+    pole_residue_from_model,
+    reduced_form_from_model,
+)
 
 from conftest import random_lindblad_model
 
@@ -166,3 +173,44 @@ class TestCoefficients:
         np.testing.assert_allclose(
             lam_sq, TWO_PI * evaluate_J(spec, grid), rtol=0, atol=1e-12
         )
+
+
+_MODEL = FanoModel(gamma=0.3, kappa=1.0, g_abs=0.9, eta=1.0, phi=1.1, theta_C=0.4)
+_COEFFS = FanoDiagCoefficients(_MODEL, psi=0.9)
+
+# Every public evaluator that takes a frequency, detuning or delay, with the
+# Python type it returns for a scalar argument.
+SCALAR_RETURNING = {
+    "evaluate_J": (lambda x: evaluate_J(pole_residue_from_model(_MODEL), x), float),
+    "evaluate_reduced_J": (
+        lambda x: evaluate_reduced_J(reduced_form_from_model(_MODEL), x), float
+    ),
+    "memory_kernel.regular": (
+        lambda x: memory_kernel(pole_residue_from_model(_MODEL), x).regular, complex
+    ),
+    "fano_alpha": (lambda x: fano_alpha(_MODEL, x, 0.9), complex),
+    "fano_lambda": (lambda x: fano_lambda(_MODEL, x, 0.9), complex),
+    "beta_principal_coeff": (_COEFFS.beta_principal_coeff, complex),
+    "beta_delta_coeff": (_COEFFS.beta_delta_coeff, complex),
+}
+
+
+class TestScalarReturn:
+    @pytest.mark.parametrize("name", sorted(SCALAR_RETURNING))
+    @pytest.mark.parametrize(
+        "make", [float, int, np.float64, np.asarray],
+        ids=["python_float", "python_int", "numpy_scalar", "0d_array"],
+    )
+    def test_scalar_gives_python_number(self, name, make):
+        fn, kind = SCALAR_RETURNING[name]
+        got = fn(make(2))
+        assert type(got) is kind
+        assert got == pytest.approx(fn(np.array([2.0]))[0], rel=1e-15)
+
+    @pytest.mark.parametrize("name", sorted(SCALAR_RETURNING))
+    @pytest.mark.parametrize("shape", [(1,), (5,)])
+    def test_array_gives_array_of_same_shape(self, name, shape):
+        fn, _ = SCALAR_RETURNING[name]
+        got = fn(np.linspace(0.5, 3.0, shape[0]))
+        assert isinstance(got, np.ndarray)
+        assert got.shape == shape

@@ -5,8 +5,8 @@ All solvers work in the subspace spanned by
 explicit reservoir modes) and use fixed-step deterministic integrators:
 
 * :func:`solve_volterra`     -- exact memory-kernel equation for c1(t),
-  quadrature of the full history convolution, delta part applied
-  analytically.
+  Gregory quadrature of the full history convolution as a blocked FFT
+  convolution (O(n log^2 n)), delta part applied analytically.
 * :func:`solve_amplitudes`   -- coupled (c1, b1) pseudomode amplitudes,
   classical RK4 on the 2x2 non-Hermitian system.
 * :func:`solve_qme`          -- full 3x3 master equation, classical RK4 as
@@ -180,7 +180,26 @@ def _time_grid(t_max: float, h: float) -> np.ndarray:
 def _rk4_step(a_mat: np.ndarray, h: float):
     """Classical RK4 for y' = A y as y_{i+1} = step @ y_i, plus the stage
     matrices S_1..S_4 (S_1 = 1) with stage derivatives k_j = A S_j y_i.
+
+    RK4 multiplies each mode e^{lambda t} of A by R(h lambda) per step, with
+    R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24; these are the eigenvalues of
+    ``step``, so this is RK4's exact amplification, not a bound on it.  A
+    mode amplified by more than max(1, |e^{h lambda}|), the most the
+    equation itself allows, makes the run unstable: StepSizeError, raised
+    before any step.  (A non-Lindblad generator may grow a mode; that is
+    physics, reported by the invariant checks, not a step-size failure.)
     """
+    z = h * np.linalg.eigvals(a_mat)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gain = np.abs(1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0))))
+        allowed = np.maximum(1.0, np.exp(z.real))
+    worst = int(np.argmax(gain / allowed))
+    if not gain[worst] <= allowed[worst] + 1e-12:
+        raise StepSizeError(
+            f"RK4 step amplifies a mode by {gain[worst]:.3g} where the equation "
+            f"allows {allowed[worst]:.3g} (unstable at this h): the state grows "
+            "until it is not finite; reduce h"
+        )
     eye = np.eye(len(a_mat), dtype=complex)
     stage2 = eye + 0.5 * h * a_mat
     stage3 = eye + 0.5 * h * (a_mat @ stage2)
@@ -233,7 +252,8 @@ def solve_amplitudes(
     with b1(0) = 0 (reservoir vacuum), by classical RK4 in the omega_A
     rotating frame.  The jump probability Pi_j is accumulated alongside by
     integrating its rate with the same RK4 stages, so the norm identity
-    holds to the integrator order.  Non-finite states raise StepSizeError.
+    holds to the integrator order.  A step size at which RK4 is unstable
+    raises StepSizeError before the run (see :func:`_rk4_step`).
     """
     times = _time_grid(t_max, h)
     c0 = _c0_from_c1(c1_0)
@@ -292,24 +312,65 @@ def _dot(a: np.ndarray, b: np.ndarray) -> complex:
     return complex(np.add.reduce(a * b))
 
 
-def _history_quadrature(kt, kt_rev, u, n_total, m):
-    """sum_j W_j kt[m - j] u[j] over j = 0..m-1 for the integral up to t_m.
+# Base block of the history convolution: pairs j < m inside one block of
+# _BLOCK steps are summed directly, all other pairs by FFT.
+_BLOCK = 64
+
+
+def _history_quadrature(kt, u):
+    """Yield (partial, w_end) for m = 3, 4, ..., len(u) - 1, where partial is
+    sum_j W_j kt[m - j] u[j] over j = 0..m-1 for the integral up to t_m.
 
     The j = m endpoint term (weight times kt[0] u[m]) is left out so the
     caller can fold it into an implicit step; the endpoint weight is
-    returned alongside.
+    yielded alongside.  The sum for step m reads u[j] for j < m only when
+    it is asked for, so the caller fills u[m - 1] in between.
+
+    The interior sum S[m] = sum_{j<m} kt[m - j] u[j] is the causal Toeplitz
+    product of Hairer, Lubich & Schlichte (SIAM J. Sci. Stat. Comput. 6
+    (1985) 532), split into exact pieces: pairs inside one base block are a
+    direct pairwise dot; every other pair lies in exactly one square
+    j in [a, a + L), m in [a + L, a + 2L) with L = _BLOCK 2^k and a a
+    multiple of 2L, which is added into ``far`` by one FFT of size 2L as
+    soon as u[a + L - 1] is known.  Cost O(n log^2 n) for n steps; the
+    Gregory edge corrections are applied exactly on top.
     """
-    if m < 6:
-        w = _SHORT_WEIGHTS[m]
-        total = sum(w[j] * kt[m - j] * u[j] for j in range(m))
-        return total, w[m]
-    # Interior weight 1 over j = 0..m-1, then edge corrections.
-    total = _dot(kt_rev[n_total - m : n_total], u[:m])
+    n = len(u) - 1
+    far = np.zeros(n + 1, dtype=complex)  # far[m]: S[m] terms from earlier blocks
+    near_rev = kt[_BLOCK:0:-1].copy()  # near_rev[n_near - r :] = kt[r], ..., kt[1]
+    n_near = len(near_rev)
+    spectra = {}  # size L -> FFT of kt[0:2L], kept while the size recurs
     e0, e1, e2 = _GREGORY_EDGE
-    total += (e0 - 1.0) * kt[m] * u[0] + (e1 - 1.0) * kt[m - 1] * u[1]
-    total += (e2 - 1.0) * kt[m - 2] * u[2]
-    total += (e2 - 1.0) * kt[2] * u[m - 2] + (e1 - 1.0) * kt[1] * u[m - 1]
-    return total, e0
+    for m in range(3, n + 1):
+        if m % _BLOCK == 0:
+            # The square whose history block [a, m) ends here: L = _BLOCK
+            # times the largest power of two dividing m / _BLOCK, so a = m - L
+            # is a multiple of 2L.
+            size = _BLOCK * ((m // _BLOCK) & -(m // _BLOCK))
+            spectrum = spectra.pop(size, None)
+            if spectrum is None:
+                spectrum = np.fft.fft(kt[: 2 * size], 2 * size)
+            if m + 2 * size <= n:  # the same size comes round again
+                spectra[size] = spectrum
+            # Linear convolution of u[a:m] with kt[0:2L]; entries L..2L-1
+            # (lags 1..2L-1) do not wrap around.
+            conv = np.fft.fft(u[m - size : m], 2 * size)
+            conv *= spectrum
+            del spectrum  # an uncached spectrum is freed before the inverse FFT
+            conv = np.fft.ifft(conv)
+            end = min(m + size, n + 1)
+            far[m:end] += conv[size : size + end - m]
+        if m < 6:
+            w = _SHORT_WEIGHTS[m]
+            yield sum(w[j] * kt[m - j] * u[j] for j in range(m)), w[m]
+            continue
+        # Interior weight 1 over j = 0..m-1, then edge corrections.
+        r = m % _BLOCK
+        total = far[m] + _dot(near_rev[n_near - r :], u[m - r : m])
+        total += (e0 - 1.0) * kt[m] * u[0] + (e1 - 1.0) * kt[m - 1] * u[1]
+        total += (e2 - 1.0) * kt[m - 2] * u[2]
+        total += (e2 - 1.0) * kt[2] * u[m - 2] + (e1 - 1.0) * kt[1] * u[m - 1]
+        yield total, e0
 
 
 def _volterra_taylor_start(u0, damping, k0, delta, times):
@@ -353,6 +414,13 @@ def solve_volterra(
     stored history with fourth-order Gregory weights, and the step is the
     implicit fourth-order Adams-Moulton rule (started from the equation's
     own Taylor expansion).  Global error O(h^4).
+
+    The interior of the Gregory sum is a causal Toeplitz product of the
+    sampled kernel and the history, evaluated as a blocked convolution:
+    pairs inside one base block of 64 steps by a direct pairwise dot, all
+    others by FFT squares of doubling size, O(n log^2 n) for n steps; the
+    Gregory endpoint corrections are applied exactly.  Only the kernel
+    samples enter it, never the kernel's one-pole form.
     """
     times = _time_grid(t_max, h)
     c0 = _c0_from_c1(c1_0)
@@ -369,7 +437,6 @@ def solve_volterra(
     delta = spec.z1 - omega_A
     k0 = -1j * TWO_PI * spec.r1
     kt = k0 * np.exp(-1j * delta * times)
-    kt_rev = kt[::-1].copy()  # kt_rev[n - m] = kt[m]; keeps history dots contiguous
 
     u = np.zeros(n + 1, dtype=complex)
     f = np.zeros(n + 1, dtype=complex)  # du/dt samples for the multistep rule
@@ -383,8 +450,7 @@ def solve_volterra(
         u[1 : starts + 1] = values
         f[1 : starts + 1] = derivs
 
-    for m in range(3, n + 1):
-        partial, w_end = _history_quadrature(kt, kt_rev, u, n, m)
+    for m, (partial, w_end) in enumerate(_history_quadrature(kt, u), start=3):
         denom = 1.0 + (9.0 * h / 24.0) * damping + (9.0 * h * h / 24.0) * w_end * kt[0]
         explicit = u[m - 1] + (h / 24.0) * (
             19.0 * f[m - 1] - 5.0 * f[m - 2] + f[m - 3]
@@ -443,8 +509,9 @@ def solve_qme(
     operator, by classical RK4.  The equation is linear and time-invariant,
     so it is vectorized once into its 9x9 Liouvillian and every step is one
     product with the precomputed RK4 step matrix.  The generator is
-    traceless in range, so the trace is preserved to roundoff.  Non-finite
-    states raise StepSizeError.
+    traceless in range, so the trace is preserved to roundoff.  A step size
+    at which RK4 is unstable raises StepSizeError before the run (see
+    :func:`_rk4_step`).
     """
     if not isinstance(rho_0, DensityMatrix3):
         rho_0 = DensityMatrix3(rho_0)

@@ -198,6 +198,33 @@ class TestEvolve:
         assert code == 3
         assert "not finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "method, h, expected",
+        [
+            # RK4 step spectral radius 20.5: refused before the run (it used
+            # to run and exit 2 with a min eigenvalue of -1.4e52)
+            ("qme", "0.5", 3),
+            # radius exactly 1 (the trace mode): runs
+            ("qme", "0.2", 0),
+            # radius 0.44, stable but inaccurate: the norm identity flags it
+            ("amplitudes", "0.5", 2),
+        ],
+    )
+    def test_rk4_stability_checked_before_run(
+        self, tmp_path, capsys, method, h, expected
+    ):
+        out = tmp_path / "evolve.csv"
+        code = run("evolve", "--out", str(out), "--set", f"solver.method={method}",
+                   "--set", f"solver.h={h}", "--set", "solver.t_max=20",
+                   "--set", "model.g_abs=5")
+        assert code == expected
+        err = capsys.readouterr().err
+        if expected == 3:
+            assert "amplifies a mode by 20.5 where the equation allows 1 " in err
+            assert not out.exists()
+        if expected == 2:
+            assert "norm identity drifts" in err
+
     def test_t_max_not_multiple_of_h_rejected(self, capsys):
         # t_max = 1, h = 0.3 used to end silently at t = 0.9
         code = run("evolve", "--set", "solver.t_max=1", "--set", "solver.h=0.3")

@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from fanomode import dynamics
 from fanomode.dynamics import (
     DensityMatrix3,
     build_discretized,
@@ -84,6 +85,35 @@ def qme_reference_rk4(qme: EmbeddedQME, rho_0: np.ndarray, t_max: float, h: floa
         rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         rhos[i + 1] = rho
     return rhos
+
+
+def direct_history(kt, u):
+    """Reference: the Gregory history sums with one dot over the whole
+    history per step, O(n^2), in the generator form of the blocked one."""
+    n = len(u) - 1
+    kt_rev = kt[::-1].copy()
+    e0, e1, e2 = dynamics._GREGORY_EDGE
+    for m in range(3, n + 1):
+        if m < 6:
+            w = dynamics._SHORT_WEIGHTS[m]
+            yield sum(w[j] * kt[m - j] * u[j] for j in range(m)), w[m]
+            continue
+        total = complex(np.add.reduce(kt_rev[n - m : n] * u[:m]))
+        total += (e0 - 1.0) * kt[m] * u[0] + (e1 - 1.0) * kt[m - 1] * u[1]
+        total += (e2 - 1.0) * kt[m - 2] * u[2]
+        total += (e2 - 1.0) * kt[2] * u[m - 2] + (e1 - 1.0) * kt[1] * u[m - 1]
+        yield total, e0
+
+
+def sampled_kernel(name: str, rng: np.random.Generator, n: int) -> np.ndarray:
+    t = 0.01 * np.arange(n + 1)
+    if name == "random":
+        return rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+    if name == "two_exponential":
+        fast, slow = np.exp(-(0.3 + 2j) * t), np.exp(-(0.05 - 0.7j) * t)
+        return 0.7j * fast - (0.2 - 0.5j) * slow
+    assert name == "gaussian_oscillation"
+    return 1.3 * np.exp(-((t / 3.0) ** 2) - 5j * t)
 
 
 def random_initial_states(rng: np.random.Generator):
@@ -182,6 +212,47 @@ class TestSolveAmplitudes:
         assert state.norm_sum == pytest.approx(1.0, abs=1e-10)
 
 
+B = dynamics._BLOCK
+
+
+class TestBlockedHistory:
+    # every base-block and square boundary, plus the short-history branch
+    @pytest.mark.parametrize(
+        "n", [0, 1, 2, 3, 4, 5, 6, B - 1, B, B + 1, 2 * B + 1, 4 * B - 1, 1000, 4097]
+    )
+    @pytest.mark.parametrize(
+        "kernel", ["random", "two_exponential", "gaussian_oscillation"]
+    )
+    def test_matches_direct_sum(self, kernel, n):
+        rng = np.random.default_rng(n)
+        kt = sampled_kernel(kernel, rng, n)
+        u = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+        blocked = list(dynamics._history_quadrature(kt, u))
+        direct = list(direct_history(kt, u))
+        assert len(blocked) == len(direct) == max(0, n - 2)
+        for m, ((partial, w_end), (want, want_w_end)) in enumerate(
+            zip(blocked, direct), start=3
+        ):
+            assert w_end == want_w_end
+            scale = np.sum(np.abs(kt[m:0:-1]) * np.abs(u[:m]))
+            assert abs(partial - want) <= 1e-12 * scale
+
+    def test_reads_only_the_known_history(self):
+        # the sum for step m may read u[j] for j < m only: the solver fills
+        # u[m] after it, so entries not yet known are NaN here
+        rng = np.random.default_rng(7)
+        n = 4 * B + 5
+        kt = sampled_kernel("random", rng, n)
+        u_full = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+        u = np.full(n + 1, np.nan, dtype=complex)
+        u[:3] = u_full[:3]
+        online = []
+        for m, step in enumerate(dynamics._history_quadrature(kt, u), start=3):
+            online.append(step)
+            u[m] = u_full[m]
+        assert online == list(dynamics._history_quadrature(kt, u_full))
+
+
 class TestSolveVolterra:
     def test_markovian_decay_exact(self):
         model = FanoModel(gamma=0.25, kappa=1.0, g_abs=0.0, eta=0.0, omega_A=0.7)
@@ -209,6 +280,19 @@ class TestSolveVolterra:
             )
             ta = solve_amplitudes(embed_from_model(model), 1.0, 20.0, 1e-3)
             assert np.max(np.abs(np.abs(tv.c1) - np.abs(ta.c1))) < 1e-6
+
+    def test_matches_direct_history_solver(self, rng, monkeypatch):
+        # the blocked history against the O(n^2) one in the same solver
+        runs = []
+        for t_max in (20.0, 60.0):
+            model = random_lindblad_model(rng, resonant=False)
+            spec = pole_residue_from_model(model)
+            runs.append((spec, model.omega_A, t_max))
+        blocked = [solve_volterra(spec, w, 1.0, t, 1e-3).c1 for spec, w, t in runs]
+        monkeypatch.setattr(dynamics, "_history_quadrature", direct_history)
+        direct = [solve_volterra(spec, w, 1.0, t, 1e-3).c1 for spec, w, t in runs]
+        for got, want in zip(blocked, direct):
+            assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_fourth_order_convergence(self):
         # halving h cuts the error ~16x against the eigen-solution oracle
@@ -318,6 +402,16 @@ class TestSolveQME:
             solve_qme(qme, DensityMatrix3.excited_atom(), 1800.0, 0.9)
         with pytest.raises(StepSizeError):
             solve_amplitudes(qme, 1.0, 1800.0, 0.9)
+
+    def test_stability_checked_before_stepping(self):
+        # exact RK4 amplification max|eig(step)|: 20.5 for the QME at
+        # h = 0.5, 0.44 for the amplitudes of the same model
+        qme = embed_from_model(FanoModel(gamma=0.25, kappa=1.0, g_abs=5.0, eta=1.0))
+        with pytest.raises(StepSizeError, match="amplifies a mode by 20.5 where"):
+            solve_qme(qme, DensityMatrix3.excited_atom(), 20.0, 0.5)
+        assert np.all(np.isfinite(solve_amplitudes(qme, 1.0, 20.0, 0.5).c1))
+        rho = solve_qme(qme, DensityMatrix3.excited_atom(), 20.0, 0.2).rho
+        assert np.max(np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0)) < 1e-12
 
     def test_invalid_initial_state(self):
         qme = embed_from_model(PRESET)

@@ -1,0 +1,95 @@
+"""Property tests over the whole Lindblad parameter box, edges included.
+
+The box is the one ``conftest.random_lindblad_model`` samples (kappa = 1),
+searched by hypothesis instead of a fixed seed.  Runs are derandomized, so
+every run draws the same examples.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+
+from fanomode.dynamics import DensityMatrix3, solve_amplitudes, solve_qme
+from fanomode.embedding import embed, embed_from_model, kossakowski, spectral_from_qme
+from fanomode.spectral import FanoModel, evaluate_J, pole_residue_from_model
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+DETERMINISTIC = settings(
+    derandomize=True, database=None, deadline=None, max_examples=60
+)
+
+ANGLES = st.floats(0.0, 2.0 * math.pi)
+# Absolute floor: the box reaches couplings whose squares are subnormal.
+UNDERFLOW = 1e-300
+
+
+def models(eta_max: float = 1.0):
+    return st.builds(
+        FanoModel,
+        gamma=st.floats(0.0, 1.0),
+        kappa=st.just(1.0),
+        g_abs=st.floats(0.0, 2.0),
+        eta=st.floats(0.0, eta_max),
+        omega_A=st.floats(-2.0, 2.0),
+        omega_C=st.just(0.0),
+        phi=ANGLES,
+        theta_A=ANGLES,
+        theta_C=ANGLES,
+    )
+
+
+@DETERMINISTIC
+@given(model=models(), omega=st.floats(-1e3, 1e3))
+def test_spectral_function_nonnegative(model, omega):
+    spec = pole_residue_from_model(model)
+    omegas = np.append(np.linspace(-50.0, 50.0, 2001), omega)
+    scale = spec.J0 + abs(spec.r1) / model.kappa
+    assert np.min(evaluate_J(spec, omegas)) >= -1e-12 * scale - UNDERFLOW
+
+
+@DETERMINISTIC
+@given(model=models(eta_max=2.0))
+def test_kossakowski_det_identity(model):
+    gm = kossakowski(embed_from_model(model))
+    expected = model.gamma * model.kappa * (1.0 - model.eta)
+    scale = model.gamma * model.kappa * max(1.0, model.eta)
+    assert abs(gm.det - expected) <= 1e-12 * scale + UNDERFLOW
+
+
+@DETERMINISTIC
+@given(model=models(eta_max=2.0))
+def test_embedding_round_trip(model):
+    spec = pole_residue_from_model(model)
+    qme = embed_from_model(model)
+    back = spectral_from_qme(qme)
+    assert back.z1 == spec.z1
+    assert abs(back.J0 - spec.J0) <= 1e-14 * spec.J0 + UNDERFLOW
+    # r1 is a product of the two couplings: its roundoff scales with them
+    r1_scale = (abs(qme.mu) + abs(qme.nu)) ** 2
+    assert abs(back.r1 - spec.r1) <= 1e-14 * r1_scale + UNDERFLOW
+    again = embed(back, qme.mu, qme.nu, qme.omega_A)
+    assert again.omega_C == qme.omega_C
+    assert (again.mu, again.gamma_F) == (qme.mu, qme.gamma_F)
+    assert abs(again.kappa - qme.kappa) <= 1e-15 * qme.kappa
+    assert abs(again.gamma - qme.gamma) <= 1e-14 * qme.gamma + UNDERFLOW
+
+
+@DETERMINISTIC
+@given(model=models(), h=st.sampled_from([0.05, 0.1, 0.2]))
+def test_amplitudes_and_qme_agree_at_coarse_h(model, h):
+    # Both are RK4 of the same dynamics, on |psi> and on rho; they differ by
+    # O(h^4).  At these h the whole box is inside the RK4 stability guard.
+    qme = embed_from_model(model)
+    ta = solve_amplitudes(qme, 1.0, 10.0, h)
+    rho = solve_qme(qme, DensityMatrix3.excited_atom(), 10.0, h).rho
+    deviation = max(
+        np.max(np.abs(rho[:, 1, 1].real - ta.c1_abs2)),
+        np.max(np.abs(rho[:, 2, 2].real - np.abs(ta.b1) ** 2)),
+        np.max(np.abs(rho[:, 1, 2] - ta.c1 * np.conj(ta.b1))),
+    )
+    assert deviation <= 10.0 * h**4

@@ -57,9 +57,9 @@ from .fanodiag import _lambda_identity
 from .spectral import (
     TWO_PI,
     ReducedForm,
+    _kernel_quadrature,
     evaluate_J,
     evaluate_reduced_J,
-    kernel_by_quadrature,
     memory_kernel,
     pole_residue_from_model,
 )
@@ -224,15 +224,9 @@ def cmd_kernel(config: dict) -> _Output:
         "pole": f"{spec.z1.real:.17g}{spec.z1.imag:+.17g}j",
     }
     if section["quadrature_check"]:
-        values = np.empty(len(taus), dtype=complex)
-        estimates = np.empty(len(taus))
-        for i, tau in enumerate(taus):
-            result = kernel_by_quadrature(
-                spec, float(tau), section["quadrature_window"],
-                section["quadrature_points"],
-            )
-            values[i] = result.value
-            estimates[i] = result.error_estimate
+        values, estimates = _kernel_quadrature(
+            spec, taus, section["quadrature_window"], section["quadrature_points"]
+        )
         deviation = np.abs(values - kernel.regular)
         columns += ["re_quadrature", "im_quadrature", "quadrature_error_estimate",
                     "abs_deviation"]
@@ -273,7 +267,13 @@ def _evolve_table(traj: Trajectory) -> tuple[list[str], list[np.ndarray], list[s
             violations.append(
                 f"jump probability decreases (min increment {np.min(increments):.3e})"
             )
-        return columns, data, violations + _drift(norm, "norm identity")
+        # The identity holds for any generator, so a drift is integrator error.
+        violations += [
+            f"{message} at h = {traj.h:.6g}: RK4 truncation error at this h is "
+            "the likely cause; reduce h"
+            for message in _drift(norm, "norm identity")
+        ]
+        return columns, data, violations
     if traj.method == "discretized":
         reservoir = traj.extras["reservoir_population"]
         norm = abs(traj.c0) ** 2 + traj.c1_abs2 + reservoir

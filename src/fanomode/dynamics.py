@@ -2,7 +2,7 @@
 
 All solvers work in the subspace spanned by
 {|0>_A|0>_C, |1>_A|0>_C, |0>_A|1>_C} (plus, for the brute-force oracle, the
-explicit reservoir modes) and use fixed-step deterministic integrators:
+explicit reservoir modes) and are deterministic on a fixed time grid:
 
 * :func:`solve_volterra`     -- exact memory-kernel equation for c1(t),
   Gregory quadrature of the full history convolution as a blocked FFT
@@ -12,7 +12,11 @@ explicit reservoir modes) and use fixed-step deterministic integrators:
 * :func:`solve_qme`          -- full 3x3 master equation, classical RK4 as
   one precomputed step matrix of its vectorized 9x9 Liouvillian.
 * :func:`solve_discretized`  -- Schroedinger evolution against an explicit
-  frequency comb sampling J(omega); the brute-force oracle.
+  frequency comb sampling J(omega); the brute-force oracle.  The comb is
+  mapped exactly to a tridiagonal chain (Lanczos), cut at depth
+  min(N, ceil(0.6 W t_max) + 32) for a comb of half-width W, and
+  diagonalized: exact at every sample, so h is only the sampling step.  A
+  cut chain whose last site is reached by t_max / 2 raises RecurrenceError.
 
 Fast phases at omega_A are removed internally (rotating frame) and restored
 on output.
@@ -347,19 +351,24 @@ def _history_quadrature(kt, u):
             # times the largest power of two dividing m / _BLOCK, so a = m - L
             # is a multiple of 2L.
             size = _BLOCK * ((m // _BLOCK) & -(m // _BLOCK))
-            spectrum = spectra.pop(size, None)
-            if spectrum is None:
-                spectrum = np.fft.fft(kt[: 2 * size], 2 * size)
-            if m + 2 * size <= n:  # the same size comes round again
-                spectra[size] = spectrum
-            # Linear convolution of u[a:m] with kt[0:2L]; entries L..2L-1
-            # (lags 1..2L-1) do not wrap around.
-            conv = np.fft.fft(u[m - size : m], 2 * size)
-            conv *= spectrum
-            del spectrum  # an uncached spectrum is freed before the inverse FFT
-            conv = np.fft.ifft(conv)
-            end = min(m + size, n + 1)
-            far[m:end] += conv[size : size + end - m]
+            if m == n:
+                # The last square feeds far[n] alone: one direct dot, not an
+                # FFT of size 2L.
+                far[n] += _dot(kt[size:0:-1], u[n - size : n])
+            else:
+                spectrum = spectra.pop(size, None)
+                if spectrum is None:
+                    spectrum = np.fft.fft(kt[: 2 * size], 2 * size)
+                if m + 2 * size <= n:  # the same size comes round again
+                    spectra[size] = spectrum
+                # Linear convolution of u[a:m] with kt[0:2L]; entries L..2L-1
+                # (lags 1..2L-1) do not wrap around.
+                conv = np.fft.fft(u[m - size : m], 2 * size)
+                conv *= spectrum
+                del spectrum  # an uncached spectrum is freed before the inverse FFT
+                conv = np.fft.ifft(conv)
+                end = min(m + size, n + 1)
+                far[m:end] += conv[size : size + end - m]
         if m < 6:
             w = _SHORT_WEIGHTS[m]
             yield sum(w[j] * kt[m - j] * u[j] for j in range(m)), w[m]
@@ -560,6 +569,53 @@ def build_discretized(
     )
 
 
+# Depth of the comb oracle's chain: by t_max / 2 its light cone spans about
+# W t_max / 2 sites (W = half the comb's width); the margin covers the
+# front's exponentially small tail.
+_CHAIN_LIGHT_CONE = 0.6
+_CHAIN_MARGIN = 32
+# Largest weight the last site of a cut chain may carry up to t_max / 2.
+_CHAIN_LEAK = 1e-16
+# Samples per block of the chain-state product, which bounds its memory.
+_STATE_BLOCK = 128
+
+
+def _comb_chain(
+    detunings: np.ndarray, couplings: np.ndarray, depth: int
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Tridiagonal chain equivalent to the atom (site 0, detuning 0) coupled
+    to modes at ``detunings`` with real ``couplings``, cut after ``depth``
+    reservoir sites.
+
+    The star-to-chain map of Chin, Rivas, Huelga & Plenio (J. Math. Phys. 51
+    (2010) 092109): the Lanczos (discrete Stieltjes) recurrence on
+    diag(detunings) started from g / |g|, O(N) work per site and no
+    reorthogonalization.  Site 0 couples to site 1 by |g|.  At a breakdown
+    (|g| = 0, or a residual at roundoff of the chain's scale) the remaining
+    modes are decoupled and the shorter chain is exact.  Returns the
+    diagonal, the off-diagonal and whether the chain was cut short of it.
+    """
+    norm = math.sqrt(float(np.add.reduce(couplings * couplings)))
+    if norm == 0.0:
+        return np.zeros(1), np.zeros(0), False
+    tiny = np.finfo(float).eps * max(norm, float(np.max(np.abs(detunings))))
+    diag, off = [0.0], [norm]
+    q_prev, q = np.zeros_like(couplings), couplings / norm
+    beta = 0.0  # coupling of q to q_prev
+    while True:
+        dq = detunings * q
+        alpha = float(np.add.reduce(q * dq))
+        diag.append(alpha)
+        if len(off) == depth:
+            return np.array(diag), np.array(off), depth < len(couplings)
+        residual = dq - alpha * q - beta * q_prev
+        beta = math.sqrt(float(np.add.reduce(residual * residual)))
+        if beta <= tiny:
+            return np.array(diag), np.array(off), False
+        off.append(beta)
+        q_prev, q = q, residual / beta
+
+
 def solve_discretized(
     res: DiscretizedReservoir, omega_A: float, c1_0: complex, t_max: float, h: float
 ) -> Trajectory:
@@ -568,10 +624,22 @@ def solve_discretized(
         dc1/dt = -i omega_A c1 - i sum_k g_k c_k,
         dc_k/dt = -i omega_k c_k - i g_k c1,
 
-    by classical RK4 in the omega_A rotating frame.  Refuses t_max past half
-    the comb's recurrence time, where the finite comb stops mimicking the
-    continuum.  The per-step reservoir population is recorded in
-    ``extras["reservoir_population"]``.
+    by exact diagonalization.  In the omega_A rotating frame the comb is
+    mapped to a real tridiagonal chain (see :func:`_comb_chain`) of depth
+    M = min(N, ceil(0.6 W t_max) + 32) with W half the comb's width; with
+    psi(t) = V e^{-i lambda t} V^T e_0 from ``np.linalg.eigh`` of the chain,
+    c1(t) = c1(0) psi_0(t) e^{-i omega_A t} at every sample, so ``h`` is
+    only the sampling step.  The Hamiltonian is real symmetric, so
+    c1(t) = sum_s psi_s(t/2)^2: a cut chain is exact on [0, t_max] while
+    its last site stays empty up to t_max / 2.  When it does not (weight
+    above 1e-16), RecurrenceError names the depth and the weight.  Only the
+    comb's samples of J enter, never the pole form or the kernel.
+
+    Refuses t_max past half the comb's recurrence time, where the finite
+    comb stops mimicking the continuum.  The reservoir population
+    |c1(0)|^2 sum_{s>=1} |psi_s(t)|^2 is summed from the chain state, in
+    blocks of samples, into ``extras["reservoir_population"]``; the chain
+    depth goes to ``metadata["chain_depth"]``.
     """
     if t_max >= 0.5 * res.recurrence_time:
         raise RecurrenceError(
@@ -580,47 +648,48 @@ def solve_discretized(
         )
     times = _time_grid(t_max, h)
     c0 = _c0_from_c1(c1_0)
-    n = len(times) - 1
 
-    detunings = res.omegas - omega_A
-    max_rate = float(np.max(np.abs(detunings)))
-    if h * max_rate > 2.5:
-        raise StepSizeError(
-            f"h * max|detuning| = {h * max_rate:.3g} > 2.5 (RK4 unstable); reduce h"
-        )
-    g = res.couplings.astype(complex)
+    half_width = 0.5 * float(res.omegas[-1] - res.omegas[0])
+    depth = min(
+        res.n_modes, math.ceil(_CHAIN_LIGHT_CONE * half_width * t_max) + _CHAIN_MARGIN
+    )
+    diag, off, cut = _comb_chain(res.omegas - omega_A, res.couplings, depth)
+    chain = np.diag(diag)
+    sites = np.arange(len(off))
+    chain[sites, sites + 1] = chain[sites + 1, sites] = off
+    lam, vecs = np.linalg.eigh(chain)
 
-    def rhs(y: np.ndarray) -> np.ndarray:
-        out = np.empty_like(y)
-        out[0] = -1j * np.add.reduce(g * y[1:])
-        out[1:] = -1j * (detunings * y[1:] + g * y[0])
-        return out
+    psi_0 = np.empty(len(times), dtype=complex)
+    reservoir_pop = np.empty(len(times))
+    for start in range(0, len(times), _STATE_BLOCK):
+        t = times[start : start + _STATE_BLOCK]
+        block = slice(start, start + len(t))
+        phase = np.outer(t, lam)
+        # Rows: Re psi(t) for each t of the block, then -Im psi(t).
+        state = np.concatenate((np.cos(phase), np.sin(phase)))
+        state *= vecs[0]
+        state = state @ vecs.T
+        psi_0[block] = state[: len(t), 0] - 1j * state[len(t) :, 0]
+        state *= state
+        weight = state[: len(t)] + state[len(t) :]
+        reservoir_pop[block] = np.sum(weight[:, 1:], axis=1)
+        leak = float(np.max(weight[t <= 0.5 * t_max, -1], initial=0.0))
+        if cut and leak > _CHAIN_LEAK:
+            raise RecurrenceError(
+                f"comb chain of depth {depth} too shallow: its last site holds "
+                f"weight {leak:.3g} > {_CHAIN_LEAK:g} before t_max / 2"
+            )
 
-    y = np.zeros(res.n_modes + 1, dtype=complex)
-    y[0] = c1_0
-    c1 = np.empty(n + 1, dtype=complex)
-    reservoir_pop = np.empty(n + 1, dtype=float)
-    c1[0] = y[0]
-    reservoir_pop[0] = 0.0
-    for i in range(n):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * h * k1)
-        k3 = rhs(y + 0.5 * h * k2)
-        k4 = rhs(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        c1[i + 1] = y[0]
-        reservoir_pop[i + 1] = float(np.sum(np.abs(y[1:]) ** 2))
-
-    phase = np.exp(-1j * omega_A * times)
     return Trajectory(
         times=times,
         method="discretized",
         c0=complex(c0),
-        c1=c1 * phase,
-        extras={"reservoir_population": reservoir_pop},
+        c1=c1_0 * psi_0 * np.exp(-1j * omega_A * times),
+        extras={"reservoir_population": abs(c1_0) ** 2 * reservoir_pop},
         metadata={
             "n_modes": res.n_modes, "delta_omega": res.delta_omega,
             "omega_A": omega_A, "c1_0": complex(c1_0), "t_max": t_max, "h": h,
+            "chain_depth": len(off),
         },
     )
 

@@ -260,27 +260,57 @@ def kernel_by_quadrature(
     truncation error fall off only like 1/(window * tau), which dominates the
     reported estimate at practical settings.
     """
-    _check_finite(tau=tau, window=window)
+    values, estimates = _kernel_quadrature(spec, np.array([tau]), window, n_points)
+    return QuadratureResult(
+        value=complex(values[0]), error_estimate=float(estimates[0])
+    )
+
+
+def _kernel_quadrature(
+    spec: PoleSpectral, taus: np.ndarray, window: float, n_points: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Values and error estimates of :func:`kernel_by_quadrature` at every tau
+    of ``taus``.
+
+    The grid and f = J - J0 are built once; each tau costs one exponential
+    over the grid, and the half-resolution subgrid and the central
+    half-window slice that give the error estimate are slices of that one
+    integrand.
+    """
+    _check_finite(tau=taus, window=window)
     if window <= 0:
         raise ParameterError(f"window must be > 0, got {window}")
     if n_points < 2:
         raise ParameterError(f"n_points must be >= 2, got {n_points}")
 
-    def integrate(grid: np.ndarray) -> complex:
-        f = evaluate_J(spec, grid) - spec.J0
-        integrand = f * np.exp(-1j * grid * tau)
+    def integrate(integrand: np.ndarray, grid: np.ndarray) -> complex:
         h = grid[1] - grid[0]
         return complex(h * (integrand.sum() - 0.5 * (integrand[0] + integrand[-1])))
 
     grid = np.linspace(spec.z1.real - window, spec.z1.real + window, n_points)
-    value = integrate(grid)
-
-    # Discretization estimate: compare with the half-resolution subgrid.
-    est_disc = abs(value - integrate(grid[::2])) if n_points >= 5 else abs(value)
-    # Truncation estimate: compare with the central half-window slice.
+    f = evaluate_J(spec, grid) - spec.J0
     quarter = (n_points - 1) // 4
-    if quarter >= 1:
-        est_trunc = abs(value - integrate(grid[quarter : n_points - quarter]))
-    else:
-        est_trunc = abs(value)
-    return QuadratureResult(value=value, error_estimate=est_disc + est_trunc)
+    central = slice(quarter, n_points - quarter)
+    values = np.empty(len(taus), dtype=complex)
+    estimates = np.empty(len(taus))
+    integrand = np.empty(n_points, dtype=complex)
+    for i, tau in enumerate(taus):
+        # f * exp(-1j * grid * tau), in place and in that operation order
+        np.multiply(-1j, grid, out=integrand)
+        integrand *= tau
+        np.exp(integrand, out=integrand)
+        integrand *= f
+        value = integrate(integrand, grid)
+        # Discretization estimate: compare with the half-resolution subgrid.
+        if n_points >= 5:
+            est_disc = abs(value - integrate(integrand[::2], grid[::2]))
+        else:
+            est_disc = abs(value)
+        # Truncation estimate: compare with the central half-window slice.
+        if quarter >= 1:
+            est_trunc = abs(value - integrate(integrand[central], grid[central]))
+        else:
+            est_trunc = abs(value)
+        values[i] = value
+        estimates[i] = est_disc + est_trunc
+    return values, estimates

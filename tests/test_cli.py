@@ -225,6 +225,18 @@ class TestEvolve:
         if expected == 2:
             assert "norm identity drifts" in err
 
+    def test_coarse_amplitudes_step_named_in_violation(self, tmp_path, capsys):
+        # a stable but coarse step breaks the norm identity by RK4 truncation
+        # error, which holds for any generator: the message names h
+        code = run("evolve", "--out", str(tmp_path / "coarse.csv"),
+                   "--set", "solver.h=0.5", "--set", "solver.t_max=20",
+                   "--set", "model.g_abs=5")
+        assert code == 2
+        assert (
+            "norm identity drifts by 2.002e-01 at h = 0.5: RK4 truncation error "
+            "at this h is the likely cause; reduce h"
+        ) in capsys.readouterr().err
+
     def test_t_max_not_multiple_of_h_rejected(self, capsys):
         # t_max = 1, h = 0.3 used to end silently at t = 0.9
         code = run("evolve", "--set", "solver.t_max=1", "--set", "solver.h=0.3")

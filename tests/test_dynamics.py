@@ -32,7 +32,7 @@ from fanomode.errors import (
 )
 from fanomode.spectral import FanoModel, PoleSpectral, pole_residue_from_model
 
-from conftest import random_lindblad_model
+from conftest import random_lindblad_model, star_solution
 
 TWO_PI = 2.0 * math.pi
 
@@ -103,6 +103,35 @@ def direct_history(kt, u):
         total += (e2 - 1.0) * kt[m - 2] * u[2]
         total += (e2 - 1.0) * kt[2] * u[m - 2] + (e1 - 1.0) * kt[1] * u[m - 1]
         yield total, e0
+
+
+def comb_reference_rk4(res, omega_A: float, c1_0: complex, t_max: float, h: float):
+    """Reference: the comb's former solver, classical RK4 over all N modes in
+    the omega_A rotating frame.  Returns c1(t) and the reservoir population."""
+    n = round(t_max / h)
+    detunings = res.omegas - omega_A
+    g = res.couplings.astype(complex)
+
+    def rhs(y):
+        out = np.empty_like(y)
+        out[0] = -1j * np.add.reduce(g * y[1:])
+        out[1:] = -1j * (detunings * y[1:] + g * y[0])
+        return out
+
+    y = np.zeros(res.n_modes + 1, dtype=complex)
+    y[0] = c1_0
+    c1 = np.empty(n + 1, dtype=complex)
+    reservoir = np.empty(n + 1)
+    c1[0], reservoir[0] = y[0], 0.0
+    for i in range(n):
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * h * k1)
+        k3 = rhs(y + 0.5 * h * k2)
+        k4 = rhs(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        c1[i + 1] = y[0]
+        reservoir[i + 1] = float(np.sum(np.abs(y[1:]) ** 2))
+    return c1 * np.exp(-1j * omega_A * h * np.arange(n + 1)), reservoir
 
 
 def sampled_kernel(name: str, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -218,7 +247,9 @@ B = dynamics._BLOCK
 class TestBlockedHistory:
     # every base-block and square boundary, plus the short-history branch
     @pytest.mark.parametrize(
-        "n", [0, 1, 2, 3, 4, 5, 6, B - 1, B, B + 1, 2 * B + 1, 4 * B - 1, 1000, 4097]
+        "n",
+        [0, 1, 2, 3, 4, 5, 6, B - 1, B, B + 1, 2 * B, 2 * B + 1, 4 * B - 1, 1000,
+         16 * B, 4097],
     )
     @pytest.mark.parametrize(
         "kernel", ["random", "two_exponential", "gaussian_oscillation"]
@@ -236,6 +267,25 @@ class TestBlockedHistory:
             assert w_end == want_w_end
             scale = np.sum(np.abs(kt[m:0:-1]) * np.abs(u[:m]))
             assert abs(partial - want) <= 1e-12 * scale
+
+    def test_no_fft_of_twice_the_history(self, monkeypatch):
+        # at n = 64 * 2^k the last square feeds far[n] alone: a direct dot
+        # adds it, where an FFT of size 2n used to
+        n = 4096
+        sizes = []
+        fft = np.fft.fft
+
+        def spy(a, size=None, *args, **kwargs):
+            sizes.append(len(a) if size is None else size)
+            return fft(a, size, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft", spy)
+        rng = np.random.default_rng(n)
+        kt = sampled_kernel("random", rng, n)
+        u = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+        for _ in dynamics._history_quadrature(kt, u):
+            pass
+        assert max(sizes) == n
 
     def test_reads_only_the_known_history(self):
         # the sum for step m may read u[j] for j < m only: the solver fills
@@ -524,11 +574,67 @@ class TestDiscretizedReservoir:
         floor = float(np.max(np.abs(np.abs(td.c1) - np.abs(tv.c1))))
         assert errors[2] < 2.0 * max(floor, 1e-6)
 
-    def test_step_size_guard(self):
+    def test_coarse_step_samples_the_same_solution(self):
+        # h is only the sampling step (h = 0.1 used to be refused as an
+        # unstable RK4 step)
         spec = pole_residue_from_model(PRESET)
-        res = build_discretized(spec, 40.0, 1001)
-        with pytest.raises(StepSizeError):
-            solve_discretized(res, 0.0, 1.0, 2.0, 0.1)
+        res = build_discretized(spec, 40.0, 2001)
+        fine = solve_discretized(res, 0.0, 1.0, 5.0, 1e-3)
+        coarse = solve_discretized(res, 0.0, 1.0, 5.0, 0.1)
+        np.testing.assert_allclose(coarse.times, fine.times[::100], atol=1e-12)
+        assert np.max(np.abs(coarse.c1 - fine.c1[::100])) <= 1e-12
+        pop, fine_pop = (t.extras["reservoir_population"] for t in (coarse, fine))
+        assert np.max(np.abs(pop - fine_pop[::100])) <= 1e-12
+
+    @pytest.mark.parametrize("resonant", [True, False])
+    def test_matches_rk4_reference(self, rng, resonant):
+        model = random_lindblad_model(rng, resonant=resonant)
+        res = build_discretized(pole_residue_from_model(model), 40.0, 801)
+        traj = solve_discretized(res, model.omega_A, 0.8, 4.0, 1e-3)
+        assert traj.metadata["chain_depth"] < res.n_modes  # a cut chain
+        c1, reservoir = comb_reference_rk4(res, model.omega_A, 0.8, 4.0, 1e-3)
+        assert np.max(np.abs(traj.c1 - c1)) <= 1e-9
+        assert np.max(np.abs(traj.extras["reservoir_population"] - reservoir)) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "n_modes, t_max, full_depth", [(801, 4.0, False), (201, 7.5, True)]
+    )
+    def test_matches_dense_star(self, rng, n_modes, t_max, full_depth):
+        model = random_lindblad_model(rng, resonant=False)
+        res = build_discretized(pole_residue_from_model(model), 40.0, n_modes)
+        c1_0 = 0.6 - 0.3j
+        traj = solve_discretized(res, model.omega_A, c1_0, t_max, 1e-2)
+        assert (traj.metadata["chain_depth"] == n_modes) == full_depth
+        c1, reservoir = star_solution(res, model.omega_A, c1_0, traj.times)
+        assert np.max(np.abs(traj.c1 - c1)) <= 1e-12
+        assert np.max(np.abs(traj.extras["reservoir_population"] - reservoir)) <= 1e-12
+
+    def test_zero_coupling_is_free_rotation(self):
+        model = FanoModel(gamma=0.0, kappa=1.0, g_abs=0.0, eta=0.0, omega_A=0.7)
+        res = build_discretized(pole_residue_from_model(model), 40.0, 1001)
+        traj = solve_discretized(res, 0.7, 0.6 + 0.3j, 5.0, 1e-2)
+        np.testing.assert_allclose(
+            traj.c1, (0.6 + 0.3j) * np.exp(-0.7j * traj.times), rtol=1e-15
+        )
+        assert np.all(traj.extras["reservoir_population"] == 0.0)
+        assert traj.metadata["chain_depth"] == 0
+
+    def test_shallow_chain_raises(self, monkeypatch):
+        spec = pole_residue_from_model(PRESET)
+        res = build_discretized(spec, 40.0, 2001)
+        monkeypatch.setattr(dynamics, "_CHAIN_LIGHT_CONE", 0.3)
+        monkeypatch.setattr(dynamics, "_CHAIN_MARGIN", 0)
+        with pytest.raises(RecurrenceError, match="depth 60 too shallow"):
+            solve_discretized(res, 0.0, 1.0, 5.0, 1e-3)
+
+    def test_bitwise_reproducible(self):
+        res = build_discretized(pole_residue_from_model(PRESET), 40.0, 2001)
+        first = solve_discretized(res, 0.3, 0.9, 5.0, 1e-3)
+        again = solve_discretized(res, 0.3, 0.9, 5.0, 1e-3)
+        np.testing.assert_array_equal(first.c1, again.c1)
+        np.testing.assert_array_equal(
+            first.extras["reservoir_population"], again.extras["reservoir_population"]
+        )
 
 
 class TestDecayRate:

@@ -12,9 +12,18 @@ import math
 import numpy as np
 import pytest
 
-from fanomode.dynamics import DensityMatrix3, solve_amplitudes, solve_qme
+from fanomode.dynamics import (
+    DensityMatrix3,
+    build_discretized,
+    solve_amplitudes,
+    solve_discretized,
+    solve_qme,
+    solve_volterra,
+)
 from fanomode.embedding import embed, embed_from_model, kossakowski, spectral_from_qme
 from fanomode.spectral import FanoModel, evaluate_J, pole_residue_from_model
+
+from conftest import star_solution
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -93,3 +102,24 @@ def test_amplitudes_and_qme_agree_at_coarse_h(model, h):
         np.max(np.abs(rho[:, 1, 2] - ta.c1 * np.conj(ta.b1))),
     )
     assert deviation <= 10.0 * h**4
+
+
+@settings(DETERMINISTIC, max_examples=20)
+@given(model=models())
+def test_volterra_and_amplitudes_agree(model):
+    # criterion 2's tolerance, at T = 5
+    spec = pole_residue_from_model(model)
+    volterra = solve_volterra(spec, model.omega_A, 1.0, 5.0, 1e-3)
+    amplitudes = solve_amplitudes(embed_from_model(model), 1.0, 5.0, 1e-3)
+    assert np.max(np.abs(np.abs(volterra.c1) - np.abs(amplitudes.c1))) < 1e-6
+
+
+@settings(DETERMINISTIC, max_examples=20)
+@given(model=models(), t_max=st.sampled_from([0.5, 2.0, 5.0, 7.5]))
+def test_comb_chain_matches_dense_star(model, t_max):
+    # cut chains (t_max <= 5) and the full chain of all 201 modes (t_max = 7.5)
+    res = build_discretized(pole_residue_from_model(model), 40.0, 201)
+    traj = solve_discretized(res, model.omega_A, 1.0, t_max, 0.01)
+    c1, reservoir = star_solution(res, model.omega_A, 1.0, traj.times)
+    assert np.max(np.abs(traj.c1 - c1)) <= 1e-12
+    assert np.max(np.abs(traj.extras["reservoir_population"] - reservoir)) <= 1e-12

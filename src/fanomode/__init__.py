@@ -12,7 +12,6 @@ from .embedding import (
     spectral_from_qme,
 )
 from .dynamics import (
-    AmplitudeState,
     DensityMatrix3,
     DiscretizedReservoir,
     Trajectory,
@@ -46,7 +45,6 @@ from .spectral import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmplitudeState",
     "DensityMatrix3",
     "DiscretizedReservoir",
     "EmbeddedQME",

@@ -9,9 +9,12 @@ no wall-clock content: identical configs give byte-identical files.
 
 Each ``cmd_*`` is a function of the config alone: it returns a table or a
 key/value report, the summary lines it prints and the property violations it
-found.  :func:`main` alone renders, writes and fails: a table goes to the
-output path or to stdout, a report only to an output path; the summary prints
-to stdout after the output; a violation exits 2 after the file is written.
+found.  An ``evolve`` table and its violations are the trajectory's own
+(:meth:`fanomode.dynamics.Trajectory.observables`): the CLI only runs the
+solver and lays them out.  :func:`main` alone renders, writes and fails: a
+table goes to the output path or to stdout, a report only to an output path;
+the summary prints to stdout after the output; a violation exits 2 after the
+file is written.
 
 Exit codes: 0 success, 1 usage or invalid input, 2 property violation,
 3 solver failure.
@@ -73,12 +76,6 @@ _UNITS_NOTE = (
     "frequencies and rates share the configured model's unit system "
     "(presets: kappa = 1)"
 )
-
-# Eigenvalue / jump-increment levels beyond integrator noise that flag a
-# positivity failure in `evolve` output.
-_EIG_VIOLATION = -1e-9
-_INCREMENT_VIOLATION = -1e-11
-_TRACE_VIOLATION = 1e-8
 
 
 class PropertyViolation(FanomodeError):
@@ -235,71 +232,18 @@ def cmd_kernel(config: dict) -> _Output:
     return _Output(columns, np.column_stack(data), meta)
 
 
-def _drift(values: np.ndarray, what: str) -> list[str]:
-    """A violation when ``values`` leave 1 by more than integrator noise."""
-    drift = np.max(np.abs(values - 1.0))
-    return [] if drift <= _TRACE_VIOLATION else [f"{what} drifts by {drift:.3e}"]
-
-
-def _evolve_table(traj: Trajectory) -> tuple[list[str], list[np.ndarray], list[str]]:
-    """Columns, data, and any property-violation messages for one run."""
-    violations: list[str] = []
-    if traj.method == "qme":
-        rho = traj.rho
-        trace = np.trace(rho, axis1=1, axis2=2).real
-        min_eig = np.linalg.eigvalsh(rho)[:, 0]
-        columns = ["t", "rho_00", "rho_11", "rho_22", "trace", "min_eigenvalue"]
-        data = [traj.times, rho[:, 0, 0].real, rho[:, 1, 1].real, rho[:, 2, 2].real,
-                trace, min_eig]
-        if not np.min(min_eig) >= _EIG_VIOLATION:
-            violations.append(
-                f"density matrix loses positivity (min eigenvalue {np.min(min_eig):.3e})"
-            )
-        return columns, data, violations + _drift(trace, "trace")
-    if traj.method == "amplitudes":
-        norm = (
-            abs(traj.c0) ** 2 + traj.c1_abs2 + np.abs(traj.b1) ** 2 + traj.pi_j
-        )
-        columns = ["t", "c1_abs2", "b1_abs2", "pi_j", "norm_sum"]
-        data = [traj.times, traj.c1_abs2, np.abs(traj.b1) ** 2, traj.pi_j, norm]
-        increments = np.diff(traj.pi_j)
-        if increments.size and not np.min(increments) >= _INCREMENT_VIOLATION:
-            violations.append(
-                f"jump probability decreases (min increment {np.min(increments):.3e})"
-            )
-        # The identity holds for any generator, so a drift is integrator error.
-        violations += [
-            f"{message} at h = {traj.h:.6g}: RK4 truncation error at this h is "
-            "the likely cause; reduce h"
-            for message in _drift(norm, "norm identity")
-        ]
-        return columns, data, violations
-    if traj.method == "discretized":
-        reservoir = traj.extras["reservoir_population"]
-        norm = abs(traj.c0) ** 2 + traj.c1_abs2 + reservoir
-        columns = ["t", "c1_abs2", "reservoir_population", "norm_sum"]
-        data = [traj.times, traj.c1_abs2, reservoir, norm]
-        return columns, data, _drift(norm, "norm conservation")
-    return ["t", "c1_abs2"], [traj.times, traj.c1_abs2], violations
-
-
 def cmd_evolve(config: dict) -> _Output:
     method = config["solver"]["method"]
-    columns, data, violations = _evolve_table(_run_method(method, config))
-    return _Output(columns, np.column_stack(data), {"method": method},
-                   violations=violations)
-
-
-def _c1_abs(traj: Trajectory) -> np.ndarray:
-    """|c1(t)|; the master equation stores it as sqrt(rho_11)."""
-    return np.abs(traj.c1) if traj.c1 is not None else np.sqrt(traj.rho[:, 1, 1].real)
+    columns, violations = _run_method(method, config).observables()
+    return _Output(list(columns), np.column_stack(list(columns.values())),
+                   {"method": method}, violations=violations)
 
 
 def cmd_compare(config: dict) -> _Output:
     section = config["compare"]
     traj_a = _run_method(section["method_a"], config)
     traj_b = _run_method(section["method_b"], config)
-    abs_a, abs_b = _c1_abs(traj_a), _c1_abs(traj_b)
+    abs_a, abs_b = traj_a.c1_abs, traj_b.c1_abs
     residual = np.abs(abs_a - abs_b)
     max_residual = float(np.max(residual))
     columns = ["t", f"c1_abs_{section['method_a']}", f"c1_abs_{section['method_b']}",
@@ -485,6 +429,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_OK
     except OSError as exc:
         print(f"fanomode: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        print("fanomode: error: not enough memory for this run", file=sys.stderr)
         return EXIT_USAGE
 
 

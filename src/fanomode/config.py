@@ -111,6 +111,8 @@ def _check_types(template: Any, value: Any, path: str) -> Any:
     if isinstance(template, int):
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{path!r} must be an integer, got {value!r}")
+        if value > sys.maxsize:  # no array has that many points
+            raise ConfigError(f"{path!r} must be at most {sys.maxsize}, got {value}")
         return value
     if isinstance(template, float):
         if isinstance(value, bool) or not isinstance(value, (int, float)):

@@ -19,12 +19,15 @@ explicit reservoir modes) and are deterministic on a fixed time grid:
   cut chain whose last site is reached by t_max / 2 raises RecurrenceError.
 
 Fast phases at omega_A are removed internally (rotating frame) and restored
-on output.
+on output.  Each :class:`Trajectory` reports its own observables: the columns
+of its table and the invariants it breaks (norm identity, trace, positivity,
+jump-probability monotonicity), computed only when asked for.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Any
 import warnings
@@ -38,24 +41,18 @@ from .spectral import TWO_PI, PoleSpectral, evaluate_J
 # Basis ordering of the truncated atom + pseudomode space.
 GROUND, ATOM_EXCITED, CAVITY_EXCITED = 0, 1, 2
 
+# Levels beyond integrator noise at which a run breaks an invariant: the
+# density matrix's minimum eigenvalue, a jump-probability increment, and
+# the drift from 1 of a conserved sum (trace, norm).
+_EIG_VIOLATION = -1e-9
+_INCREMENT_VIOLATION = -1e-11
+_DRIFT_VIOLATION = 1e-8
 
-@dataclass(frozen=True)
-class AmplitudeState:
-    """Wavefunction data of one trajectory sample.
 
-    Pi_j is the accumulated quantum-jump (ground-state gain) probability;
-    |c0|^2 + |c1|^2 + |b1|^2 + Pi_j = 1 up to integrator tolerance.
-    """
-
-    t: float
-    c0: complex
-    c1: complex
-    b1: complex
-    pi_j: float
-
-    @property
-    def norm_sum(self) -> float:
-        return abs(self.c0) ** 2 + abs(self.c1) ** 2 + abs(self.b1) ** 2 + self.pi_j
+def _drift(values: np.ndarray, what: str) -> list[str]:
+    """A violation when ``values`` leave 1 by more than integrator noise."""
+    drift = np.max(np.abs(values - 1.0))
+    return [] if drift <= _DRIFT_VIOLATION else [f"{what} drifts by {drift:.3e}"]
 
 
 class DensityMatrix3:
@@ -112,6 +109,8 @@ class Trajectory:
     Amplitude-type methods fill ``c1`` (and, when defined, ``b1``/``pi_j``);
     the master-equation method fills ``rho`` with shape (n+1, 3, 3).
     ``metadata`` snapshots every input needed to reproduce the run.
+    :meth:`observables` gives the run's table columns and the invariants it
+    breaks, computed when asked for, never by a solver.
     """
 
     times: np.ndarray
@@ -134,18 +133,56 @@ class Trajectory:
             raise ParameterError(f"method {self.method!r} stores no c1 amplitude")
         return np.abs(self.c1) ** 2
 
-    def state_at(self, index: int) -> AmplitudeState:
-        if self.c1 is None or self.b1 is None or self.pi_j is None:
-            raise ParameterError(
-                f"method {self.method!r} does not record full amplitude states"
+    @property
+    def c1_abs(self) -> np.ndarray:
+        """|c1(t)|; the master equation stores it as sqrt(rho_11)."""
+        if self.c1 is not None:
+            return np.abs(self.c1)
+        return np.sqrt(self.rho[:, ATOM_EXCITED, ATOM_EXCITED].real)
+
+    def observables(self) -> tuple[dict[str, np.ndarray], list[str]]:
+        """The run's columns by name, ``t`` first, and the invariants it breaks:
+        positivity and trace (qme), jump-probability monotonicity and the norm
+        identity |c0|^2 + |c1|^2 + |b1|^2 + Pi_j = 1 (amplitudes), norm
+        conservation (discretized); Volterra has none.  NaN fails every check.
+        """
+        columns: dict[str, np.ndarray] = {"t": self.times}
+        violations: list[str] = []
+        if self.method == "qme":
+            for k in range(3):
+                columns[f"rho_{k}{k}"] = self.rho[:, k, k].real
+            columns["trace"] = np.trace(self.rho, axis1=1, axis2=2).real
+            columns["min_eigenvalue"] = np.linalg.eigvalsh(self.rho)[:, 0]
+            min_eig = np.min(columns["min_eigenvalue"])
+            if not min_eig >= _EIG_VIOLATION:
+                violations.append(
+                    f"density matrix loses positivity (min eigenvalue {min_eig:.3e})"
+                )
+            return columns, violations + _drift(columns["trace"], "trace")
+        columns["c1_abs2"] = self.c1_abs2
+        if self.method == "amplitudes":
+            columns["b1_abs2"] = np.abs(self.b1) ** 2
+            columns["pi_j"] = self.pi_j
+            columns["norm_sum"] = (
+                abs(self.c0) ** 2 + columns["c1_abs2"] + columns["b1_abs2"] + self.pi_j
             )
-        return AmplitudeState(
-            t=float(self.times[index]),
-            c0=complex(self.c0),
-            c1=complex(self.c1[index]),
-            b1=complex(self.b1[index]),
-            pi_j=float(self.pi_j[index]),
-        )
+            increments = np.diff(self.pi_j)
+            if increments.size and not np.min(increments) >= _INCREMENT_VIOLATION:
+                violations.append(
+                    f"jump probability decreases (min increment {np.min(increments):.3e})"
+                )
+            # The identity holds for any generator, so a drift is integrator error.
+            violations += [
+                f"{message} at h = {self.h:.6g}: RK4 truncation error at this h is "
+                "the likely cause; reduce h"
+                for message in _drift(columns["norm_sum"], "norm identity")
+            ]
+        elif self.method == "discretized":
+            reservoir = self.extras["reservoir_population"]
+            columns["reservoir_population"] = reservoir
+            columns["norm_sum"] = abs(self.c0) ** 2 + columns["c1_abs2"] + reservoir
+            violations += _drift(columns["norm_sum"], "norm conservation")
+        return columns, violations
 
 
 @dataclass(frozen=True)
@@ -175,6 +212,8 @@ def _time_grid(t_max: float, h: float) -> np.ndarray:
         raise ParameterError(f"h must be > 0, got {h}")
     if not np.isfinite(t_max) or t_max < h:
         raise ParameterError(f"t_max must be >= h, got t_max={t_max}, h={h}")
+    if not t_max / h <= sys.maxsize:  # no array has that many samples
+        raise ParameterError(f"too many steps: t_max / h = {t_max / h:.3g}")
     n = max(1, round(t_max / h))
     if abs(n * h - t_max) > 1e-9 * t_max:
         raise ParameterError(f"t_max must be a multiple of h, got t_max={t_max}, h={h}")

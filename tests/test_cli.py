@@ -555,6 +555,28 @@ class TestConfig:
         with pytest.raises(ConfigError, match="csv, json"):
             load_config(str(cfg), [])
 
+    @pytest.mark.parametrize("argv", [
+        ("evolve", "--set", "solver.h=5e-324"),
+        ("evolve", "--set", "solver.t_max=1e300", "--set", "solver.h=1e-300"),
+        ("evolve", "--set", "solver.t_max=1e200", "--set", "solver.h=1e-100"),
+        ("kernel", "--set", "kernel.n_points=100000000000000000000"),
+        # about 7 EiB each, more than any 64-bit address space: the
+        # allocation fails at once
+        ("evolve", "--set", "solver.t_max=1e15", "--set", "solver.h=1e-3"),
+        ("spectrum", "--set", "spectrum.n_points=1000000000000000000"),
+        ("fanodiag", "--set", "fanodiag.n_points=1000000000000000000"),
+    ])
+    def test_oversized_run_is_usage_error(self, tmp_path, capsys, argv):
+        # used to exit 1 with an OverflowError, ValueError or MemoryError
+        # traceback
+        out = tmp_path / "big.csv"
+        assert run(*argv, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("fanomode: error: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_defaults_are_not_mutated(self):
         load_config(None, ["model.gamma=0.9"])
         assert DEFAULT_CONFIG["model"]["gamma"] == 0.25

@@ -234,12 +234,6 @@ class TestSolveAmplitudes:
         with pytest.raises(ParameterError):
             solve_amplitudes(qme, 1.0, 1e-4, 1e-3)
 
-    def test_state_accessor(self):
-        traj = solve_amplitudes(embed_from_model(PRESET), 1.0, 1.0, 1e-3)
-        state = traj.state_at(500)
-        assert state.t == pytest.approx(0.5)
-        assert state.norm_sum == pytest.approx(1.0, abs=1e-10)
-
 
 B = dynamics._BLOCK
 
@@ -362,12 +356,6 @@ class TestSolveVolterra:
         spec = pole_residue_from_model(model)  # |2 pi r1| ~ |g|^2 = 100
         with pytest.raises(StepSizeError):
             solve_volterra(spec, 0.0, 1.0, 1.0, 2e-3)
-
-    def test_no_full_state_records(self):
-        spec = pole_residue_from_model(PRESET)
-        traj = solve_volterra(spec, 0.0, 1.0, 1.0, 1e-3)
-        with pytest.raises(ParameterError):
-            traj.state_at(0)
 
 
 class TestSolveQME:
@@ -702,6 +690,103 @@ class TestTrajectory:
         traj = solve_qme(embed_from_model(PRESET), DensityMatrix3.ground(), 0.1, 1e-3)
         with pytest.raises(ParameterError):
             traj.c1_abs2
+
+
+def run_method(method: str, model: FanoModel, t_max: float, h: float):
+    """One trajectory from the excited atom, as ``evolve`` runs it."""
+    if method == "volterra":
+        return solve_volterra(pole_residue_from_model(model), model.omega_A, 1.0,
+                              t_max, h)
+    if method == "amplitudes":
+        return solve_amplitudes(embed_from_model(model), 1.0, t_max, h)
+    if method == "qme":
+        return solve_qme(embed_from_model(model), DensityMatrix3.excited_atom(),
+                         t_max, h)
+    reservoir = build_discretized(pole_residue_from_model(model), 40.0, 801)
+    return solve_discretized(reservoir, model.omega_A, 1.0, t_max, h)
+
+
+# The `evolve` columns of each method.
+EVOLVE_COLUMNS = {
+    "volterra": ["t", "c1_abs2"],
+    "amplitudes": ["t", "c1_abs2", "b1_abs2", "pi_j", "norm_sum"],
+    "qme": ["t", "rho_00", "rho_11", "rho_22", "trace", "min_eigenvalue"],
+    "discretized": ["t", "c1_abs2", "reservoir_population", "norm_sum"],
+}
+
+
+class TestObservables:
+    @pytest.mark.parametrize("method", list(EVOLVE_COLUMNS))
+    def test_columns_and_no_violation_on_preset(self, method):
+        traj = run_method(method, PRESET, 1.0, 1e-3)
+        columns, violations = traj.observables()
+        assert list(columns) == EVOLVE_COLUMNS[method]
+        assert columns["t"] is traj.times
+        assert all(values.shape == traj.times.shape for values in columns.values())
+        assert violations == []
+
+    @pytest.mark.parametrize("method", list(EVOLVE_COLUMNS))
+    def test_c1_abs(self, method):
+        traj = run_method(method, PRESET, 1.0, 1e-3)
+        if method == "qme":
+            expected = np.sqrt(traj.rho[:, 1, 1].real)
+        else:
+            expected = np.abs(traj.c1)
+        np.testing.assert_array_equal(traj.c1_abs, expected)
+
+    def test_norm_sum_is_the_norm_identity(self):
+        traj = run_method("amplitudes", PRESET, 1.0, 1e-3)
+        columns, _ = traj.observables()
+        np.testing.assert_array_equal(
+            columns["norm_sum"],
+            abs(traj.c0) ** 2 + traj.c1_abs2 + np.abs(traj.b1) ** 2 + traj.pi_j,
+        )
+
+    def test_solve_qme_leaves_the_eigenvalues_to_observables(self, monkeypatch):
+        rho_0 = DensityMatrix3.excited_atom()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        traj = solve_qme(embed_from_model(PRESET), rho_0, 1.0, 1e-3)
+        with pytest.raises(AssertionError, match="eigvalsh called"):
+            traj.observables()
+
+    @pytest.mark.parametrize(
+        "method, model, t_max, h, expected",
+        [
+            ("qme", FanoModel(gamma=0.25, kappa=1.0, g_abs=0.2, eta=1.2), 40.0,
+             2e-3, ["density matrix loses positivity (min eigenvalue -4.881e-02)"]),
+            ("amplitudes", FanoModel(gamma=0.25, kappa=1.0, g_abs=1.0, eta=1.2),
+             20.0, 1e-3, ["jump probability decreases (min increment -8.694e-06)"]),
+            # stable but coarse: RK4 truncation breaks the norm identity
+            ("amplitudes", FanoModel(gamma=0.25, kappa=1.0, g_abs=5.0, eta=1.0),
+             20.0, 0.5,
+             ["norm identity drifts by 2.002e-01 at h = 0.5: RK4 truncation error "
+              "at this h is the likely cause; reduce h"]),
+        ],
+        ids=["qme_non_lindblad", "amplitudes_non_lindblad", "amplitudes_coarse_h"],
+    )
+    def test_violations(self, method, model, t_max, h, expected):
+        assert run_method(method, model, t_max, h).observables()[1] == expected
+
+    @pytest.mark.parametrize(
+        "method, population, expected",
+        [
+            ("amplitudes", "pi_j",
+             ["jump probability decreases (min increment nan)",
+              "norm identity drifts by nan at h = 0.001: RK4 truncation error at "
+              "this h is the likely cause; reduce h"]),
+            ("discretized", "reservoir_population",
+             ["norm conservation drifts by nan"]),
+        ],
+    )
+    def test_nan_fails_every_check(self, method, population, expected):
+        traj = run_method(method, PRESET, 1.0, 1e-3)
+        samples = traj.pi_j if population == "pi_j" else traj.extras[population]
+        samples[500] = np.nan
+        assert traj.observables()[1] == expected
 
 
 class TestDensityMatrix3:

@@ -21,6 +21,7 @@ from fanomode.dynamics import (
     solve_volterra,
 )
 from fanomode.embedding import embed, embed_from_model, kossakowski, spectral_from_qme
+from fanomode.fanodiag import _lambda_identity
 from fanomode.spectral import FanoModel, evaluate_J, pole_residue_from_model
 
 from conftest import star_solution
@@ -37,9 +38,9 @@ ANGLES = st.floats(0.0, 2.0 * math.pi)
 UNDERFLOW = 1e-300
 
 
-def models(eta_max: float = 1.0):
-    return st.builds(
-        FanoModel,
+def models(eta_max: float = 1.0, **fields):
+    """The box; ``fields`` replace the strategies of single parameters."""
+    strategies = dict(
         gamma=st.floats(0.0, 1.0),
         kappa=st.just(1.0),
         g_abs=st.floats(0.0, 2.0),
@@ -50,6 +51,8 @@ def models(eta_max: float = 1.0):
         theta_A=ANGLES,
         theta_C=ANGLES,
     )
+    strategies.update(fields)
+    return st.builds(FanoModel, **strategies)
 
 
 @DETERMINISTIC
@@ -86,6 +89,16 @@ def test_embedding_round_trip(model):
     assert (again.mu, again.gamma_F) == (qme.mu, qme.gamma_F)
     assert abs(again.kappa - qme.kappa) <= 1e-15 * qme.kappa
     assert abs(again.gamma - qme.gamma) <= 1e-14 * qme.gamma + UNDERFLOW
+
+
+@DETERMINISTIC
+@given(
+    model=models(eta=st.just(1.0), omega_C=st.floats(-2.0, 2.0)), psi=ANGLES
+)
+def test_fanodiag_identity(model, psi):
+    # the CLI's grid and gate
+    grid = np.linspace(model.omega_C - 20.0, model.omega_C + 20.0, 4001)
+    assert _lambda_identity(model, grid, psi)[-1] <= 1e-12
 
 
 @DETERMINISTIC

@@ -6,7 +6,8 @@ explicit reservoir modes) and are deterministic on a fixed time grid:
 
 * :func:`solve_volterra`     -- exact memory-kernel equation for c1(t),
   Gregory quadrature of the full history convolution as a blocked FFT
-  convolution (O(n log^2 n)), delta part applied analytically.
+  convolution (O(n log^2 n)), delta part applied analytically, stepped 64
+  steps at a time by one precomputed block response.
 * :func:`solve_amplitudes`   -- coupled (c1, b1) pseudomode amplitudes,
   classical RK4 on the 2x2 non-Hermitian system.
 * :func:`solve_qme`          -- full 3x3 master equation, classical RK4 as
@@ -53,6 +54,14 @@ def _drift(values: np.ndarray, what: str) -> list[str]:
     """A violation when ``values`` leave 1 by more than integrator noise."""
     drift = np.max(np.abs(values - 1.0))
     return [] if drift <= _DRIFT_VIOLATION else [f"{what} drifts by {drift:.3e}"]
+
+
+def _jump_decrease(jump: np.ndarray) -> list[str]:
+    """A violation when the jump probability falls by more than integrator noise."""
+    increments = np.diff(jump)
+    if increments.size and not np.min(increments) >= _INCREMENT_VIOLATION:
+        return [f"jump probability decreases (min increment {np.min(increments):.3e})"]
+    return []
 
 
 class DensityMatrix3:
@@ -142,9 +151,10 @@ class Trajectory:
 
     def observables(self) -> tuple[dict[str, np.ndarray], list[str]]:
         """The run's columns by name, ``t`` first, and the invariants it breaks:
-        positivity and trace (qme), jump-probability monotonicity and the norm
-        identity |c0|^2 + |c1|^2 + |b1|^2 + Pi_j = 1 (amplitudes), norm
-        conservation (discretized); Volterra has none.  NaN fails every check.
+        jump-probability monotonicity (qme, by rho_00, and amplitudes),
+        positivity and trace (qme), the norm identity
+        |c0|^2 + |c1|^2 + |b1|^2 + Pi_j = 1 (amplitudes), norm conservation
+        (discretized); Volterra has none.  NaN fails every check.
         """
         columns: dict[str, np.ndarray] = {"t": self.times}
         violations: list[str] = []
@@ -158,6 +168,8 @@ class Trajectory:
                 violations.append(
                     f"density matrix loses positivity (min eigenvalue {min_eig:.3e})"
                 )
+            # rho_00 gains only by jumps: its increments are the jump rate.
+            violations += _jump_decrease(columns["rho_00"])
             return columns, violations + _drift(columns["trace"], "trace")
         columns["c1_abs2"] = self.c1_abs2
         if self.method == "amplitudes":
@@ -166,11 +178,7 @@ class Trajectory:
             columns["norm_sum"] = (
                 abs(self.c0) ** 2 + columns["c1_abs2"] + columns["b1_abs2"] + self.pi_j
             )
-            increments = np.diff(self.pi_j)
-            if increments.size and not np.min(increments) >= _INCREMENT_VIOLATION:
-                violations.append(
-                    f"jump probability decreases (min increment {np.min(increments):.3e})"
-                )
+            violations += _jump_decrease(self.pi_j)
             # The identity holds for any generator, so a drift is integrator error.
             violations += [
                 f"{message} at h = {self.h:.6g}: RK4 truncation error at this h is "
@@ -356,11 +364,55 @@ def _dot(a: np.ndarray, b: np.ndarray) -> complex:
 
 
 # Base block of the history convolution: pairs j < m inside one block of
-# _BLOCK steps are summed directly, all other pairs by FFT.
+# _BLOCK steps are summed directly, all other pairs by FFT.  The solver also
+# steps _BLOCK steps at a time past its first two blocks.
 _BLOCK = 64
 
 
-def _history_quadrature(kt, u):
+def _far_field(kt, u):
+    """Yield far[b : b + _BLOCK] for b = 0, _BLOCK, 2 _BLOCK, ... <= len(u) - 1,
+    where far[m] holds the terms kt[m - j] u[j] of S[m] = sum_{j<m} kt[m - j] u[j]
+    with j in an earlier base block than m.
+
+    S[m] is the causal Toeplitz product of Hairer, Lubich & Schlichte (SIAM
+    J. Sci. Stat. Comput. 6 (1985) 532).  Every pair it leaves to ``far``
+    lies in exactly one square j in [a, a + L), m in [a + L, a + 2L) with
+    L = _BLOCK 2^k and a a multiple of 2L; the square closing at b is added
+    by one FFT of size 2L just before block b is yielded, so the block is
+    complete then and only u[j < b] has been read.  The caller fills u up to
+    b + _BLOCK - 1 before asking for the next block.  Cost O(n log^2 n).
+    """
+    n = len(u) - 1
+    far = np.zeros(n + 1, dtype=complex)
+    spectra = {}  # size L -> FFT of kt[0:2L], kept while the size recurs
+    for b in range(0, n + 1, _BLOCK):
+        if b:
+            # The square whose history block [a, b) ends here: L = _BLOCK
+            # times the largest power of two dividing b / _BLOCK, so a = b - L
+            # is a multiple of 2L.
+            size = _BLOCK * ((b // _BLOCK) & -(b // _BLOCK))
+            if b == n:
+                # The last square feeds far[n] alone: one direct dot, not an
+                # FFT of size 2L.
+                far[n] += _dot(kt[size:0:-1], u[n - size : n])
+            else:
+                spectrum = spectra.pop(size, None)
+                if spectrum is None:
+                    spectrum = np.fft.fft(kt[: 2 * size], 2 * size)
+                if b + 2 * size <= n:  # the same size comes round again
+                    spectra[size] = spectrum
+                # Linear convolution of u[a:b] with kt[0:2L]; entries L..2L-1
+                # (lags 1..2L-1) do not wrap around.
+                conv = np.fft.fft(u[b - size : b], 2 * size)
+                conv *= spectrum
+                del spectrum  # an uncached spectrum is freed before the inverse FFT
+                conv = np.fft.ifft(conv)
+                end = min(b + size, n + 1)
+                far[b:end] += conv[size : size + end - b]
+        yield far[b : b + _BLOCK]
+
+
+def _history_quadrature(kt, u, far_blocks):
     """Yield (partial, w_end) for m = 3, 4, ..., len(u) - 1, where partial is
     sum_j W_j kt[m - j] u[j] over j = 0..m-1 for the integral up to t_m.
 
@@ -369,56 +421,59 @@ def _history_quadrature(kt, u):
     yielded alongside.  The sum for step m reads u[j] for j < m only when
     it is asked for, so the caller fills u[m - 1] in between.
 
-    The interior sum S[m] = sum_{j<m} kt[m - j] u[j] is the causal Toeplitz
-    product of Hairer, Lubich & Schlichte (SIAM J. Sci. Stat. Comput. 6
-    (1985) 532), split into exact pieces: pairs inside one base block are a
-    direct pairwise dot; every other pair lies in exactly one square
-    j in [a, a + L), m in [a + L, a + 2L) with L = _BLOCK 2^k and a a
-    multiple of 2L, which is added into ``far`` by one FFT of size 2L as
-    soon as u[a + L - 1] is known.  Cost O(n log^2 n) for n steps; the
-    Gregory edge corrections are applied exactly on top.
+    ``far_blocks`` is a :func:`_far_field` generator over u (or over a
+    longer array whose head u views); one block is taken from it per
+    _BLOCK steps, so the caller may go on with it past len(u).  The
+    interior sum (weight 1) is far[m] plus a direct pairwise dot over the
+    current base block; the Gregory edge corrections are applied exactly on
+    top.
     """
     n = len(u) - 1
-    far = np.zeros(n + 1, dtype=complex)  # far[m]: S[m] terms from earlier blocks
     near_rev = kt[_BLOCK:0:-1].copy()  # near_rev[n_near - r :] = kt[r], ..., kt[1]
     n_near = len(near_rev)
-    spectra = {}  # size L -> FFT of kt[0:2L], kept while the size recurs
     e0, e1, e2 = _GREGORY_EDGE
-    for m in range(3, n + 1):
-        if m % _BLOCK == 0:
-            # The square whose history block [a, m) ends here: L = _BLOCK
-            # times the largest power of two dividing m / _BLOCK, so a = m - L
-            # is a multiple of 2L.
-            size = _BLOCK * ((m // _BLOCK) & -(m // _BLOCK))
-            if m == n:
-                # The last square feeds far[n] alone: one direct dot, not an
-                # FFT of size 2L.
-                far[n] += _dot(kt[size:0:-1], u[n - size : n])
-            else:
-                spectrum = spectra.pop(size, None)
-                if spectrum is None:
-                    spectrum = np.fft.fft(kt[: 2 * size], 2 * size)
-                if m + 2 * size <= n:  # the same size comes round again
-                    spectra[size] = spectrum
-                # Linear convolution of u[a:m] with kt[0:2L]; entries L..2L-1
-                # (lags 1..2L-1) do not wrap around.
-                conv = np.fft.fft(u[m - size : m], 2 * size)
-                conv *= spectrum
-                del spectrum  # an uncached spectrum is freed before the inverse FFT
-                conv = np.fft.ifft(conv)
-                end = min(m + size, n + 1)
-                far[m:end] += conv[size : size + end - m]
-        if m < 6:
-            w = _SHORT_WEIGHTS[m]
-            yield sum(w[j] * kt[m - j] * u[j] for j in range(m)), w[m]
-            continue
-        # Interior weight 1 over j = 0..m-1, then edge corrections.
-        r = m % _BLOCK
-        total = far[m] + _dot(near_rev[n_near - r :], u[m - r : m])
-        total += (e0 - 1.0) * kt[m] * u[0] + (e1 - 1.0) * kt[m - 1] * u[1]
-        total += (e2 - 1.0) * kt[m - 2] * u[2]
-        total += (e2 - 1.0) * kt[2] * u[m - 2] + (e1 - 1.0) * kt[1] * u[m - 1]
-        yield total, e0
+    for b in range(0, n + 1, _BLOCK):
+        far = next(far_blocks)
+        for m in range(max(b, 3), min(b + _BLOCK, n + 1)):
+            if m < 6:
+                w = _SHORT_WEIGHTS[m]
+                yield sum(w[j] * kt[m - j] * u[j] for j in range(m)), w[m]
+                continue
+            r = m - b
+            total = far[r] + _dot(near_rev[n_near - r :], u[b:m])
+            total += (e0 - 1.0) * kt[m] * u[0] + (e1 - 1.0) * kt[m - 1] * u[1]
+            total += (e2 - 1.0) * kt[m - 2] * u[2]
+            total += (e2 - 1.0) * kt[2] * u[m - 2] + (e1 - 1.0) * kt[1] * u[m - 1]
+            yield total, e0
+
+
+def _block_response(kt, step):
+    """The Adams-Moulton steps of one base block b >= 2 _BLOCK as a fixed
+    linear map R of shape (_BLOCK + 3, _BLOCK + 5).
+
+    Input x: the forcing g[b..b + _BLOCK - 1] (far field plus start-side
+    Gregory corrections, see :func:`solve_volterra`), then the carries
+    u[b - 2], u[b - 1], f[b - 3], f[b - 2], f[b - 1].  Output R x: u[b..b +
+    _BLOCK - 1], then f[b + _BLOCK - 3..b + _BLOCK - 1], so the next block's
+    carries are its last five entries.  R couples the in-block Toeplitz sum
+    over kt[1.._BLOCK - 1], the end-side Gregory corrections on u[m - 1] and
+    u[m - 2] and the solver's implicit ``step``; none depends on b.  It is
+    the solver's recurrence run once over the identity columns, with
+    fixed-order sums.
+    """
+    cols = _BLOCK + 5
+    eye = np.eye(cols, dtype=complex)
+    u = np.zeros((_BLOCK + 2, cols), dtype=complex)  # rows u[b - 2], u[b - 1], u[b], ...
+    f = np.zeros((_BLOCK + 3, cols), dtype=complex)  # rows f[b - 3], ..., f[b], ...
+    u[:2] = eye[_BLOCK : _BLOCK + 2]
+    f[:3] = eye[_BLOCK + 2 :]
+    e0, e1, e2 = _GREGORY_EDGE
+    for i in range(_BLOCK):
+        m = i + 2  # row of u[b + i]
+        partial = eye[i] + np.add.reduce(kt[i:0:-1, None] * u[2:m], axis=0)
+        partial += (e2 - 1.0) * kt[2] * u[m - 2] + (e1 - 1.0) * kt[1] * u[m - 1]
+        u[m], f[m + 1] = step(u[m - 1], f[m], f[m - 1], f[m - 2], partial, e0)
+    return np.concatenate((u[2:], f[-3:]))
 
 
 def _volterra_taylor_start(u0, damping, k0, delta, times):
@@ -465,10 +520,18 @@ def solve_volterra(
 
     The interior of the Gregory sum is a causal Toeplitz product of the
     sampled kernel and the history, evaluated as a blocked convolution:
-    pairs inside one base block of 64 steps by a direct pairwise dot, all
-    others by FFT squares of doubling size, O(n log^2 n) for n steps; the
-    Gregory endpoint corrections are applied exactly.  Only the kernel
-    samples enter it, never the kernel's one-pole form.
+    pairs inside one base block of 64 steps directly, all others by FFT
+    squares of doubling size (:func:`_far_field`), O(n log^2 n) for n
+    steps; the Gregory endpoint corrections are applied exactly.  Only the
+    kernel samples enter it, never the kernel's one-pole form.
+
+    The step is linear in u.  The first two base blocks step one at a time
+    (:func:`_history_quadrature`).  After that, when block b starts its far
+    field is complete, so its 64 values are one fixed linear map
+    (:func:`_block_response`, built once per run) of the forcing
+    g[m] = far[m] + the start-side Gregory corrections on u[0..2] and of
+    the carried u[b - 2], u[b - 1], f[b - 3..b - 1]: one fixed-order
+    product per block, so results are bit-for-bit reproducible.
     """
     times = _time_grid(t_max, h)
     c0 = _c0_from_c1(c1_0)
@@ -487,7 +550,8 @@ def solve_volterra(
     kt = k0 * np.exp(-1j * delta * times)
 
     u = np.zeros(n + 1, dtype=complex)
-    f = np.zeros(n + 1, dtype=complex)  # du/dt samples for the multistep rule
+    # du/dt samples for the multistep rule; the block steps carry the last three
+    f = np.zeros(min(n + 1, 2 * _BLOCK), dtype=complex)
     u[0] = c1_0
     f[0] = -damping * c1_0
     starts = min(n, 2)
@@ -498,13 +562,40 @@ def solve_volterra(
         u[1 : starts + 1] = values
         f[1 : starts + 1] = derivs
 
-    for m, (partial, w_end) in enumerate(_history_quadrature(kt, u), start=3):
+    def step(u_1, f_1, f_2, f_3, partial, w_end):
+        """u[m] and f[m] from u[m - 1], f[m - 1..m - 3] and the history sum
+        without its endpoint term w_end kt[0] u[m], which is implicit."""
         denom = 1.0 + (9.0 * h / 24.0) * damping + (9.0 * h * h / 24.0) * w_end * kt[0]
-        explicit = u[m - 1] + (h / 24.0) * (
-            19.0 * f[m - 1] - 5.0 * f[m - 2] + f[m - 3]
+        explicit = u_1 + (h / 24.0) * (
+            19.0 * f_1 - 5.0 * f_2 + f_3
         ) - (9.0 * h * h / 24.0) * partial
-        u[m] = explicit / denom
-        f[m] = -damping * u[m] - h * (partial + w_end * kt[0] * u[m])
+        u_m = explicit / denom
+        return u_m, -damping * u_m - h * (partial + w_end * kt[0] * u_m)
+
+    far_blocks = _far_field(kt, u)
+    # The first two base blocks step one at a time: short histories and the
+    # start-side corrections overlapping the end-side ones live there.
+    head = _history_quadrature(kt, u[: 2 * _BLOCK], far_blocks)
+    for m, (partial, w_end) in enumerate(head, start=3):
+        u[m], f[m] = step(u[m - 1], f[m - 1], f[m - 2], f[m - 3], partial, w_end)
+
+    if n >= 2 * _BLOCK:
+        response = _block_response(kt, step)
+        e0, e1, e2 = _GREGORY_EDGE
+        start_edge = ((e0 - 1.0) * u[0], (e1 - 1.0) * u[1], (e2 - 1.0) * u[2])
+        x = np.zeros(_BLOCK + 5, dtype=complex)
+        x[_BLOCK:] = u[2 * _BLOCK - 2], u[2 * _BLOCK - 1], *f[-3:]
+        for b in range(2 * _BLOCK, n + 1, _BLOCK):
+            far = next(far_blocks)
+            # A last block shorter than _BLOCK leaves stale forcing in
+            # x[size:_BLOCK]; the map is causal, so it reaches only u past n.
+            size = len(far)
+            x[:size] = far + start_edge[0] * kt[b : b + size]
+            x[:size] += start_edge[1] * kt[b - 1 : b - 1 + size]
+            x[:size] += start_edge[2] * kt[b - 2 : b - 2 + size]
+            y = np.add.reduce(response * x, axis=1)  # fixed order, unlike BLAS
+            u[b : b + size] = y[:size]
+            x[_BLOCK:] = y[_BLOCK - 2 :]
 
     phase = np.exp(-1j * omega_A * times)
     return Trajectory(

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
+from fanomode import dynamics
 from fanomode.spectral import FanoModel
 
 
@@ -35,6 +38,55 @@ def star_solution(res, omega_A: float, c1_0: complex, times: np.ndarray):
     state = (np.exp(-1j * np.outer(times, lam)) * vecs[0]) @ vecs.T
     c1 = c1_0 * state[:, 0] * np.exp(-1j * omega_A * times)
     return c1, abs(c1_0) ** 2 * np.sum(np.abs(state[:, 1:]) ** 2, axis=1)
+
+
+def direct_history(kt, u):
+    """Reference: the Gregory history sums with one dot over the whole
+    history per step, O(n^2), in the generator form of the blocked one."""
+    n = len(u) - 1
+    kt_rev = kt[::-1].copy()
+    e0, e1, e2 = dynamics._GREGORY_EDGE
+    for m in range(3, n + 1):
+        if m < 6:
+            w = dynamics._SHORT_WEIGHTS[m]
+            yield sum(w[j] * kt[m - j] * u[j] for j in range(m)), w[m]
+            continue
+        total = complex(np.add.reduce(kt_rev[n - m : n] * u[:m]))
+        total += (e0 - 1.0) * kt[m] * u[0] + (e1 - 1.0) * kt[m - 1] * u[1]
+        total += (e2 - 1.0) * kt[m - 2] * u[2]
+        total += (e2 - 1.0) * kt[2] * u[m - 2] + (e1 - 1.0) * kt[1] * u[m - 1]
+        yield total, e0
+
+
+def volterra_per_step(spec, omega_A: float, c1_0: complex, t_max: float, h: float):
+    """Reference for the Volterra solver: one implicit Adams-Moulton step at
+    a time over the O(n^2) history sums of ``direct_history``, from the
+    solver's own Taylor start.  Returns c1(t)."""
+    n = round(t_max / h)
+    times = h * np.arange(n + 1)
+    damping = math.pi * spec.J0
+    delta = spec.z1 - omega_A
+    k0 = -2j * math.pi * spec.r1
+    kt = k0 * np.exp(-1j * delta * times)
+    u = np.zeros(n + 1, dtype=complex)
+    f = np.zeros(n + 1, dtype=complex)
+    u[0] = c1_0
+    f[0] = -damping * c1_0
+    starts = min(n, 2)
+    if starts:
+        values, derivs = dynamics._volterra_taylor_start(
+            c1_0, damping, k0, delta, [(i + 1) * h for i in range(starts)]
+        )
+        u[1 : starts + 1] = values
+        f[1 : starts + 1] = derivs
+    for m, (partial, w_end) in enumerate(direct_history(kt, u), start=3):
+        denom = 1.0 + (9.0 * h / 24.0) * damping + (9.0 * h * h / 24.0) * w_end * kt[0]
+        explicit = u[m - 1] + (h / 24.0) * (
+            19.0 * f[m - 1] - 5.0 * f[m - 2] + f[m - 3]
+        ) - (9.0 * h * h / 24.0) * partial
+        u[m] = explicit / denom
+        f[m] = -damping * u[m] - h * (partial + w_end * kt[0] * u[m])
+    return u * np.exp(-1j * omega_A * times)
 
 
 @pytest.fixture

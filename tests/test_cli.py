@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fanomode
 from fanomode import __version__, cli
 from fanomode.cli import main
 from fanomode.config import DEFAULT_CONFIG, load_config
@@ -185,6 +190,17 @@ class TestEvolve:
         )
         assert code == 2
         assert "jump probability decreases" in capsys.readouterr().err
+
+    def test_non_lindblad_qme_flags_jump_decrease(self, tmp_path, capsys):
+        # the amplitudes run's model: rho stays positive, rho_00 falls
+        code = run(
+            "evolve", "--out", str(tmp_path / "nl_qme.csv"),
+            "--set", "solver.method=qme",
+            "--set", "model.eta=1.2", "--set", "model.g_abs=1",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "jump probability decreases (min increment -8.694e-06)" in err
 
     def test_unknown_method(self, capsys):
         assert run("evolve", "--set", "solver.method=magic") == 1
@@ -586,3 +602,16 @@ class TestConfig:
 
     def test_cli_usage_error_exit_code(self, capsys):
         assert run("no-such-command") == 1
+
+
+class TestImportCost:
+    def test_import_leaves_numpy_fft_unloaded(self):
+        # every command pays its imports; numpy.fft is needed only by the
+        # Volterra history, which loads it when it runs
+        src = str(Path(fanomode.__file__).resolve().parents[1])
+        probe = "import sys, fanomode, fanomode.cli; print('numpy.fft' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, check=True,
+        )
+        assert result.stdout == "False\n"

@@ -32,7 +32,12 @@ from fanomode.errors import (
 )
 from fanomode.spectral import FanoModel, PoleSpectral, pole_residue_from_model
 
-from conftest import random_lindblad_model, star_solution
+from conftest import (
+    direct_history,
+    random_lindblad_model,
+    star_solution,
+    volterra_per_step,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -85,24 +90,6 @@ def qme_reference_rk4(qme: EmbeddedQME, rho_0: np.ndarray, t_max: float, h: floa
         rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         rhos[i + 1] = rho
     return rhos
-
-
-def direct_history(kt, u):
-    """Reference: the Gregory history sums with one dot over the whole
-    history per step, O(n^2), in the generator form of the blocked one."""
-    n = len(u) - 1
-    kt_rev = kt[::-1].copy()
-    e0, e1, e2 = dynamics._GREGORY_EDGE
-    for m in range(3, n + 1):
-        if m < 6:
-            w = dynamics._SHORT_WEIGHTS[m]
-            yield sum(w[j] * kt[m - j] * u[j] for j in range(m)), w[m]
-            continue
-        total = complex(np.add.reduce(kt_rev[n - m : n] * u[:m]))
-        total += (e0 - 1.0) * kt[m] * u[0] + (e1 - 1.0) * kt[m - 1] * u[1]
-        total += (e2 - 1.0) * kt[m - 2] * u[2]
-        total += (e2 - 1.0) * kt[2] * u[m - 2] + (e1 - 1.0) * kt[1] * u[m - 1]
-        yield total, e0
 
 
 def comb_reference_rk4(res, omega_A: float, c1_0: complex, t_max: float, h: float):
@@ -252,7 +239,8 @@ class TestBlockedHistory:
         rng = np.random.default_rng(n)
         kt = sampled_kernel(kernel, rng, n)
         u = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
-        blocked = list(dynamics._history_quadrature(kt, u))
+        far_blocks = dynamics._far_field(kt, u)
+        blocked = list(dynamics._history_quadrature(kt, u, far_blocks))
         direct = list(direct_history(kt, u))
         assert len(blocked) == len(direct) == max(0, n - 2)
         for m, ((partial, w_end), (want, want_w_end)) in enumerate(
@@ -277,7 +265,7 @@ class TestBlockedHistory:
         rng = np.random.default_rng(n)
         kt = sampled_kernel("random", rng, n)
         u = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
-        for _ in dynamics._history_quadrature(kt, u):
+        for _ in dynamics._far_field(kt, u):
             pass
         assert max(sizes) == n
 
@@ -291,10 +279,12 @@ class TestBlockedHistory:
         u = np.full(n + 1, np.nan, dtype=complex)
         u[:3] = u_full[:3]
         online = []
-        for m, step in enumerate(dynamics._history_quadrature(kt, u), start=3):
+        steps = dynamics._history_quadrature(kt, u, dynamics._far_field(kt, u))
+        for m, step in enumerate(steps, start=3):
             online.append(step)
             u[m] = u_full[m]
-        assert online == list(dynamics._history_quadrature(kt, u_full))
+        far_blocks = dynamics._far_field(kt, u_full)
+        assert online == list(dynamics._history_quadrature(kt, u_full, far_blocks))
 
 
 class TestSolveVolterra:
@@ -325,18 +315,36 @@ class TestSolveVolterra:
             ta = solve_amplitudes(embed_from_model(model), 1.0, 20.0, 1e-3)
             assert np.max(np.abs(np.abs(tv.c1) - np.abs(ta.c1))) < 1e-6
 
-    def test_matches_direct_history_solver(self, rng, monkeypatch):
-        # the blocked history against the O(n^2) one in the same solver
-        runs = []
+    def test_matches_direct_history_solver(self, rng):
+        # block steps and the blocked history against the per-step solver
+        # over the O(n^2) history
         for t_max in (20.0, 60.0):
             model = random_lindblad_model(rng, resonant=False)
             spec = pole_residue_from_model(model)
-            runs.append((spec, model.omega_A, t_max))
-        blocked = [solve_volterra(spec, w, 1.0, t, 1e-3).c1 for spec, w, t in runs]
-        monkeypatch.setattr(dynamics, "_history_quadrature", direct_history)
-        direct = [solve_volterra(spec, w, 1.0, t, 1e-3).c1 for spec, w, t in runs]
-        for got, want in zip(blocked, direct):
+            got = solve_volterra(spec, model.omega_A, 1.0, t_max, 1e-3).c1
+            want = volterra_per_step(spec, model.omega_A, 1.0, t_max, 1e-3)
             assert np.max(np.abs(got - want)) <= 1e-12
+
+    # the Taylor start, the short-history branch, the per-step head and
+    # every base-block and square boundary of the block steps
+    @pytest.mark.parametrize(
+        "n",
+        [3, 5, 6, B - 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1, 3 * B, 4 * B - 1,
+         16 * B, 4097],
+    )
+    def test_block_steps_match_per_step(self, n):
+        model = random_lindblad_model(np.random.default_rng(n), resonant=False)
+        spec = pole_residue_from_model(model)
+        got = solve_volterra(spec, model.omega_A, 1.0, n * 1e-3, 1e-3).c1
+        want = volterra_per_step(spec, model.omega_A, 1.0, n * 1e-3, 1e-3)
+        assert len(got) == n + 1
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_bitwise_reproducible(self):
+        spec = pole_residue_from_model(PRESET)
+        first = solve_volterra(spec, PRESET.omega_A, 1.0, 5.0, 1e-3).c1
+        second = solve_volterra(spec, PRESET.omega_A, 1.0, 5.0, 1e-3).c1
+        np.testing.assert_array_equal(first, second)
 
     def test_fourth_order_convergence(self):
         # halving h cuts the error ~16x against the eigen-solution oracle
@@ -757,8 +765,12 @@ class TestObservables:
         "method, model, t_max, h, expected",
         [
             ("qme", FanoModel(gamma=0.25, kappa=1.0, g_abs=0.2, eta=1.2), 40.0,
-             2e-3, ["density matrix loses positivity (min eigenvalue -4.881e-02)"]),
+             2e-3, ["density matrix loses positivity (min eigenvalue -4.881e-02)",
+                    "jump probability decreases (min increment -1.644e-05)"]),
             ("amplitudes", FanoModel(gamma=0.25, kappa=1.0, g_abs=1.0, eta=1.2),
+             20.0, 1e-3, ["jump probability decreases (min increment -8.694e-06)"]),
+            # rho_00 is the jump probability: the same decrease as amplitudes
+            ("qme", FanoModel(gamma=0.25, kappa=1.0, g_abs=1.0, eta=1.2),
              20.0, 1e-3, ["jump probability decreases (min increment -8.694e-06)"]),
             # stable but coarse: RK4 truncation breaks the norm identity
             ("amplitudes", FanoModel(gamma=0.25, kappa=1.0, g_abs=5.0, eta=1.0),
@@ -766,7 +778,8 @@ class TestObservables:
              ["norm identity drifts by 2.002e-01 at h = 0.5: RK4 truncation error "
               "at this h is the likely cause; reduce h"]),
         ],
-        ids=["qme_non_lindblad", "amplitudes_non_lindblad", "amplitudes_coarse_h"],
+        ids=["qme_non_lindblad", "amplitudes_non_lindblad", "qme_jump_decrease",
+             "amplitudes_coarse_h"],
     )
     def test_violations(self, method, model, t_max, h, expected):
         assert run_method(method, model, t_max, h).observables()[1] == expected

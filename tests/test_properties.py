@@ -24,7 +24,7 @@ from fanomode.embedding import embed, embed_from_model, kossakowski, spectral_fr
 from fanomode.fanodiag import _lambda_identity
 from fanomode.spectral import FanoModel, evaluate_J, pole_residue_from_model
 
-from conftest import star_solution
+from conftest import star_solution, volterra_per_step
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -136,3 +136,13 @@ def test_comb_chain_matches_dense_star(model, t_max):
     c1, reservoir = star_solution(res, model.omega_A, 1.0, traj.times)
     assert np.max(np.abs(traj.c1 - c1)) <= 1e-12
     assert np.max(np.abs(traj.extras["reservoir_population"] - reservoir)) <= 1e-12
+
+
+@DETERMINISTIC
+@given(model=models())
+def test_volterra_block_steps_match_per_step(model):
+    # T = 1 runs the per-step head, 13 whole blocks and a partial one
+    spec = pole_residue_from_model(model)
+    got = solve_volterra(spec, model.omega_A, 1.0, 1.0, 1e-3).c1
+    want = volterra_per_step(spec, model.omega_A, 1.0, 1.0, 1e-3)
+    assert np.max(np.abs(got - want)) <= 1e-12

@@ -5,7 +5,9 @@ decay-rate.  Every run is controlled by one JSON config (see
 :mod:`fanomode.config`); flags override file values.  Output is CSV with a
 ``#``-prefixed metadata header (or a JSON mirror via ``--format json``),
 printed with 17 significant digits so values round-trip exactly, and carries
-no wall-clock content: identical configs give byte-identical files.
+no wall-clock content: identical configs give byte-identical files.  CSV
+rows are formatted from one row template per table and written in blocks of
+rows as they are formatted, so a table's text is never held whole.
 
 Each ``cmd_*`` is a function of the config alone: it returns a table or a
 key/value report, the summary lines it prints and the property violations it
@@ -27,7 +29,7 @@ import json
 import sys
 import warnings
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -76,6 +78,7 @@ _UNITS_NOTE = (
     "frequencies and rates share the configured model's unit system "
     "(presets: kappa = 1)"
 )
+_ROW_BLOCK = 1024  # table rows formatted and written per chunk
 
 
 class PropertyViolation(FanomodeError):
@@ -91,12 +94,13 @@ def _format_number(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_chunks(path: str, chunks: Iterable[str]) -> None:
+    """Write ``chunks`` as they come to ``path``, opened once, or to stdout."""
     if path:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 @dataclass
@@ -116,11 +120,16 @@ class _Output:
     violations: list[str] = field(default_factory=list)
 
 
-def _render(command: str, config: dict, output: _Output, fmt: str, header: bool) -> str:
-    """CSV under a ``#`` header, or its JSON mirror.
+def _render(
+    command: str, config: dict, output: _Output, fmt: str, header: bool
+) -> Iterator[str]:
+    """CSV under a ``#`` header, or its JSON mirror, as text chunks in order.
 
     The header names the tool, the command and the config; a table's header
-    also carries the units note, its meta and its column names.
+    also carries the units note, its meta and its column names.  Table rows
+    are formatted from one ``%.17g`` row template (the bytes of
+    ``f"{x:.17g}"``) and yielded in blocks of ``_ROW_BLOCK`` rows, so the
+    whole table is never held as text; JSON is one chunk.
     """
     table = output.report is None
     if fmt == "json":
@@ -132,7 +141,8 @@ def _render(command: str, config: dict, output: _Output, fmt: str, header: bool)
             doc.update(tool=f"fanomode {__version__}", command=command, config=config)
             if table:
                 doc.update(units=_UNITS_NOTE, meta=output.meta)
-        return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        yield json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        return
     lines = []
     if header:
         lines += [f"# fanomode {__version__}", f"# command: {command}"]
@@ -144,13 +154,17 @@ def _render(command: str, config: dict, output: _Output, fmt: str, header: bool)
         lines += [f"# {key}: {output.meta[key]}" for key in sorted(output.meta)]
         if table:
             lines.append("# columns: " + ",".join(output.columns))
-    if table:
-        lines += [",".join(_format_number(v) for v in row) for row in output.rows]
-    else:
+    if not table:
         lines.append("key,value")
         lines += [f"{key},{'' if value is None else value}"
                   for key, value in output.report.items()]
-    return "\n".join(lines) + "\n"
+    if lines:
+        yield "\n".join(lines) + "\n"
+    if table:
+        template = ",".join(["%.17g"] * output.rows.shape[1])
+        for start in range(0, len(output.rows), _ROW_BLOCK):
+            block = output.rows[start : start + _ROW_BLOCK].tolist()
+            yield "\n".join([template % tuple(row) for row in block]) + "\n"
 
 
 def _run_method(method: str, config: dict) -> Trajectory:
@@ -405,7 +419,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         header = config["output"]["header"] and not args.no_header
         output = _COMMANDS[args.command][0](config)
         if out or output.report is None:
-            _write_text(out, _render(args.command, config, output, fmt, header))
+            _write_chunks(out, _render(args.command, config, output, fmt, header))
         for line in output.summary:
             print(line)
         if output.violations:

@@ -324,8 +324,13 @@ def solve_amplitudes(
         s = states[:-1] @ mat.T
         return _jump_rate(qme.gamma, qme.kappa, qme.gamma_F, s[:, 0], s[:, 1])
 
-    k1, k2, k3, k4 = (rates(stage) for stage in stages)
-    increments = (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    # (h/6)(k1 + 2 k2 + 2 k3 + k4) with one stage rate alive at a time, in
+    # the formula's own operation order, so the sum is bitwise the formula's
+    increments = rates(stages[0])
+    increments += 2.0 * rates(stages[1])
+    increments += 2.0 * rates(stages[2])
+    increments += rates(stages[3])
+    increments *= h / 6.0
     pi_j = np.concatenate(([0.0], np.cumsum(increments)))
 
     phase = np.exp(-1j * qme.omega_A * times)

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from fanomode import dynamics
+from fanomode import __version__, cli, dynamics
 from fanomode.spectral import FanoModel
 
 
@@ -87,6 +88,40 @@ def volterra_per_step(spec, omega_A: float, c1_0: complex, t_max: float, h: floa
         u[m] = explicit / denom
         f[m] = -damping * u[m] - h * (partial + w_end * kt[0] * u[m])
     return u * np.exp(-1j * omega_A * times)
+
+
+def render_reference(command: str, config: dict, output, fmt: str, header: bool) -> str:
+    """Reference for ``cli._render``: the whole file as one string, each table
+    value formatted on its own with ``f"{v:.17g}"``."""
+    table = output.report is None
+    if fmt == "json":
+        doc = (
+            {"columns": output.columns, "rows": output.rows.tolist()}
+            if table else dict(output.report)
+        )
+        if header:
+            doc.update(tool=f"fanomode {__version__}", command=command, config=config)
+            if table:
+                doc.update(units=cli._UNITS_NOTE, meta=output.meta)
+        return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    lines = []
+    if header:
+        lines += [f"# fanomode {__version__}", f"# command: {command}"]
+        if table:
+            lines.append(f"# units: {cli._UNITS_NOTE}")
+        lines.append(
+            "# config: " + json.dumps(config, sort_keys=True, separators=(",", ":"))
+        )
+        lines += [f"# {key}: {output.meta[key]}" for key in sorted(output.meta)]
+        if table:
+            lines.append("# columns: " + ",".join(output.columns))
+    if table:
+        lines += [",".join(f"{v:.17g}" for v in row) for row in output.rows]
+    else:
+        lines.append("key,value")
+        lines += [f"{key},{'' if value is None else value}"
+                  for key, value in output.report.items()]
+    return "\n".join(lines) + "\n"
 
 
 @pytest.fixture

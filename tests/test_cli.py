@@ -17,6 +17,8 @@ from fanomode.cli import main
 from fanomode.config import DEFAULT_CONFIG, load_config
 from fanomode.errors import ConfigError
 
+from conftest import render_reference
+
 
 def run(*args: str) -> int:
     return main(list(args))
@@ -615,3 +617,108 @@ class TestImportCost:
             capture_output=True, text=True, check=True,
         )
         assert result.stdout == "False\n"
+
+
+# IEEE edge values: signed zeros, the smallest subnormal and normal, the
+# largest finite, infinities, nan, and integral floats
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+               1.7976931348623157e308, -1.7976931348623157e308, np.inf, -np.inf,
+               np.nan, 1.0, -3.0, 1e16, 2.0 ** 53 + 2.0, 1e22, 0.1]
+
+
+def edge_table() -> cli._Output:
+    row = np.array(EDGE_VALUES)
+    rows = np.stack([row, -row, row[::-1]])
+    return cli._Output([f"c{i}" for i in range(len(row))], rows, {"kind": "edge"})
+
+
+def random_table(n_rows: int) -> cli._Output:
+    rng = np.random.default_rng(n_rows)
+    scale = 10.0 ** rng.integers(-300, 300, (n_rows, 3))
+    rows = rng.standard_normal((n_rows, 3)) * scale
+    return cli._Output(["a", "b", "c"], rows)
+
+
+class TestRendering:
+    SMALL = {
+        "spectrum": ["spectrum.n_points=40"],
+        "kernel": ["kernel.n_points=7", "kernel.tau_max=1.0",
+                   "kernel.quadrature_check=true", "kernel.quadrature_window=10.0",
+                   "kernel.quadrature_points=101"],
+        "evolve-volterra": ["solver.method=volterra", "solver.t_max=0.3"],
+        "evolve-amplitudes": ["solver.method=amplitudes", "solver.t_max=0.3"],
+        "evolve-qme": ["solver.method=qme", "solver.t_max=0.3"],
+        "evolve-discretized": ["solver.method=discretized", "solver.t_max=0.3"],
+        "compare": ["solver.t_max=0.3"],
+        "fanodiag": ["fanodiag.n_points=40"],
+    }
+
+    @staticmethod
+    def assert_renders_as_reference(command, config, output):
+        for fmt in ("csv", "json"):
+            for header in (True, False):
+                text = "".join(cli._render(command, config, output, fmt, header))
+                assert text == render_reference(command, config, output, fmt, header)
+
+    @pytest.mark.parametrize("case", list(SMALL))
+    def test_commands_byte_identical_to_per_value_format(self, case):
+        command = case.split("-")[0]
+        config = load_config(None, self.SMALL[case])
+        output = cli._COMMANDS[command][0](config)
+        assert output.rows.shape[0] > 1
+        self.assert_renders_as_reference(command, config, output)
+
+    def test_edge_values_byte_identical(self):
+        config = load_config(None, [])
+        self.assert_renders_as_reference("spectrum", config, edge_table())
+
+    @pytest.mark.parametrize("n_rows", [1, cli._ROW_BLOCK, cli._ROW_BLOCK + 1])
+    def test_block_boundaries_byte_identical(self, n_rows):
+        output = random_table(n_rows)
+        self.assert_renders_as_reference("spectrum", load_config(None, []), output)
+        chunks = list(cli._render("spectrum", {}, output, "csv", False))
+        assert [chunk.count("\n") for chunk in chunks] == [
+            min(cli._ROW_BLOCK, n_rows - start)
+            for start in range(0, n_rows, cli._ROW_BLOCK)
+        ]
+
+    @staticmethod
+    def assert_round_trips(text, rows):
+        # 17 significant digits parse back to the same double, and a zero
+        # keeps its sign (nan is written unsigned)
+        parsed = np.array([[float(v) for v in line.split(",")]
+                           for line in text.splitlines()])
+        assert np.array_equal(parsed, rows, equal_nan=True)
+        zero = rows == 0.0
+        assert np.array_equal(np.signbit(parsed[zero]), np.signbit(rows[zero]))
+
+    @pytest.mark.parametrize("output", [edge_table(), random_table(cli._ROW_BLOCK + 1)],
+                             ids=["edge", "random"])
+    def test_csv_round_trips_exactly(self, tmp_path, output):
+        out = tmp_path / "table.csv"
+        cli._write_chunks(str(out), cli._render("spectrum", {}, output, "csv", False))
+        self.assert_round_trips(out.read_text(), output.rows)
+
+    def test_written_evolve_file_round_trips(self, tmp_path):
+        out = tmp_path / "evolve.csv"
+        assert run("evolve", "--set", "solver.t_max=1.5", "--no-header",
+                   "--out", str(out)) == 0
+        rows = cli.cmd_evolve(load_config(None, ["solver.t_max=1.5"])).rows
+        assert len(rows) > cli._ROW_BLOCK
+        self.assert_round_trips(out.read_text(), rows)
+
+    def test_closed_stdout_is_not_an_error(self):
+        # the default evolve table (~1.7 MB) outgrows a pipe buffer, so a
+        # later block is written to a closed pipe
+        src = str(Path(fanomode.__file__).resolve().parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "fanomode.cli", "evolve"],
+            env=dict(os.environ, PYTHONPATH=src),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline() == f"# fanomode {__version__}\n".encode()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert err == ""  # no traceback, no message

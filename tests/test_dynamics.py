@@ -205,6 +205,28 @@ class TestSolveAmplitudes:
             traj = solve_amplitudes(embed_from_model(model), 1.0, 10.0, 1e-3)
             assert np.min(np.diff(traj.pi_j)) > -1e-12
 
+    def test_pi_j_bitwise_against_four_stage_rates(self, rng):
+        # the stage rates are summed one at a time; the four-array formula
+        # below does the same operations in the same order
+        for _ in range(5):
+            model = random_lindblad_model(rng, resonant=False)
+            qme = embed_from_model(model)
+            c1_0, t_max, h = 0.9 + 0.3j, 5.0, 1e-3
+            a_mat = np.array([
+                [-0.5 * qme.gamma, -1j * qme.g_tilde_minus],
+                [-1j * np.conj(qme.g_tilde_plus), -1j * (qme.z1 - qme.omega_A)],
+            ])
+            step, stages = dynamics._rk4_step(a_mat, h)
+            states = dynamics._propagate(step, (c1_0, 0.0), round(t_max / h))
+            k1, k2, k3, k4 = (
+                dynamics._jump_rate(qme.gamma, qme.kappa, qme.gamma_F, s[:, 0], s[:, 1])
+                for s in (states[:-1] @ mat.T for mat in stages)
+            )
+            increments = (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            expected = np.concatenate(([0.0], np.cumsum(increments)))
+            traj = solve_amplitudes(qme, c1_0, t_max, h)
+            np.testing.assert_array_equal(traj.pi_j, expected)
+
     def test_jump_decreases_for_non_lindblad(self):
         # frozen demonstration point: the quadratic form turns negative
         # near t ~ 3 for this generator

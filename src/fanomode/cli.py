@@ -16,7 +16,8 @@ found.  An ``evolve`` table and its violations are the trajectory's own
 solver and lays them out.  :func:`main` alone renders, writes and fails: a
 table goes to the output path or to stdout, a report only to an output path;
 the summary prints to stdout after the output; a violation exits 2 after the
-file is written.
+file is written.  A table holding a non-finite value is a violation; numpy's
+floating-point warnings are silenced in its favour.
 
 Exit codes: 0 success, 1 usage or invalid input, 2 property violation,
 3 solver failure.
@@ -364,7 +365,8 @@ def cmd_decay_rate(config: dict) -> _Output:
     if deviation is not None:
         summary.append(f"relative deviation:   {deviation:.3e}")
     summary += [f"warning: {note}" for note in notes]
-    return _Output(report=payload, summary=summary)
+    # the fit is only as good as the trajectory it reads
+    return _Output(report=payload, summary=summary, violations=traj.observables()[1])
 
 
 _COMMANDS = {  # name -> (function, help text)
@@ -417,7 +419,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         out = args.out if args.out is not None else config["output"]["path"]
         fmt = args.format if args.format is not None else config["output"]["format"]
         header = config["output"]["header"] and not args.no_header
-        output = _COMMANDS[args.command][0](config)
+        with np.errstate(all="ignore"):  # a non-finite table is judged below
+            output = _COMMANDS[args.command][0](config)
+        if output.rows is not None:
+            bad = np.count_nonzero(~np.isfinite(output.rows))
+            if bad:
+                output.violations.append(f"table holds {bad} non-finite values")
         if out or output.report is None:
             _write_chunks(out, _render(args.command, config, output, fmt, header))
         for line in output.summary:
@@ -446,6 +453,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE
     except MemoryError:
         print("fanomode: error: not enough memory for this run", file=sys.stderr)
+        return EXIT_USAGE
+    except OverflowError:
+        print("fanomode: error: an input overflows floating point", file=sys.stderr)
         return EXIT_USAGE
 
 

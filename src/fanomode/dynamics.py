@@ -7,7 +7,8 @@ explicit reservoir modes) and are deterministic on a fixed time grid:
 * :func:`solve_volterra`     -- exact memory-kernel equation for c1(t),
   Gregory quadrature of the full history convolution as a blocked FFT
   convolution (O(n log^2 n)), delta part applied analytically, stepped 64
-  steps at a time by one precomputed block response.
+  steps at a time past the first base block by one precomputed block
+  response.
 * :func:`solve_amplitudes`   -- coupled (c1, b1) pseudomode amplitudes,
   classical RK4 on the 2x2 non-Hermitian system.
 * :func:`solve_qme`          -- full 3x3 master equation, classical RK4 as
@@ -115,8 +116,9 @@ class DensityMatrix3:
 class Trajectory:
     """Uniform-grid solver output.
 
-    Amplitude-type methods fill ``c1`` (and, when defined, ``b1``/``pi_j``);
-    the master-equation method fills ``rho`` with shape (n+1, 3, 3).
+    Amplitude-type methods fill ``c1`` (and, when defined, ``b1``/``pi_j``,
+    or the comb oracle's ``reservoir_population``); the master-equation
+    method fills ``rho`` with shape (n+1, 3, 3).
     ``metadata`` snapshots every input needed to reproduce the run.
     :meth:`observables` gives the run's table columns and the invariants it
     breaks, computed when asked for, never by a solver.
@@ -129,7 +131,7 @@ class Trajectory:
     b1: np.ndarray | None = None
     pi_j: np.ndarray | None = None
     rho: np.ndarray | None = None
-    extras: dict[str, np.ndarray] = field(default_factory=dict)
+    reservoir_population: np.ndarray | None = None
     metadata: dict[str, Any] = field(default_factory=dict)
 
     @property
@@ -186,7 +188,7 @@ class Trajectory:
                 for message in _drift(columns["norm_sum"], "norm identity")
             ]
         elif self.method == "discretized":
-            reservoir = self.extras["reservoir_population"]
+            reservoir = self.reservoir_population
             columns["reservoir_population"] = reservoir
             columns["norm_sum"] = abs(self.c0) ** 2 + columns["c1_abs2"] + reservoir
             violations += _drift(columns["norm_sum"], "norm conservation")
@@ -370,14 +372,14 @@ def _dot(a: np.ndarray, b: np.ndarray) -> complex:
 
 # Base block of the history convolution: pairs j < m inside one block of
 # _BLOCK steps are summed directly, all other pairs by FFT.  The solver also
-# steps _BLOCK steps at a time past its first two blocks.
+# steps _BLOCK steps at a time past its first block.
 _BLOCK = 64
 
 
 def _far_field(kt, u):
-    """Yield far[b : b + _BLOCK] for b = 0, _BLOCK, 2 _BLOCK, ... <= len(u) - 1,
+    """Yield far[b : b + _BLOCK] for b = _BLOCK, 2 _BLOCK, ... <= len(u) - 1,
     where far[m] holds the terms kt[m - j] u[j] of S[m] = sum_{j<m} kt[m - j] u[j]
-    with j in an earlier base block than m.
+    with j in an earlier base block than m (none for m < _BLOCK).
 
     S[m] is the causal Toeplitz product of Hairer, Lubich & Schlichte (SIAM
     J. Sci. Stat. Comput. 6 (1985) 532).  Every pair it leaves to ``far``
@@ -390,70 +392,34 @@ def _far_field(kt, u):
     n = len(u) - 1
     far = np.zeros(n + 1, dtype=complex)
     spectra = {}  # size L -> FFT of kt[0:2L], kept while the size recurs
-    for b in range(0, n + 1, _BLOCK):
-        if b:
-            # The square whose history block [a, b) ends here: L = _BLOCK
-            # times the largest power of two dividing b / _BLOCK, so a = b - L
-            # is a multiple of 2L.
-            size = _BLOCK * ((b // _BLOCK) & -(b // _BLOCK))
-            if b == n:
-                # The last square feeds far[n] alone: one direct dot, not an
-                # FFT of size 2L.
-                far[n] += _dot(kt[size:0:-1], u[n - size : n])
-            else:
-                spectrum = spectra.pop(size, None)
-                if spectrum is None:
-                    spectrum = np.fft.fft(kt[: 2 * size], 2 * size)
-                if b + 2 * size <= n:  # the same size comes round again
-                    spectra[size] = spectrum
-                # Linear convolution of u[a:b] with kt[0:2L]; entries L..2L-1
-                # (lags 1..2L-1) do not wrap around.
-                conv = np.fft.fft(u[b - size : b], 2 * size)
-                conv *= spectrum
-                del spectrum  # an uncached spectrum is freed before the inverse FFT
-                conv = np.fft.ifft(conv)
-                end = min(b + size, n + 1)
-                far[b:end] += conv[size : size + end - b]
+    for b in range(_BLOCK, n + 1, _BLOCK):
+        # The square whose history block [a, b) ends here: L = _BLOCK times
+        # the largest power of two dividing b / _BLOCK, so a = b - L is a
+        # multiple of 2L.
+        size = _BLOCK * ((b // _BLOCK) & -(b // _BLOCK))
+        if b == n:
+            # The last square feeds far[n] alone: one direct dot, not an FFT
+            # of size 2L.
+            far[n] += _dot(kt[size:0:-1], u[n - size : n])
+        else:
+            spectrum = spectra.pop(size, None)
+            if spectrum is None:
+                spectrum = np.fft.fft(kt[: 2 * size], 2 * size)
+            if b + 2 * size <= n:  # the same size comes round again
+                spectra[size] = spectrum
+            # Linear convolution of u[a:b] with kt[0:2L]; entries L..2L-1
+            # (lags 1..2L-1) do not wrap around.
+            conv = np.fft.fft(u[b - size : b], 2 * size)
+            conv *= spectrum
+            del spectrum  # an uncached spectrum is freed before the inverse FFT
+            conv = np.fft.ifft(conv)
+            end = min(b + size, n + 1)
+            far[b:end] += conv[size : size + end - b]
         yield far[b : b + _BLOCK]
 
 
-def _history_quadrature(kt, u, far_blocks):
-    """Yield (partial, w_end) for m = 3, 4, ..., len(u) - 1, where partial is
-    sum_j W_j kt[m - j] u[j] over j = 0..m-1 for the integral up to t_m.
-
-    The j = m endpoint term (weight times kt[0] u[m]) is left out so the
-    caller can fold it into an implicit step; the endpoint weight is
-    yielded alongside.  The sum for step m reads u[j] for j < m only when
-    it is asked for, so the caller fills u[m - 1] in between.
-
-    ``far_blocks`` is a :func:`_far_field` generator over u (or over a
-    longer array whose head u views); one block is taken from it per
-    _BLOCK steps, so the caller may go on with it past len(u).  The
-    interior sum (weight 1) is far[m] plus a direct pairwise dot over the
-    current base block; the Gregory edge corrections are applied exactly on
-    top.
-    """
-    n = len(u) - 1
-    near_rev = kt[_BLOCK:0:-1].copy()  # near_rev[n_near - r :] = kt[r], ..., kt[1]
-    n_near = len(near_rev)
-    e0, e1, e2 = _GREGORY_EDGE
-    for b in range(0, n + 1, _BLOCK):
-        far = next(far_blocks)
-        for m in range(max(b, 3), min(b + _BLOCK, n + 1)):
-            if m < 6:
-                w = _SHORT_WEIGHTS[m]
-                yield sum(w[j] * kt[m - j] * u[j] for j in range(m)), w[m]
-                continue
-            r = m - b
-            total = far[r] + _dot(near_rev[n_near - r :], u[b:m])
-            total += (e0 - 1.0) * kt[m] * u[0] + (e1 - 1.0) * kt[m - 1] * u[1]
-            total += (e2 - 1.0) * kt[m - 2] * u[2]
-            total += (e2 - 1.0) * kt[2] * u[m - 2] + (e1 - 1.0) * kt[1] * u[m - 1]
-            yield total, e0
-
-
 def _block_response(kt, step):
-    """The Adams-Moulton steps of one base block b >= 2 _BLOCK as a fixed
+    """The Adams-Moulton steps of one base block b >= _BLOCK as a fixed
     linear map R of shape (_BLOCK + 3, _BLOCK + 5).
 
     Input x: the forcing g[b..b + _BLOCK - 1] (far field plus start-side
@@ -530,13 +496,13 @@ def solve_volterra(
     steps; the Gregory endpoint corrections are applied exactly.  Only the
     kernel samples enter it, never the kernel's one-pole form.
 
-    The step is linear in u.  The first two base blocks step one at a time
-    (:func:`_history_quadrature`).  After that, when block b starts its far
-    field is complete, so its 64 values are one fixed linear map
-    (:func:`_block_response`, built once per run) of the forcing
-    g[m] = far[m] + the start-side Gregory corrections on u[0..2] and of
-    the carried u[b - 2], u[b - 1], f[b - 3..b - 1]: one fixed-order
-    product per block, so results are bit-for-bit reproducible.
+    The step is linear in u.  The first base block, whose far field is
+    empty, steps one at a time over the direct Gregory sum.  Past the first
+    base block, when block b starts its far field is complete, so its 64
+    values are one fixed linear map (:func:`_block_response`, built once per
+    run) of the forcing g[m] = far[m] + the start-side Gregory corrections
+    on u[0..2] and of the carried u[b - 2], u[b - 1], f[b - 3..b - 1]: one
+    fixed-order product per block, so results are bit-for-bit reproducible.
     """
     times = _time_grid(t_max, h)
     c0 = _c0_from_c1(c1_0)
@@ -556,7 +522,7 @@ def solve_volterra(
 
     u = np.zeros(n + 1, dtype=complex)
     # du/dt samples for the multistep rule; the block steps carry the last three
-    f = np.zeros(min(n + 1, 2 * _BLOCK), dtype=complex)
+    f = np.zeros(min(n + 1, _BLOCK), dtype=complex)
     u[0] = c1_0
     f[0] = -damping * c1_0
     starts = min(n, 2)
@@ -577,21 +543,27 @@ def solve_volterra(
         u_m = explicit / denom
         return u_m, -damping * u_m - h * (partial + w_end * kt[0] * u_m)
 
-    far_blocks = _far_field(kt, u)
-    # The first two base blocks step one at a time: short histories and the
-    # start-side corrections overlapping the end-side ones live there.
-    head = _history_quadrature(kt, u[: 2 * _BLOCK], far_blocks)
-    for m, (partial, w_end) in enumerate(head, start=3):
+    # The first base block steps one at a time: short histories and the
+    # start-side corrections overlapping the end-side ones live there, and
+    # with no far field each history sum is the direct Gregory sum.
+    e0, e1, e2 = _GREGORY_EDGE
+    for m in range(3, min(n + 1, _BLOCK)):
+        if m < 6:
+            w = _SHORT_WEIGHTS[m]
+            partial, w_end = sum(w[j] * kt[m - j] * u[j] for j in range(m)), w[m]
+        else:
+            partial, w_end = _dot(kt[m:0:-1], u[:m]), e0
+            partial += (e0 - 1.0) * kt[m] * u[0] + (e1 - 1.0) * kt[m - 1] * u[1]
+            partial += (e2 - 1.0) * kt[m - 2] * u[2]
+            partial += (e2 - 1.0) * kt[2] * u[m - 2] + (e1 - 1.0) * kt[1] * u[m - 1]
         u[m], f[m] = step(u[m - 1], f[m - 1], f[m - 2], f[m - 3], partial, w_end)
 
-    if n >= 2 * _BLOCK:
+    if n >= _BLOCK:
         response = _block_response(kt, step)
-        e0, e1, e2 = _GREGORY_EDGE
         start_edge = ((e0 - 1.0) * u[0], (e1 - 1.0) * u[1], (e2 - 1.0) * u[2])
         x = np.zeros(_BLOCK + 5, dtype=complex)
-        x[_BLOCK:] = u[2 * _BLOCK - 2], u[2 * _BLOCK - 1], *f[-3:]
-        for b in range(2 * _BLOCK, n + 1, _BLOCK):
-            far = next(far_blocks)
+        x[_BLOCK:] = u[_BLOCK - 2], u[_BLOCK - 1], *f[-3:]
+        for b, far in zip(range(_BLOCK, n + 1, _BLOCK), _far_field(kt, u)):
             # A last block shorter than _BLOCK leaves stale forcing in
             # x[size:_BLOCK]; the map is causal, so it reaches only u past n.
             size = len(far)
@@ -773,7 +745,7 @@ def solve_discretized(
     Refuses t_max past half the comb's recurrence time, where the finite
     comb stops mimicking the continuum.  The reservoir population
     |c1(0)|^2 sum_{s>=1} |psi_s(t)|^2 is summed from the chain state, in
-    blocks of samples, into ``extras["reservoir_population"]``; the chain
+    blocks of samples, into ``reservoir_population``; the chain
     depth goes to ``metadata["chain_depth"]``.
     """
     if t_max >= 0.5 * res.recurrence_time:
@@ -820,7 +792,7 @@ def solve_discretized(
         method="discretized",
         c0=complex(c0),
         c1=c1_0 * psi_0 * np.exp(-1j * omega_A * times),
-        extras={"reservoir_population": abs(c1_0) ** 2 * reservoir_pop},
+        reservoir_population=abs(c1_0) ** 2 * reservoir_pop,
         metadata={
             "n_modes": res.n_modes, "delta_omega": res.delta_omega,
             "omega_A": omega_A, "c1_0": complex(c1_0), "t_max": t_max, "h": h,

@@ -43,7 +43,8 @@ def star_solution(res, omega_A: float, c1_0: complex, times: np.ndarray):
 
 def direct_history(kt, u):
     """Reference: the Gregory history sums with one dot over the whole
-    history per step, O(n^2), in the generator form of the blocked one."""
+    history per step, O(n^2); yields (partial, w_end) for m = 3..n, where
+    partial leaves out the implicit endpoint term w_end kt[0] u[m]."""
     n = len(u) - 1
     kt_rev = kt[::-1].copy()
     e0, e1, e2 = dynamics._GREGORY_EDGE

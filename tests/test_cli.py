@@ -47,6 +47,23 @@ class TestSpectrum:
         assert abs(dashed - 5.0) < 1e-12
         assert abs(dotted) < 1e-12
 
+    def test_non_finite_table_is_violation(self, tmp_path):
+        # used to write nan rows and exit 0 under three numpy RuntimeWarnings;
+        # a subprocess, so stderr is the real one
+        out = tmp_path / "spectrum.csv"
+        src = str(Path(fanomode.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-m", "fanomode.cli", "spectrum", "--out", str(out),
+             "--set", "spectrum.epsilon_min=-1e300",
+             "--set", "spectrum.epsilon_max=1e300"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        )
+        assert result.returncode == 2
+        assert result.stderr == (
+            "fanomode: property violation: table holds 4800 non-finite values\n"
+        )
+        assert np.isnan(load_rows(out)).any()
+
     def test_single_flat_curve(self, tmp_path):
         out = tmp_path / "flat.csv"
         code = run(
@@ -384,6 +401,17 @@ class TestDecayRate:
         assert run("decay-rate", "--set", "decay_rate.fit_t_min=2.0") == 0
         assert "golden-rule" in capsys.readouterr().out
 
+    def test_judges_the_trajectory_it_fits(self, tmp_path, capsys):
+        # a coarse step breaks the norm identity, as `evolve` reports for the
+        # same run; the fit used to exit 0
+        out = tmp_path / "rate.json"
+        code = run("decay-rate", "--format", "json", "--out", str(out),
+                   "--set", "decay_rate.h=0.5")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("fanomode: property violation: norm identity drifts")
+        assert "fitted_rate" in json.loads(out.read_text())
+
     def test_antiresonance_suppression(self, tmp_path):
         out = tmp_path / "suppressed.json"
         code = run(
@@ -594,6 +622,26 @@ class TestConfig:
         assert err.count("\n") == 1
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("kernel", "--set", "model.g_abs=1e300"),
+        ("fanodiag", "--set", "model.g_abs=1e300"),
+        ("decay-rate", "--set", "model.g_abs=1e200"),
+        ("evolve", "--set", "model.g_abs=1e200", "--set", "solver.t_max=1",
+         "--set", "solver.method=volterra"),
+        ("evolve", "--set", "model.g_abs=1e200", "--set", "solver.t_max=1",
+         "--set", "solver.method=discretized"),
+        ("spectrum", "--set", 'spectrum.curves=[{"q_abs": 1e300}]'),
+    ])
+    def test_overflowing_input_is_usage_error(self, tmp_path, capsys, argv):
+        # squaring g_abs or |q| as a Python float used to end in an
+        # OverflowError traceback
+        out = tmp_path / "out.csv"
+        assert run(*argv, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("fanomode: error: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_defaults_are_not_mutated(self):
         load_config(None, ["model.gamma=0.9"])

@@ -33,7 +33,6 @@ from fanomode.errors import (
 from fanomode.spectral import FanoModel, PoleSpectral, pole_residue_from_model
 
 from conftest import (
-    direct_history,
     random_lindblad_model,
     star_solution,
     volterra_per_step,
@@ -247,8 +246,16 @@ class TestSolveAmplitudes:
 B = dynamics._BLOCK
 
 
+def direct_far_field(kt, u):
+    """Reference for ``_far_field``: far[m] = sum_{j < B floor(m / B)} kt[m - j] u[j],
+    one direct sum per m."""
+    return np.array([
+        complex(np.sum(kt[m : m % B : -1] * u[: m - m % B])) for m in range(len(u))
+    ])
+
+
 class TestBlockedHistory:
-    # every base-block and square boundary, plus the short-history branch
+    # every base-block and square boundary
     @pytest.mark.parametrize(
         "n",
         [0, 1, 2, 3, 4, 5, 6, B - 1, B, B + 1, 2 * B, 2 * B + 1, 4 * B - 1, 1000,
@@ -261,16 +268,14 @@ class TestBlockedHistory:
         rng = np.random.default_rng(n)
         kt = sampled_kernel(kernel, rng, n)
         u = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
-        far_blocks = dynamics._far_field(kt, u)
-        blocked = list(dynamics._history_quadrature(kt, u, far_blocks))
-        direct = list(direct_history(kt, u))
-        assert len(blocked) == len(direct) == max(0, n - 2)
-        for m, ((partial, w_end), (want, want_w_end)) in enumerate(
-            zip(blocked, direct), start=3
-        ):
-            assert w_end == want_w_end
-            scale = np.sum(np.abs(kt[m:0:-1]) * np.abs(u[:m]))
-            assert abs(partial - want) <= 1e-12 * scale
+        blocks = list(dynamics._far_field(kt, u))
+        assert len(blocks) == n // B
+        want = direct_far_field(kt, u)
+        for b, far in zip(range(B, n + 1, B), blocks):
+            assert len(far) == min(B, n + 1 - b)
+            for m in range(b, b + len(far)):
+                scale = np.sum(np.abs(kt[m:0:-1]) * np.abs(u[:m]))
+                assert abs(far[m - b] - want[m]) <= 1e-12 * scale
 
     def test_no_fft_of_twice_the_history(self, monkeypatch):
         # at n = 64 * 2^k the last square feeds far[n] alone: a direct dot
@@ -292,21 +297,22 @@ class TestBlockedHistory:
         assert max(sizes) == n
 
     def test_reads_only_the_known_history(self):
-        # the sum for step m may read u[j] for j < m only: the solver fills
-        # u[m] after it, so entries not yet known are NaN here
+        # block b may read u[j] for j < b only: the solver fills u[b..b + B - 1]
+        # after it, so entries not yet known are NaN here
         rng = np.random.default_rng(7)
         n = 4 * B + 5
         kt = sampled_kernel("random", rng, n)
         u_full = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
         u = np.full(n + 1, np.nan, dtype=complex)
-        u[:3] = u_full[:3]
+        u[:B] = u_full[:B]
         online = []
-        steps = dynamics._history_quadrature(kt, u, dynamics._far_field(kt, u))
-        for m, step in enumerate(steps, start=3):
-            online.append(step)
-            u[m] = u_full[m]
-        far_blocks = dynamics._far_field(kt, u_full)
-        assert online == list(dynamics._history_quadrature(kt, u_full, far_blocks))
+        for b, far in zip(range(B, n + 1, B), dynamics._far_field(kt, u)):
+            online.append(far.copy())
+            u[b : b + B] = u_full[b : b + B]
+        offline = list(dynamics._far_field(kt, u_full))
+        assert len(online) == len(offline) == n // B
+        for got, want in zip(online, offline):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestSolveVolterra:
@@ -361,6 +367,19 @@ class TestSolveVolterra:
         want = volterra_per_step(spec, model.omega_A, 1.0, n * 1e-3, 1e-3)
         assert len(got) == n + 1
         assert np.max(np.abs(got - want)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [3, 5, 6, B - 1, B])
+    def test_first_block_is_the_reference(self, n):
+        # the first base block steps one at a time over the direct Gregory
+        # sum, the reference's own operations; at n = B the last sample is
+        # the first block-response output, which
+        # test_block_steps_match_per_step checks
+        model = random_lindblad_model(np.random.default_rng(n), resonant=False)
+        spec = pole_residue_from_model(model)
+        got = solve_volterra(spec, model.omega_A, 1.0, n * 1e-3, 1e-3).c1
+        want = volterra_per_step(spec, model.omega_A, 1.0, n * 1e-3, 1e-3)
+        assert len(got) == n + 1
+        np.testing.assert_array_equal(got[:B], want[:B])
 
     def test_bitwise_reproducible(self):
         spec = pole_residue_from_model(PRESET)
@@ -562,7 +581,7 @@ class TestDiscretizedReservoir:
         res = build_discretized(spec, 40.0, 2001)
         traj = solve_discretized(res, 0.0, 1.0, 5.0, 5e-4)
         norm = (
-            abs(traj.c0) ** 2 + traj.c1_abs2 + traj.extras["reservoir_population"]
+            abs(traj.c0) ** 2 + traj.c1_abs2 + traj.reservoir_population
         )
         assert np.max(np.abs(norm - 1.0)) < 1e-10
 
@@ -601,7 +620,7 @@ class TestDiscretizedReservoir:
         coarse = solve_discretized(res, 0.0, 1.0, 5.0, 0.1)
         np.testing.assert_allclose(coarse.times, fine.times[::100], atol=1e-12)
         assert np.max(np.abs(coarse.c1 - fine.c1[::100])) <= 1e-12
-        pop, fine_pop = (t.extras["reservoir_population"] for t in (coarse, fine))
+        pop, fine_pop = (t.reservoir_population for t in (coarse, fine))
         assert np.max(np.abs(pop - fine_pop[::100])) <= 1e-12
 
     @pytest.mark.parametrize("resonant", [True, False])
@@ -612,7 +631,7 @@ class TestDiscretizedReservoir:
         assert traj.metadata["chain_depth"] < res.n_modes  # a cut chain
         c1, reservoir = comb_reference_rk4(res, model.omega_A, 0.8, 4.0, 1e-3)
         assert np.max(np.abs(traj.c1 - c1)) <= 1e-9
-        assert np.max(np.abs(traj.extras["reservoir_population"] - reservoir)) <= 1e-9
+        assert np.max(np.abs(traj.reservoir_population - reservoir)) <= 1e-9
 
     @pytest.mark.parametrize(
         "n_modes, t_max, full_depth", [(801, 4.0, False), (201, 7.5, True)]
@@ -625,7 +644,7 @@ class TestDiscretizedReservoir:
         assert (traj.metadata["chain_depth"] == n_modes) == full_depth
         c1, reservoir = star_solution(res, model.omega_A, c1_0, traj.times)
         assert np.max(np.abs(traj.c1 - c1)) <= 1e-12
-        assert np.max(np.abs(traj.extras["reservoir_population"] - reservoir)) <= 1e-12
+        assert np.max(np.abs(traj.reservoir_population - reservoir)) <= 1e-12
 
     def test_zero_coupling_is_free_rotation(self):
         model = FanoModel(gamma=0.0, kappa=1.0, g_abs=0.0, eta=0.0, omega_A=0.7)
@@ -634,7 +653,7 @@ class TestDiscretizedReservoir:
         np.testing.assert_allclose(
             traj.c1, (0.6 + 0.3j) * np.exp(-0.7j * traj.times), rtol=1e-15
         )
-        assert np.all(traj.extras["reservoir_population"] == 0.0)
+        assert np.all(traj.reservoir_population == 0.0)
         assert traj.metadata["chain_depth"] == 0
 
     def test_shallow_chain_raises(self, monkeypatch):
@@ -651,7 +670,7 @@ class TestDiscretizedReservoir:
         again = solve_discretized(res, 0.3, 0.9, 5.0, 1e-3)
         np.testing.assert_array_equal(first.c1, again.c1)
         np.testing.assert_array_equal(
-            first.extras["reservoir_population"], again.extras["reservoir_population"]
+            first.reservoir_population, again.reservoir_population
         )
 
 
@@ -819,7 +838,7 @@ class TestObservables:
     )
     def test_nan_fails_every_check(self, method, population, expected):
         traj = run_method(method, PRESET, 1.0, 1e-3)
-        samples = traj.pi_j if population == "pi_j" else traj.extras[population]
+        samples = getattr(traj, population)
         samples[500] = np.nan
         assert traj.observables()[1] == expected
 

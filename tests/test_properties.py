@@ -135,7 +135,7 @@ def test_comb_chain_matches_dense_star(model, t_max):
     traj = solve_discretized(res, model.omega_A, 1.0, t_max, 0.01)
     c1, reservoir = star_solution(res, model.omega_A, 1.0, traj.times)
     assert np.max(np.abs(traj.c1 - c1)) <= 1e-12
-    assert np.max(np.abs(traj.extras["reservoir_population"] - reservoir)) <= 1e-12
+    assert np.max(np.abs(traj.reservoir_population - reservoir)) <= 1e-12
 
 
 @DETERMINISTIC

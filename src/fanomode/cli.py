@@ -16,8 +16,8 @@ found.  An ``evolve`` table and its violations are the trajectory's own
 solver and lays them out.  :func:`main` alone renders, writes and fails: a
 table goes to the output path or to stdout, a report only to an output path;
 the summary prints to stdout after the output; a violation exits 2 after the
-file is written.  A table holding a non-finite value is a violation; numpy's
-floating-point warnings are silenced in its favour.
+file is written.  A table or report holding a non-finite number is a
+violation; numpy's floating-point warnings are silenced in its favour.
 
 Exit codes: 0 success, 1 usage or invalid input, 2 property violation,
 3 solver failure.
@@ -419,12 +419,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         out = args.out if args.out is not None else config["output"]["path"]
         fmt = args.format if args.format is not None else config["output"]["format"]
         header = config["output"]["header"] and not args.no_header
-        with np.errstate(all="ignore"):  # a non-finite table is judged below
+        with np.errstate(all="ignore"):  # a non-finite output is judged below
             output = _COMMANDS[args.command][0](config)
-        if output.rows is not None:
-            bad = np.count_nonzero(~np.isfinite(output.rows))
-            if bad:
-                output.violations.append(f"table holds {bad} non-finite values")
+        if output.report is None:
+            what, values = "table", output.rows
+        else:
+            what = "report"
+            values = [v for v in output.report.values() if isinstance(v, float)]
+        bad = np.count_nonzero(~np.isfinite(values))
+        if bad:
+            output.violations.append(f"{what} holds {bad} non-finite values")
         if out or output.report is None:
             _write_chunks(out, _render(args.command, config, output, fmt, header))
         for line in output.summary:

@@ -10,20 +10,23 @@ explicit reservoir modes) and are deterministic on a fixed time grid:
   steps at a time past the first base block by one precomputed block
   response.
 * :func:`solve_amplitudes`   -- coupled (c1, b1) pseudomode amplitudes,
-  classical RK4 on the 2x2 non-Hermitian system.
-* :func:`solve_qme`          -- full 3x3 master equation, classical RK4 as
-  one precomputed step matrix of its vectorized 9x9 Liouvillian.
+  stepped by the exact propagator of the 2x2 non-Hermitian system, with the
+  jump probability from one block exponential.
+* :func:`solve_qme`          -- full 3x3 master equation, stepped by the
+  exact propagator of its vectorized 9x9 Liouvillian.
 * :func:`solve_discretized`  -- Schroedinger evolution against an explicit
   frequency comb sampling J(omega); the brute-force oracle.  The comb is
   mapped exactly to a tridiagonal chain (Lanczos), cut at depth
   min(N, ceil(0.6 W t_max) + 32) for a comb of half-width W, and
-  diagonalized: exact at every sample, so h is only the sampling step.  A
-  cut chain whose last site is reached by t_max / 2 raises RecurrenceError.
+  diagonalized: exact at every sample.  A cut chain whose last site is
+  reached by t_max / 2 raises RecurrenceError.
 
-Fast phases at omega_A are removed internally (rotating frame) and restored
-on output.  Each :class:`Trajectory` reports its own observables: the columns
-of its table and the invariants it breaks (norm identity, trace, positivity,
-jump-probability monotonicity), computed only when asked for.
+Amplitudes, QME and the oracle are exact at every sample, so for them h is
+only the sampling step.  Fast phases at omega_A are removed internally
+(rotating frame) and restored on output.  Each :class:`Trajectory` reports
+its own observables: the columns of its table and the invariants it breaks
+(norm identity, trace, positivity, jump-probability monotonicity), computed
+only when asked for.
 """
 
 from __future__ import annotations
@@ -181,12 +184,9 @@ class Trajectory:
                 abs(self.c0) ** 2 + columns["c1_abs2"] + columns["b1_abs2"] + self.pi_j
             )
             violations += _jump_decrease(self.pi_j)
-            # The identity holds for any generator, so a drift is integrator error.
-            violations += [
-                f"{message} at h = {self.h:.6g}: RK4 truncation error at this h is "
-                "the likely cause; reduce h"
-                for message in _drift(columns["norm_sum"], "norm identity")
-            ]
+            # Pi_j comes from the Kossakowski matrix, the amplitudes from the
+            # generator: a drift means the two disagree.
+            violations += _drift(columns["norm_sum"], "norm identity")
         elif self.method == "discretized":
             reservoir = self.reservoir_population
             columns["reservoir_population"] = reservoir
@@ -230,35 +230,43 @@ def _time_grid(t_max: float, h: float) -> np.ndarray:
     return h * np.arange(n + 1)
 
 
-def _rk4_step(a_mat: np.ndarray, h: float):
-    """Classical RK4 for y' = A y as y_{i+1} = step @ y_i, plus the stage
-    matrices S_1..S_4 (S_1 = 1) with stage derivatives k_j = A S_j y_i.
+# The [13/13] Pade approximant to e^x is exact to double precision for
+# matrices of 1-norm up to _THETA13 (Higham 2005, Table 2.3).
+_THETA13 = 5.371920351148152
 
-    RK4 multiplies each mode e^{lambda t} of A by R(h lambda) per step, with
-    R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24; these are the eigenvalues of
-    ``step``, so this is RK4's exact amplification, not a bound on it.  A
-    mode amplified by more than max(1, |e^{h lambda}|), the most the
-    equation itself allows, makes the run unstable: StepSizeError, raised
-    before any step.  (A non-Lindblad generator may grow a mode; that is
-    physics, reported by the invariant checks, not a step-size failure.)
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """e^a by scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26
+    (2005) 1179): the [13/13] Pade approximant of e^{a / 2^s}, squared s
+    times, with 2^s the least power of two taking |a|_1 below _THETA13.
+
+    With U and V the odd and even parts of the approximant
+    (V - U)^{-1} (V + U), it is kept as r = e^a - 1 = (V - U)^{-1} 2U,
+    squared as (1 + r)^2 - 1 = r r + 2r, and 1 is added last.  So a
+    near-identity step e^{hA} is correctly rounded; rounding 1 + O(h) inside
+    the solve errs by an ulp, which a run of n steps repeats n times.  No
+    eigendecomposition, so a defective matrix (an exceptional point of the
+    pseudomode generator) is as accurate as any other.  A non-finite ``a``
+    gives a non-finite result.
     """
-    z = h * np.linalg.eigvals(a_mat)
-    with np.errstate(over="ignore", invalid="ignore"):
-        gain = np.abs(1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0))))
-        allowed = np.maximum(1.0, np.exp(z.real))
-    worst = int(np.argmax(gain / allowed))
-    if not gain[worst] <= allowed[worst] + 1e-12:
-        raise StepSizeError(
-            f"RK4 step amplifies a mode by {gain[worst]:.3g} where the equation "
-            f"allows {allowed[worst]:.3g} (unstable at this h): the state grows "
-            "until it is not finite; reduce h"
-        )
-    eye = np.eye(len(a_mat), dtype=complex)
-    stage2 = eye + 0.5 * h * a_mat
-    stage3 = eye + 0.5 * h * (a_mat @ stage2)
-    stage4 = eye + h * (a_mat @ stage3)
-    step = eye + (h / 6.0) * (a_mat @ (eye + 2.0 * stage2 + 2.0 * stage3 + stage4))
-    return step, (eye, stage2, stage3, stage4)
+    s = max(0, int(np.frexp(np.linalg.norm(a, 1) / _THETA13)[1]))
+    a = a / 2.0**s
+    # b_j = (26 - j)! 13! / (26! j! (13 - j)!)
+    b = [math.factorial(26 - j) * math.factorial(13)
+         / (math.factorial(26) * math.factorial(j) * math.factorial(13 - j))
+         for j in range(14)]
+    eye = np.eye(len(a), dtype=a.dtype)
+    a2, power = a @ a, eye
+    even, odd = b[0] * eye, b[1] * eye
+    for j in range(2, 13, 2):
+        power = power @ a2
+        even = even + b[j] * power
+        odd = odd + b[j + 1] * power
+    odd = a @ odd
+    r = np.linalg.solve(even - odd, 2.0 * odd)
+    for _ in range(s):
+        r = r @ r + 2.0 * r
+    return eye + r
 
 
 def _propagate(step: np.ndarray, y0, n: int) -> np.ndarray:
@@ -269,7 +277,7 @@ def _propagate(step: np.ndarray, y0, n: int) -> np.ndarray:
         for i in range(n):
             states[i + 1] = step @ states[i]
     if not np.all(np.isfinite(states)):
-        raise StepSizeError("state is not finite (RK4 unstable at this h); reduce h")
+        raise StepSizeError("state is not finite: the generator overflows it")
     return states
 
 
@@ -280,20 +288,6 @@ def _c0_from_c1(c1_0: complex) -> float:
     return math.sqrt(max(0.0, 1.0 - p))
 
 
-def _jump_rate(gamma: float, kappa: float, gamma_F: complex,
-               c1: np.ndarray, b1: np.ndarray) -> np.ndarray:
-    """Ground-state gain rate gamma|c1|^2 + kappa|b1|^2 + 2 Re(gamma_F b1 c1*).
-
-    This is the Kossakowski quadratic form sum_{mn} G_mn amp_m conj(amp_n)
-    with amp = (c1, b1); it is invariant under the common rotating frame.
-    """
-    return (
-        gamma * np.abs(c1) ** 2
-        + kappa * np.abs(b1) ** 2
-        + 2.0 * (gamma_F * b1 * np.conj(c1)).real
-    )
-
-
 def solve_amplitudes(
     qme: EmbeddedQME, c1_0: complex, t_max: float, h: float
 ) -> Trajectory:
@@ -302,11 +296,15 @@ def solve_amplitudes(
         dc1/dt = -(i omega_A + gamma/2) c1 - i g_minus b1,
         db1/dt = -i z1 b1 - i conj(g_plus) c1,
 
-    with b1(0) = 0 (reservoir vacuum), by classical RK4 in the omega_A
-    rotating frame.  The jump probability Pi_j is accumulated alongside by
-    integrating its rate with the same RK4 stages, so the norm identity
-    holds to the integrator order.  A step size at which RK4 is unstable
-    raises StepSizeError before the run (see :func:`_rk4_step`).
+    with b1(0) = 0 (reservoir vacuum), in the omega_A rotating frame.  The
+    system y' = A y is linear and time-invariant, so each step is its exact
+    propagator P = e^{hA} and ``h`` is only the sampling step.  The jump
+    probability Pi_j gains x^H Q_h x over a step from x, with
+    Q_h = int_0^h e^{A^H s} G^T e^{A s} ds and G the Kossakowski matrix;
+    P and P^H Q_h come from one exponential of h [[-A^H, G^T], [0, A]]
+    (Van Loan, IEEE Trans. Autom. Control 23 (1978) 395).  Q_h is built
+    from G, never as 1 - P^H P, so the norm identity checks the Kossakowski
+    rate against the generator to roundoff.
     """
     times = _time_grid(t_max, h)
     c0 = _c0_from_c1(c1_0)
@@ -319,21 +317,17 @@ def solve_amplitudes(
         ],
         dtype=complex,
     )
-    step, stages = _rk4_step(a_mat, h)
+    gm_t = kossakowski(qme).matrix.T
+    exact = _expm(h * np.block([[-a_mat.conj().T, gm_t], [np.zeros((2, 2)), a_mat]]))
+    step = exact[2:, 2:]
     states = _propagate(step, (c1_0, 0.0), n)
 
-    def rates(mat: np.ndarray) -> np.ndarray:
-        s = states[:-1] @ mat.T
-        return _jump_rate(qme.gamma, qme.kappa, qme.gamma_F, s[:, 0], s[:, 1])
-
-    # (h/6)(k1 + 2 k2 + 2 k3 + k4) with one stage rate alive at a time, in
-    # the formula's own operation order, so the sum is bitwise the formula's
-    increments = rates(stages[0])
-    increments += 2.0 * rates(stages[1])
-    increments += 2.0 * rates(stages[2])
-    increments += rates(stages[3])
-    increments *= h / 6.0
-    pi_j = np.concatenate(([0.0], np.cumsum(increments)))
+    # Re(x^H Q_h x) = Re sum_k x_k conj((Q_h x)_k), over one (n, 2) product
+    gained = states[:-1] @ (step.conj().T @ exact[:2, 2:]).T
+    np.conjugate(gained, out=gained)
+    gained *= states[:-1]
+    pi_j = np.concatenate(([0.0], np.cumsum(gained.real.sum(axis=1))))
+    del gained  # freed before the outputs are built
 
     phase = np.exp(-1j * qme.omega_A * times)
     return Trajectory(
@@ -622,19 +616,17 @@ def solve_qme(
                   + sum_{mn} G_mn (X_m rho X_n^dag - {X_n^dag X_m, rho} / 2)
 
     with X_1 the atom lowering operator and X_2 the pseudomode annihilation
-    operator, by classical RK4.  The equation is linear and time-invariant,
-    so it is vectorized once into its 9x9 Liouvillian and every step is one
-    product with the precomputed RK4 step matrix.  The generator is
-    traceless in range, so the trace is preserved to roundoff.  A step size
-    at which RK4 is unstable raises StepSizeError before the run (see
-    :func:`_rk4_step`).
+    operator.  The equation is linear and time-invariant, so it is
+    vectorized once into its 9x9 Liouvillian L and every step is one product
+    with the exact propagator e^{hL} (:func:`_expm`): ``h`` is only the
+    sampling step.  The generator is traceless in range, so the trace is
+    preserved to roundoff.
     """
     if not isinstance(rho_0, DensityMatrix3):
         rho_0 = DensityMatrix3(rho_0)
     times = _time_grid(t_max, h)
     n = len(times) - 1
-    step, _ = _rk4_step(_liouvillian(qme), h)
-    states = _propagate(step, rho_0.matrix.reshape(9), n)
+    states = _propagate(_expm(h * _liouvillian(qme)), rho_0.matrix.reshape(9), n)
     return Trajectory(
         times=times,
         method="qme",

@@ -28,9 +28,10 @@ def load_rows(path) -> np.ndarray:
     return np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
 
 
-# RK4 far outside its stability region: the state overflows to inf/nan.
+# A generator that grows the state (at eta = 50 the Liouvillian's largest
+# real eigenvalue is 2.9) until it overflows to inf/nan.
 UNSTABLE = ("--set", "solver.h=0.9", "--set", "solver.t_max=1800",
-            "--set", "model.g_abs=5")
+            "--set", "model.g_abs=5", "--set", "model.eta=50")
 
 
 class TestSpectrum:
@@ -233,44 +234,18 @@ class TestEvolve:
         assert code == 3
         assert "not finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "method, h, expected",
-        [
-            # RK4 step spectral radius 20.5: refused before the run (it used
-            # to run and exit 2 with a min eigenvalue of -1.4e52)
-            ("qme", "0.5", 3),
-            # radius exactly 1 (the trace mode): runs
-            ("qme", "0.2", 0),
-            # radius 0.44, stable but inaccurate: the norm identity flags it
-            ("amplitudes", "0.5", 2),
-        ],
-    )
-    def test_rk4_stability_checked_before_run(
-        self, tmp_path, capsys, method, h, expected
-    ):
-        out = tmp_path / "evolve.csv"
-        code = run("evolve", "--out", str(out), "--set", f"solver.method={method}",
-                   "--set", f"solver.h={h}", "--set", "solver.t_max=20",
-                   "--set", "model.g_abs=5")
-        assert code == expected
-        err = capsys.readouterr().err
-        if expected == 3:
-            assert "amplifies a mode by 20.5 where the equation allows 1 " in err
-            assert not out.exists()
-        if expected == 2:
-            assert "norm identity drifts" in err
-
-    def test_coarse_amplitudes_step_named_in_violation(self, tmp_path, capsys):
-        # a stable but coarse step breaks the norm identity by RK4 truncation
-        # error, which holds for any generator: the message names h
-        code = run("evolve", "--out", str(tmp_path / "coarse.csv"),
-                   "--set", "solver.h=0.5", "--set", "solver.t_max=20",
-                   "--set", "model.g_abs=5")
-        assert code == 2
-        assert (
-            "norm identity drifts by 2.002e-01 at h = 0.5: RK4 truncation error "
-            "at this h is the likely cause; reduce h"
-        ) in capsys.readouterr().err
+    @pytest.mark.parametrize("method", ["amplitudes", "qme"])
+    @pytest.mark.parametrize("h", ["0.5", "2.0"])
+    def test_coarse_step_samples_the_same_solution(self, tmp_path, method, h):
+        # each step is exact, so h is only the sampling step
+        model = ("--set", f"solver.method={method}", "--set", "solver.t_max=20",
+                 "--set", "model.g_abs=5")
+        fine, coarse = tmp_path / "fine.csv", tmp_path / "coarse.csv"
+        assert run("evolve", "--out", str(fine), *model) == 0
+        assert run("evolve", "--out", str(coarse), "--set", f"solver.h={h}",
+                   *model) == 0
+        want = load_rows(fine)[:: round(float(h) / 1e-3)]
+        assert np.max(np.abs(load_rows(coarse) - want)) <= 1e-12
 
     def test_t_max_not_multiple_of_h_rejected(self, capsys):
         # t_max = 1, h = 0.3 used to end silently at t = 0.9
@@ -346,6 +321,23 @@ class TestLindbladCheck:
         assert doc["eigenvalue_min"] < 0
         assert doc["det"] < 0
 
+    def test_non_finite_report_is_violation(self, tmp_path):
+        # a subprocess, so stderr is the real one
+        out = tmp_path / "check.csv"
+        src = str(Path(fanomode.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-m", "fanomode.cli", "lindblad-check", "--out",
+             str(out), "--set", "model.gamma=1e300", "--set", "model.kappa=1e300",
+             "--set", "model.eta=0"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        )
+        assert result.returncode == 2
+        assert result.stderr == (
+            "fanomode: property violation: report holds 2 non-finite values\n"
+        )
+        lines = out.read_text().splitlines()  # the report is still written
+        assert "det,inf" in lines and "scalar_condition,inf" in lines
+
     def test_csv_report(self, tmp_path):
         out = tmp_path / "check.csv"
         assert run("lindblad-check", "--out", str(out)) == 0
@@ -402,14 +394,16 @@ class TestDecayRate:
         assert "golden-rule" in capsys.readouterr().out
 
     def test_judges_the_trajectory_it_fits(self, tmp_path, capsys):
-        # a coarse step breaks the norm identity, as `evolve` reports for the
-        # same run; the fit used to exit 0
+        # a non-Lindblad generator's jump probability falls, as `evolve`
+        # reports for the same run; the fit used to exit 0
         out = tmp_path / "rate.json"
         code = run("decay-rate", "--format", "json", "--out", str(out),
-                   "--set", "decay_rate.h=0.5")
+                   "--set", "model.g_abs=1.0", "--set", "model.eta=1.2")
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("fanomode: property violation: norm identity drifts")
+        assert err.startswith(
+            "fanomode: property violation: jump probability decreases"
+        )
         assert "fitted_rate" in json.loads(out.read_text())
 
     def test_antiresonance_suppression(self, tmp_path):

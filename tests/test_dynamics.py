@@ -1,7 +1,7 @@
 """Solver tests: four methods cross-validated plus their guard rails.
 
 Oracles: closed-form Markovian decay, eigendecomposition of the 2x2
-non-Hermitian effective Hamiltonian (independent of the RK4 path), the
+non-Hermitian effective Hamiltonian (independent of the step exponential), the
 ground-state-gain quadratic form re-derived from the equations of motion,
 and measured self-convergence studies whose tolerances are frozen below.
 """
@@ -9,6 +9,7 @@ and measured self-convergence studies whose tolerances are frozen below.
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -58,37 +59,24 @@ def effective_hamiltonian_solution(qme: EmbeddedQME, c1_0: complex, times):
     return modes @ eigvecs.T
 
 
-def qme_reference_rk4(qme: EmbeddedQME, rho_0: np.ndarray, t_max: float, h: float):
-    """Reference: matrix-form RK4 applying each superoperator term to rho."""
+def qme_generator(qme: EmbeddedQME, rho: np.ndarray) -> np.ndarray:
+    """Reference: the master equation's right-hand side, each superoperator
+    term applied to the 3x3 rho as a matrix product."""
     h_ac = np.zeros((3, 3), dtype=complex)
     h_ac[1, 1], h_ac[2, 2] = qme.omega_A, qme.omega_C
     h_ac[1, 2], h_ac[2, 1] = qme.mu, np.conj(qme.mu)
     ops = np.zeros((2, 3, 3), dtype=complex)
     ops[0, 0, 1] = ops[1, 0, 2] = 1.0  # atom lowering, pseudomode annihilation
     gm = kossakowski(qme).matrix
-    pairs = []
+    out = -1j * (h_ac @ rho - rho @ h_ac)
     for m_idx in range(2):
         for n_idx in range(2):
             x_m, xnd = ops[m_idx], ops[n_idx].conj().T
-            pairs.append((gm[m_idx, n_idx], x_m, xnd, xnd @ x_m))
-
-    def rhs(rho):
-        out = -1j * (h_ac @ rho - rho @ h_ac)
-        for coeff, x_m, xnd, xndxm in pairs:
-            out += coeff * (x_m @ rho @ xnd - 0.5 * (xndxm @ rho + rho @ xndxm))
-        return out
-
-    n = round(t_max / h)
-    rhos = np.empty((n + 1, 3, 3), dtype=complex)
-    rhos[0] = rho = rho_0
-    for i in range(n):
-        k1 = rhs(rho)
-        k2 = rhs(rho + 0.5 * h * k1)
-        k3 = rhs(rho + 0.5 * h * k2)
-        k4 = rhs(rho + h * k3)
-        rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        rhos[i + 1] = rho
-    return rhos
+            xndxm = xnd @ x_m
+            out += gm[m_idx, n_idx] * (
+                x_m @ rho @ xnd - 0.5 * (xndxm @ rho + rho @ xndxm)
+            )
+    return out
 
 
 def comb_reference_rk4(res, omega_A: float, c1_0: complex, t_max: float, h: float):
@@ -204,27 +192,40 @@ class TestSolveAmplitudes:
             traj = solve_amplitudes(embed_from_model(model), 1.0, 10.0, 1e-3)
             assert np.min(np.diff(traj.pi_j)) > -1e-12
 
-    def test_pi_j_bitwise_against_four_stage_rates(self, rng):
-        # the stage rates are summed one at a time; the four-array formula
-        # below does the same operations in the same order
-        for _ in range(5):
-            model = random_lindblad_model(rng, resonant=False)
-            qme = embed_from_model(model)
-            c1_0, t_max, h = 0.9 + 0.3j, 5.0, 1e-3
-            a_mat = np.array([
-                [-0.5 * qme.gamma, -1j * qme.g_tilde_minus],
-                [-1j * np.conj(qme.g_tilde_plus), -1j * (qme.z1 - qme.omega_A)],
-            ])
-            step, stages = dynamics._rk4_step(a_mat, h)
-            states = dynamics._propagate(step, (c1_0, 0.0), round(t_max / h))
-            k1, k2, k3, k4 = (
-                dynamics._jump_rate(qme.gamma, qme.kappa, qme.gamma_F, s[:, 0], s[:, 1])
-                for s in (states[:-1] @ mat.T for mat in stages)
-            )
-            increments = (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            expected = np.concatenate(([0.0], np.cumsum(increments)))
-            traj = solve_amplitudes(qme, c1_0, t_max, h)
-            np.testing.assert_array_equal(traj.pi_j, expected)
+    @pytest.mark.parametrize("h", [0.5, 2.0])
+    def test_coarse_step_samples_the_same_solution(self, rng, h):
+        # each step is the exact propagator, so h is only the sampling step
+        for _ in range(3):
+            qme = embed_from_model(random_lindblad_model(rng, resonant=False))
+            fine = solve_amplitudes(qme, 0.9 + 0.3j, 20.0, 1e-3)
+            coarse = solve_amplitudes(qme, 0.9 + 0.3j, 20.0, h)
+            every = round(h / 1e-3)
+            np.testing.assert_allclose(coarse.times, fine.times[::every], atol=1e-12)
+            for name in ("c1", "b1", "pi_j"):
+                got, want = getattr(coarse, name), getattr(fine, name)[::every]
+                assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_pi_j_reads_the_kossakowski_matrix(self, monkeypatch):
+        # Pi_j integrates the Kossakowski rate, not the amplitudes' norm loss
+        # 1 - |P y|^2: a rate that disagrees with the generator must show as
+        # a drift of the norm identity
+        qme = embed_from_model(PRESET)
+        gm = kossakowski(qme).matrix
+        shifted = SimpleNamespace(matrix=gm + np.diag([1e-6, 0.0]))
+        monkeypatch.setattr(dynamics, "kossakowski", lambda _: shifted)
+        traj = solve_amplitudes(qme, 1.0, 20.0, 1e-3)
+        drift = traj.observables()[0]["norm_sum"] - 1.0
+        rate = np.sum(traj.c1_abs2[:-1]) * 1e-3 * 1e-6
+        assert drift[-1] == pytest.approx(rate, rel=1e-3)
+
+    @pytest.mark.parametrize("h", [1e-3, 0.5])
+    def test_matches_effective_hamiltonian(self, rng, h):
+        for _ in range(3):
+            qme = embed_from_model(random_lindblad_model(rng, resonant=False))
+            traj = solve_amplitudes(qme, 0.9 + 0.3j, 20.0, h)
+            oracle = effective_hamiltonian_solution(qme, 0.9 + 0.3j, traj.times)
+            assert np.max(np.abs(traj.c1 - oracle[:, 0])) <= 1e-12
+            assert np.max(np.abs(traj.b1 - oracle[:, 1])) <= 1e-12
 
     def test_jump_decreases_for_non_lindblad(self):
         # frozen demonstration point: the quadratic form turns negative
@@ -457,16 +458,19 @@ class TestSolveQME:
         assert final[1, 1].real + final[2, 2].real < 1e-6
         assert final[0, 0].real == pytest.approx(1.0, abs=1e-6)
 
-    def test_matches_matrix_form_rk4(self, rng):
-        # same integrator, vectorized: only roundoff separates the two, so a
-        # wrong kron or transpose order in the Liouvillian cannot hide
-        for _ in range(3):
+    def test_liouvillian_matches_matrix_form(self, rng):
+        # the vectorized generator against the matrix-form one on random
+        # Hermitian rho: a wrong kron or transpose order cannot hide
+        for _ in range(5):
             qme = embed_from_model(random_lindblad_model(rng, resonant=False))
-            _, coherent, mixed = random_initial_states(rng)
-            for rho_0 in (coherent, mixed):
-                traj = solve_qme(qme, rho_0, 2.0, 5e-3)
-                reference = qme_reference_rk4(qme, rho_0.matrix, 2.0, 5e-3)
-                assert np.max(np.abs(traj.rho - reference)) <= 1e-12
+            assert qme.gamma_F.imag != 0.0
+            liouvillian = dynamics._liouvillian(qme)
+            for _ in range(3):
+                w = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+                rho = w + w.conj().T
+                got = (liouvillian @ rho.reshape(9)).reshape(3, 3)
+                want = qme_generator(qme, rho)
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_matches_amplitudes_random(self, rng):
         # acceptance criterion 4's bounds on random Lindblad models
@@ -482,23 +486,26 @@ class TestSolveQME:
             assert np.max(np.abs(trace - 1.0)) < 1e-10
             assert np.min(np.linalg.eigvalsh(rho)) > -1e-10
 
-    def test_unstable_step_raises(self):
-        # RK4 far outside its stability region overflows to inf/nan
-        qme = embed_from_model(FanoModel(gamma=0.25, kappa=1.0, g_abs=5.0, eta=1.0))
-        with pytest.raises(StepSizeError):
-            solve_qme(qme, DensityMatrix3.excited_atom(), 1800.0, 0.9)
-        with pytest.raises(StepSizeError):
-            solve_amplitudes(qme, 1.0, 1800.0, 0.9)
+    @pytest.mark.parametrize("h", [0.5, 2.0])
+    def test_coarse_step_samples_the_same_solution(self, rng, h):
+        # each step is the exact propagator e^{hL}, so h is only the sampling
+        # step
+        for _ in range(3):
+            qme = embed_from_model(random_lindblad_model(rng, resonant=False))
+            _, coherent, mixed = random_initial_states(rng)
+            for rho_0 in (coherent, mixed):
+                fine = solve_qme(qme, rho_0, 20.0, 1e-3).rho
+                coarse = solve_qme(qme, rho_0, 20.0, h).rho
+                assert np.max(np.abs(coarse - fine[:: round(h / 1e-3)])) <= 1e-12
 
-    def test_stability_checked_before_stepping(self):
-        # exact RK4 amplification max|eig(step)|: 20.5 for the QME at
-        # h = 0.5, 0.44 for the amplitudes of the same model
-        qme = embed_from_model(FanoModel(gamma=0.25, kappa=1.0, g_abs=5.0, eta=1.0))
-        with pytest.raises(StepSizeError, match="amplifies a mode by 20.5 where"):
-            solve_qme(qme, DensityMatrix3.excited_atom(), 20.0, 0.5)
-        assert np.all(np.isfinite(solve_amplitudes(qme, 1.0, 20.0, 0.5).c1))
-        rho = solve_qme(qme, DensityMatrix3.excited_atom(), 20.0, 0.2).rho
-        assert np.max(np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0)) < 1e-12
+    def test_unstable_step_raises(self):
+        # a generator that grows the state (at eta = 50 the largest real
+        # eigenvalue is 2.9 for the QME) overflows it: StepSizeError, not inf
+        qme = embed_from_model(FanoModel(gamma=0.25, kappa=1.0, g_abs=5.0, eta=50.0))
+        with pytest.raises(StepSizeError, match="not finite"):
+            solve_qme(qme, DensityMatrix3.excited_atom(), 1800.0, 0.9)
+        with pytest.raises(StepSizeError, match="not finite"):
+            solve_amplitudes(qme, 1.0, 1800.0, 0.9)
 
     def test_invalid_initial_state(self):
         qme = embed_from_model(PRESET)
@@ -813,11 +820,9 @@ class TestObservables:
             # rho_00 is the jump probability: the same decrease as amplitudes
             ("qme", FanoModel(gamma=0.25, kappa=1.0, g_abs=1.0, eta=1.2),
              20.0, 1e-3, ["jump probability decreases (min increment -8.694e-06)"]),
-            # stable but coarse: RK4 truncation breaks the norm identity
+            # a coarse step is exact: the norm identity holds
             ("amplitudes", FanoModel(gamma=0.25, kappa=1.0, g_abs=5.0, eta=1.0),
-             20.0, 0.5,
-             ["norm identity drifts by 2.002e-01 at h = 0.5: RK4 truncation error "
-              "at this h is the likely cause; reduce h"]),
+             20.0, 0.5, []),
         ],
         ids=["qme_non_lindblad", "amplitudes_non_lindblad", "qme_jump_decrease",
              "amplitudes_coarse_h"],
@@ -830,8 +835,7 @@ class TestObservables:
         [
             ("amplitudes", "pi_j",
              ["jump probability decreases (min increment nan)",
-              "norm identity drifts by nan at h = 0.001: RK4 truncation error at "
-              "this h is the likely cause; reduce h"]),
+              "norm identity drifts by nan"]),
             ("discretized", "reservoir_population",
              ["norm conservation drifts by nan"]),
         ],

@@ -104,8 +104,9 @@ def test_fanodiag_identity(model, psi):
 @DETERMINISTIC
 @given(model=models(), h=st.sampled_from([0.05, 0.1, 0.2]))
 def test_amplitudes_and_qme_agree_at_coarse_h(model, h):
-    # Both are RK4 of the same dynamics, on |psi> and on rho; they differ by
-    # O(h^4).  At these h the whole box is inside the RK4 stability guard.
+    # Both step the same dynamics by its exact propagator, on |psi> and on
+    # rho, so only roundoff separates them; the O(h^4) bound, kept from the
+    # former RK4 solvers, is loose.
     qme = embed_from_model(model)
     ta = solve_amplitudes(qme, 1.0, 10.0, h)
     rho = solve_qme(qme, DensityMatrix3.excited_atom(), 10.0, h).rho

@@ -10,10 +10,11 @@ explicit reservoir modes) and are deterministic on a fixed time grid:
   steps at a time past the first base block by one precomputed block
   response.
 * :func:`solve_amplitudes`   -- coupled (c1, b1) pseudomode amplitudes,
-  stepped by the exact propagator of the 2x2 non-Hermitian system, with the
-  jump probability from one block exponential.
-* :func:`solve_qme`          -- full 3x3 master equation, stepped by the
-  exact propagator of its vectorized 9x9 Liouvillian.
+  each sample e^{tA} y0 of the 2x2 non-Hermitian generator A, from exact
+  powers of the step (:func:`_propagate`), with the jump probability from
+  one block exponential.
+* :func:`solve_qme`          -- full 3x3 master equation, each sample
+  e^{tL} rho0 of its vectorized 9x9 Liouvillian L, sampled the same way.
 * :func:`solve_discretized`  -- Schroedinger evolution against an explicit
   frequency comb sampling J(omega); the brute-force oracle.  The comb is
   mapped exactly to a tridiagonal chain (Lanczos), cut at depth
@@ -233,12 +234,29 @@ def _time_grid(t_max: float, h: float) -> np.ndarray:
 # The [13/13] Pade approximant to e^x is exact to double precision for
 # matrices of 1-norm up to _THETA13 (Higham 2005, Table 2.3).
 _THETA13 = 5.371920351148152
+# Its coefficients b_j = (26 - j)! 13! / (26! j! (13 - j)!), j = 0..13.
+_PADE13 = tuple(
+    math.factorial(26 - j) * math.factorial(13)
+    / (math.factorial(26) * math.factorial(j) * math.factorial(13 - j))
+    for j in range(14)
+)
+
+
+# Steps per block: amplitudes and QME step only the block starts and fill
+# each block from the powers of their step.  Volterra sums pairs j < m
+# inside one block of its history convolution directly, all other pairs by
+# FFT, and steps _BLOCK steps at a time past its first block.
+_BLOCK = 64
+# Blocks filled per pass from their starts: the pass's temporaries stay in
+# cache.
+_FILL_BLOCKS = 32
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
-    """e^a by scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26
-    (2005) 1179): the [13/13] Pade approximant of e^{a / 2^s}, squared s
-    times, with 2^s the least power of two taking |a|_1 below _THETA13.
+    """e^a of each matrix of a stack ``a`` of shape (..., d, d), by scaling
+    and squaring (Higham, SIAM J. Matrix Anal. Appl. 26 (2005) 1179): the
+    [13/13] Pade approximant of e^{a / 2^s}, squared s times, with 2^s the
+    least power of two taking the matrix's |a|_1 below _THETA13.
 
     With U and V the odd and even parts of the approximant
     (V - U)^{-1} (V + U), it is kept as r = e^a - 1 = (V - U)^{-1} 2U,
@@ -246,16 +264,17 @@ def _expm(a: np.ndarray) -> np.ndarray:
     near-identity step e^{hA} is correctly rounded; rounding 1 + O(h) inside
     the solve errs by an ulp, which a run of n steps repeats n times.  No
     eigendecomposition, so a defective matrix (an exceptional point of the
-    pseudomode generator) is as accurate as any other.  A non-finite ``a``
-    gives a non-finite result.
+    pseudomode generator) is as accurate as any other.  Each matrix has its
+    own s, and the squarings run on the matrices that still need them, so
+    every result is bitwise the one a call on that matrix alone gives.  A
+    non-finite matrix gives a non-finite result.
     """
-    s = max(0, int(np.frexp(np.linalg.norm(a, 1) / _THETA13)[1]))
-    a = a / 2.0**s
-    # b_j = (26 - j)! 13! / (26! j! (13 - j)!)
-    b = [math.factorial(26 - j) * math.factorial(13)
-         / (math.factorial(26) * math.factorial(j) * math.factorial(13 - j))
-         for j in range(14)]
-    eye = np.eye(len(a), dtype=a.dtype)
+    shape = a.shape
+    a = a.reshape(-1, *shape[-2:])
+    s = np.maximum(0, np.frexp(np.linalg.norm(a, 1, axis=(-2, -1)) / _THETA13)[1])
+    a = a / (2.0**s)[:, None, None]
+    b = _PADE13
+    eye = np.eye(shape[-1], dtype=a.dtype)
     a2, power = a @ a, eye
     even, odd = b[0] * eye, b[1] * eye
     for j in range(2, 13, 2):
@@ -264,20 +283,49 @@ def _expm(a: np.ndarray) -> np.ndarray:
         odd = odd + b[j + 1] * power
     odd = a @ odd
     r = np.linalg.solve(even - odd, 2.0 * odd)
-    for _ in range(s):
-        r = r @ r + 2.0 * r
-    return eye + r
+    for k in range(int(s.max())):
+        square = s > k
+        part = r[square]
+        r[square] = part @ part + 2.0 * part
+    return (eye + r).reshape(shape)
 
 
-def _propagate(step: np.ndarray, y0, n: int) -> np.ndarray:
-    """States y_0..y_n of y_{i+1} = step @ y_i; non-finite ones raise StepSizeError."""
-    states = np.empty((n + 1, len(step)), dtype=complex)
-    states[0] = y0
+def _propagate(gen: np.ndarray, y0, times: np.ndarray) -> np.ndarray:
+    """States y_k = e^{k gen} y0 at the samples k = 0..n of ``times``.
+
+    With B = _BLOCK, the powers P_j = e^{j gen}, j = 0..B, each come from
+    the generator by :func:`_expm` (one stacked call), never as products of
+    the step, so a sample's rounding does not grow with j.  Only the block
+    starts z_{k+1} = P_B z_k are stepped, n / B of them; every sample is
+    then y_{Bk + j} = P_j z_k, filled 32 blocks at a time by adding the d
+    products P_j[:, c] z_k[c] in the order c = 0..d - 1.  All sums have a
+    fixed order, unlike BLAS, so runs are bit-for-bit reproducible.  A
+    sample that is not finite raises StepSizeError naming its time.
+    """
+    n, d = len(times) - 1, len(gen)
+    # Only the powers the run reaches: j <= n.
+    powers = _expm(np.arange(min(n, _BLOCK) + 1)[:, None, None] * gen)
+    starts = np.empty((n // _BLOCK + 1, d), dtype=complex)
+    starts[0] = y0
+    # Row c: column c of every P_j, j < _BLOCK, so that row k of ``states``,
+    # the samples of block k, is sum_c cols[c] z_k[c].
+    cols = np.moveaxis(powers[:_BLOCK], 2, 0).reshape(d, -1)
+    states = np.empty((len(starts), cols.shape[1]), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        for i in range(n):
-            states[i + 1] = step @ states[i]
-    if not np.all(np.isfinite(states)):
-        raise StepSizeError("state is not finite: the generator overflows it")
+        for k in range(1, len(starts)):  # only when n >= _BLOCK
+            starts[k] = np.add.reduce(powers[_BLOCK] * starts[k - 1], axis=1)
+        for k in range(0, len(starts), _FILL_BLOCKS):
+            block, z = states[k : k + _FILL_BLOCKS], starts[k : k + _FILL_BLOCKS]
+            np.multiply(cols[0], z[:, :1], out=block)
+            for c in range(1, d):
+                block += cols[c] * z[:, c, None]
+    states = states.reshape(-1, d)[: n + 1]
+    finite = np.isfinite(states).all(axis=1)
+    if not finite.all():
+        raise StepSizeError(
+            f"state is not finite from t = {times[np.argmin(finite)]:.6g}: the "
+            "model's generator grows the state past the floating-point range"
+        )
     return states
 
 
@@ -297,18 +345,18 @@ def solve_amplitudes(
         db1/dt = -i z1 b1 - i conj(g_plus) c1,
 
     with b1(0) = 0 (reservoir vacuum), in the omega_A rotating frame.  The
-    system y' = A y is linear and time-invariant, so each step is its exact
-    propagator P = e^{hA} and ``h`` is only the sampling step.  The jump
-    probability Pi_j gains x^H Q_h x over a step from x, with
+    system y' = A y is linear and time-invariant, so every sample is exactly
+    e^{t_k A} y0, taken from the powers e^{jhA} of the generator in blocks
+    of 64 steps (:func:`_propagate`), and ``h`` is only the sampling step.
+    The jump probability Pi_j gains x^H Q_h x over a step from x, with
     Q_h = int_0^h e^{A^H s} G^T e^{A s} ds and G the Kossakowski matrix;
-    P and P^H Q_h come from one exponential of h [[-A^H, G^T], [0, A]]
-    (Van Loan, IEEE Trans. Autom. Control 23 (1978) 395).  Q_h is built
-    from G, never as 1 - P^H P, so the norm identity checks the Kossakowski
-    rate against the generator to roundoff.
+    the step P = e^{hA} and P^H Q_h come from one exponential of
+    h [[-A^H, G^T], [0, A]] (Van Loan, IEEE Trans. Autom. Control 23 (1978)
+    395).  Q_h is built from G, never as 1 - P^H P, so the norm identity
+    checks the Kossakowski rate against the generator to roundoff.
     """
     times = _time_grid(t_max, h)
     c0 = _c0_from_c1(c1_0)
-    n = len(times) - 1
 
     a_mat = np.array(
         [
@@ -319,23 +367,25 @@ def solve_amplitudes(
     )
     gm_t = kossakowski(qme).matrix.T
     exact = _expm(h * np.block([[-a_mat.conj().T, gm_t], [np.zeros((2, 2)), a_mat]]))
-    step = exact[2:, 2:]
-    states = _propagate(step, (c1_0, 0.0), n)
+    states = _propagate(h * a_mat, (c1_0, 0.0), times)
 
     # Re(x^H Q_h x) = Re sum_k x_k conj((Q_h x)_k), over one (n, 2) product
-    gained = states[:-1] @ (step.conj().T @ exact[:2, 2:]).T
+    gained = states[:-1] @ (exact[2:, 2:].conj().T @ exact[:2, 2:]).T
     np.conjugate(gained, out=gained)
     gained *= states[:-1]
-    pi_j = np.concatenate(([0.0], np.cumsum(gained.real.sum(axis=1))))
+    pi_j = np.zeros(len(times))
+    np.sum(gained.real, axis=1, out=pi_j[1:])
+    np.cumsum(pi_j[1:], out=pi_j[1:])
     del gained  # freed before the outputs are built
 
-    phase = np.exp(-1j * qme.omega_A * times)
+    # back to the lab frame in place: c1 and b1 are the columns of states
+    states *= np.exp(-1j * qme.omega_A * times)[:, None]
     return Trajectory(
         times=times,
         method="amplitudes",
         c0=complex(c0),
-        c1=states[:, 0] * phase,
-        b1=states[:, 1] * phase,
+        c1=states[:, 0],
+        b1=states[:, 1],
         pi_j=pi_j,
         metadata={"qme": qme, "c1_0": complex(c1_0), "t_max": t_max, "h": h},
     )
@@ -362,12 +412,6 @@ def _dot(a: np.ndarray, b: np.ndarray) -> complex:
     (BLAS dots are not).
     """
     return complex(np.add.reduce(a * b))
-
-
-# Base block of the history convolution: pairs j < m inside one block of
-# _BLOCK steps are summed directly, all other pairs by FFT.  The solver also
-# steps _BLOCK steps at a time past its first block.
-_BLOCK = 64
 
 
 def _far_field(kt, u):
@@ -617,20 +661,20 @@ def solve_qme(
 
     with X_1 the atom lowering operator and X_2 the pseudomode annihilation
     operator.  The equation is linear and time-invariant, so it is
-    vectorized once into its 9x9 Liouvillian L and every step is one product
-    with the exact propagator e^{hL} (:func:`_expm`): ``h`` is only the
-    sampling step.  The generator is traceless in range, so the trace is
-    preserved to roundoff.
+    vectorized once into its 9x9 Liouvillian L and every sample is exactly
+    e^{t_k L} vec(rho_0), taken from the powers e^{jhL} of the generator in
+    blocks of 64 steps (:func:`_propagate`): ``h`` is only the sampling
+    step.  The generator is traceless in range, so the trace is preserved
+    to roundoff.
     """
     if not isinstance(rho_0, DensityMatrix3):
         rho_0 = DensityMatrix3(rho_0)
     times = _time_grid(t_max, h)
-    n = len(times) - 1
-    states = _propagate(_expm(h * _liouvillian(qme)), rho_0.matrix.reshape(9), n)
+    states = _propagate(h * _liouvillian(qme), rho_0.matrix.reshape(9), times)
     return Trajectory(
         times=times,
         method="qme",
-        rho=states.reshape(n + 1, 3, 3),
+        rho=states.reshape(-1, 3, 3),
         metadata={"qme": qme, "rho_0": rho_0.matrix, "t_max": t_max, "h": h},
     )
 

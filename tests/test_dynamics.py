@@ -227,6 +227,24 @@ class TestSolveAmplitudes:
             assert np.max(np.abs(traj.c1 - oracle[:, 0])) <= 1e-12
             assert np.max(np.abs(traj.b1 - oracle[:, 1])) <= 1e-12
 
+    def test_samples_are_the_direct_exponential(self, rng):
+        # every sample is e^{tA} y0 from the generator: the rounding of the
+        # stepped block starts must not walk over 60k steps
+        idx = np.linspace(0, 60000, 41).astype(int)
+        for _ in range(5):
+            qme = embed_from_model(random_lindblad_model(rng, resonant=False))
+            traj = solve_amplitudes(qme, 0.9 + 0.3j, 60.0, 1e-3)
+            a_mat = np.array(
+                [[-0.5 * qme.gamma, -1j * qme.g_tilde_minus],
+                 [-1j * np.conj(qme.g_tilde_plus), -1j * (qme.z1 - qme.omega_A)]]
+            )
+            for k in idx:
+                t = traj.times[k]
+                want = dynamics._expm(t * a_mat) @ np.array([0.9 + 0.3j, 0.0])
+                want *= np.exp(-1j * qme.omega_A * t)
+                assert abs(traj.c1[k] - want[0]) <= 1e-13
+                assert abs(traj.b1[k] - want[1]) <= 1e-13
+
     def test_jump_decreases_for_non_lindblad(self):
         # frozen demonstration point: the quadratic form turns negative
         # near t ~ 3 for this generator
@@ -245,6 +263,89 @@ class TestSolveAmplitudes:
 
 
 B = dynamics._BLOCK
+
+
+def misaligned(a: np.ndarray) -> np.ndarray:
+    """A copy of ``a`` whose data starts 8 bytes off its usual alignment."""
+    buf = np.empty(a.nbytes + 8, dtype=np.uint8)
+    out = buf[8 : 8 + a.nbytes].view(a.dtype).reshape(a.shape)
+    out[...] = a
+    return out
+
+
+def random_generator(rng: np.random.Generator, d: int) -> np.ndarray:
+    """A d x d generator, mostly anti-Hermitian: its exponentials stay O(1)
+    over a few hundred steps."""
+    w = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return (0.05 * (w - w.conj().T) + 0.002 * w) / math.sqrt(d)
+
+
+def propagate_reference(gen: np.ndarray, y0, n: int) -> np.ndarray:
+    """Reference for ``_propagate``: one sample at a time, y_{Bk + j} = P_j z_k
+    summed over the columns of P_j in order, with P_j from per-matrix calls."""
+    powers = [dynamics._expm(j * gen) for j in range(min(n, B) + 1)]
+    z = np.asarray(y0, dtype=complex)
+    states = []
+    for i in range(n + 1):
+        k, j = divmod(i, B)
+        if k and not j:
+            z = np.add.reduce(powers[B] * z, axis=1)
+        sample = powers[j][:, 0] * z[0]
+        for c in range(1, len(z)):
+            sample = sample + powers[j][:, c] * z[c]
+        states.append(sample)
+    return np.array(states)
+
+
+class TestPropagate:
+    @pytest.mark.parametrize("d", [2, 9])
+    def test_samples_are_the_fixed_order_sums(self, rng, d):
+        # the sums have a fixed order, so the result is the reference's bitwise
+        gen = random_generator(rng, d)
+        y0 = rng.normal(size=d) + 1j * rng.normal(size=d)
+        n = 40 * B + 7  # two passes of the fill, the second one partial
+        times = 0.1 * np.arange(n + 1)
+        np.testing.assert_array_equal(dynamics._propagate(gen, y0, times),
+                                      propagate_reference(gen, y0, n))
+
+    @pytest.mark.parametrize("d", [2, 9])
+    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 1])
+    def test_every_sample_is_the_direct_exponential(self, rng, n, d):
+        gen = random_generator(rng, d)
+        y0 = rng.normal(size=d) + 1j * rng.normal(size=d)
+        y0 /= np.linalg.norm(y0)
+        times = 0.1 * np.arange(n + 1)
+        states = dynamics._propagate(gen, y0, times)
+        assert states.shape == (n + 1, d)
+        for k in range(n + 1):
+            assert np.max(np.abs(states[k] - dynamics._expm(k * gen) @ y0)) <= 1e-14
+
+    @pytest.mark.parametrize("d", [2, 9])
+    def test_bitwise_reproducible(self, rng, d):
+        gen = random_generator(rng, d)
+        y0 = rng.normal(size=d) + 1j * rng.normal(size=d)
+        times = 0.1 * np.arange(1000)
+        first = dynamics._propagate(gen, y0, times)
+        np.testing.assert_array_equal(dynamics._propagate(gen.copy(), y0, times), first)
+        shifted = dynamics._propagate(misaligned(gen), misaligned(y0), times)
+        np.testing.assert_array_equal(shifted, first)
+
+    def test_stacked_expm_is_the_per_matrix_expm(self, rng):
+        # norms from 1e-4 to 1e2: each matrix has its own number of squarings
+        gens = [k * random_generator(rng, 9) for k in range(B + 1)]
+        gens += [scale * random_generator(rng, 9) for scale in np.logspace(-3, 3, 7)]
+        stack = np.array(gens)
+        got = dynamics._expm(stack)
+        assert got.shape == stack.shape
+        for matrix, want in zip(stack, got):
+            np.testing.assert_array_equal(dynamics._expm(matrix), want)
+        np.testing.assert_array_equal(dynamics._expm(stack.reshape(8, 9, 9, 9)),
+                                      got.reshape(8, 9, 9, 9))
+
+    def test_overflow_names_the_first_non_finite_time(self):
+        times = 0.5 * np.arange(400)
+        with pytest.raises(StepSizeError, match=r"not finite from t = 177\.5: "):
+            dynamics._propagate(np.array([[2.0 + 0.0j]]), (1.0,), times)
 
 
 def direct_far_field(kt, u):

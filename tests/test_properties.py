@@ -147,3 +147,26 @@ def test_volterra_block_steps_match_per_step(model):
     got = solve_volterra(spec, model.omega_A, 1.0, 1.0, 1e-3).c1
     want = volterra_per_step(spec, model.omega_A, 1.0, 1.0, 1e-3)
     assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@settings(DETERMINISTIC, max_examples=30)
+@given(
+    model=models(),
+    blocks=st.integers(1, 40),
+    rest=st.integers(1, 63),
+    h=st.sampled_from([1e-3, 0.01, 0.1]),
+)
+def test_blocked_runs_keep_their_invariants(model, blocks, rest, h):
+    # n = 64 blocks + rest samples past t = 0, so the last block is partial;
+    # the bounds are those of the fixed-model tests
+    n = 64 * blocks + rest
+    qme = embed_from_model(model)
+    amplitudes = solve_amplitudes(qme, 1.0, n * h, h)
+    rho = solve_qme(qme, DensityMatrix3.excited_atom(), n * h, h).rho
+    assert len(amplitudes.times) == len(rho) == n + 1
+    norm = amplitudes.observables()[0]["norm_sum"]
+    assert np.max(np.abs(norm - 1.0)) < 1e-10
+    assert np.max(np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0)) < 1e-10
+    assert np.max(np.abs(rho[:, 1, 1].real - amplitudes.c1_abs2)) < 1e-8
+    assert np.max(np.abs(rho[:, 2, 2].real - np.abs(amplitudes.b1) ** 2)) < 1e-8
+    assert np.max(np.abs(rho[:, 1, 2] - amplitudes.c1 * np.conj(amplitudes.b1))) < 1e-8

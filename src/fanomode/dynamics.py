@@ -5,10 +5,10 @@ All solvers work in the subspace spanned by
 explicit reservoir modes) and are deterministic on a fixed time grid:
 
 * :func:`solve_volterra`     -- exact memory-kernel equation for c1(t),
-  Gregory quadrature of the full history convolution as a blocked FFT
-  convolution (O(n log^2 n)), delta part applied analytically, stepped 64
-  steps at a time past the first base block by one precomputed block
-  response.
+  solved from samples of the regular kernel alone: a Taylor start on the
+  first four samples, then every step 64 at a time by one precomputed
+  block response, with the Gregory history convolution blocked by FFT
+  (O(n log^2 n)) and the delta part applied analytically.
 * :func:`solve_amplitudes`   -- coupled (c1, b1) pseudomode amplitudes,
   each sample e^{tA} y0 of the 2x2 non-Hermitian generator A, from exact
   powers of the step (:func:`_propagate`), with the jump probability from
@@ -42,7 +42,7 @@ import numpy as np
 
 from .embedding import EmbeddedQME, kossakowski
 from .errors import ParameterError, RecurrenceError, SpectralError, StepSizeError
-from .spectral import TWO_PI, PoleSpectral, evaluate_J
+from .spectral import TWO_PI, PoleSpectral, evaluate_J, memory_kernel
 
 # Basis ordering of the truncated atom + pseudomode space.
 GROUND, ATOM_EXCITED, CAVITY_EXCITED = 0, 1, 2
@@ -244,8 +244,8 @@ _PADE13 = tuple(
 
 # Steps per block: amplitudes and QME step only the block starts and fill
 # each block from the powers of their step.  Volterra sums pairs j < m
-# inside one block of its history convolution directly, all other pairs by
-# FFT, and steps _BLOCK steps at a time past its first block.
+# inside one base block of its history convolution directly, all other
+# pairs by FFT, and takes every step after its start _BLOCK at a time.
 _BLOCK = 64
 # Blocks filled per pass from their starts: the pass's temporaries stay in
 # cache.
@@ -391,17 +391,12 @@ def solve_amplitudes(
     )
 
 
-# Composite quadrature weights for the history integral over j = 0..m.
-# m >= 5 uses the order-4 Gregory rule (trapezoid + third-order endpoint
-# corrections); shorter histories use Simpson / 3-8 stencils of the same
-# order.  Histories shorter than 3 steps never hit the quadrature: those
-# points come from the startup Taylor expansion.
+# Fourth-order Gregory weights of the history integral over j = 0..m: the
+# trapezoid with third-order corrections on the three samples at either end,
+# valid from m = 5, where the two ends first stop overlapping.  The Volterra
+# start supplies u[0.._START - 1]; every later sample is stepped.
 _GREGORY_EDGE = (3.0 / 8.0, 7.0 / 6.0, 23.0 / 24.0)
-_SHORT_WEIGHTS = {
-    3: (3.0 / 8.0, 9.0 / 8.0, 9.0 / 8.0, 3.0 / 8.0),
-    4: (1.0 / 3.0, 4.0 / 3.0, 2.0 / 3.0, 4.0 / 3.0, 1.0 / 3.0),
-    5: (3.0 / 8.0, 7.0 / 6.0, 23.0 / 24.0, 23.0 / 24.0, 7.0 / 6.0, 3.0 / 8.0),
-}
+_START = 5
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> complex:
@@ -456,19 +451,22 @@ def _far_field(kt, u):
         yield far[b : b + _BLOCK]
 
 
-def _block_response(kt, step):
-    """The Adams-Moulton steps of one base block b >= _BLOCK as a fixed
-    linear map R of shape (_BLOCK + 3, _BLOCK + 5).
+def _block_response(kt, damping, h, rows):
+    """The Adams-Moulton steps of one stepped base block as a fixed linear
+    map R of shape (_BLOCK + 3, _BLOCK + 5).
 
-    Input x: the forcing g[b..b + _BLOCK - 1] (far field plus start-side
-    Gregory corrections, see :func:`solve_volterra`), then the carries
-    u[b - 2], u[b - 1], f[b - 3], f[b - 2], f[b - 1].  Output R x: u[b..b +
-    _BLOCK - 1], then f[b + _BLOCK - 3..b + _BLOCK - 1], so the next block's
-    carries are its last five entries.  R couples the in-block Toeplitz sum
-    over kt[1.._BLOCK - 1], the end-side Gregory corrections on u[m - 1] and
-    u[m - 2] and the solver's implicit ``step``; none depends on b.  It is
-    the solver's recurrence run once over the identity columns, with
-    fixed-order sums.
+    Input x: the forcing g[m], m = b..b + _BLOCK - 1 (far field plus
+    start-side Gregory corrections, see :func:`_volterra_core`), then the
+    carries u[b - 2], u[b - 1], f[b - 3], f[b - 2], f[b - 1], with f = du/dt.
+    Output R x: u[b..b + _BLOCK - 1], then f[b + _BLOCK - 3..b + _BLOCK - 1],
+    so the next block's carries are its last five entries.  R couples the
+    in-block Toeplitz sum over kt[1.._BLOCK - 1], the end-side Gregory
+    corrections on u[m - 1] and u[m - 2] and the implicit step
+    u[m] = u[m - 1] + h (9 f[m] + 19 f[m - 1] - 5 f[m - 2] + f[m - 3]) / 24;
+    none depends on b.  It is that recurrence run once over the identity
+    columns, with fixed-order sums.  Only the first ``rows`` steps are run:
+    a run that ends inside its first stepped block needs no more, and the
+    rows past them stay zero.
     """
     cols = _BLOCK + 5
     eye = np.eye(cols, dtype=complex)
@@ -477,39 +475,95 @@ def _block_response(kt, step):
     u[:2] = eye[_BLOCK : _BLOCK + 2]
     f[:3] = eye[_BLOCK + 2 :]
     e0, e1, e2 = _GREGORY_EDGE
-    for i in range(_BLOCK):
-        m = i + 2  # row of u[b + i]
+    # The history sum's endpoint term e0 kt[0] u[m] is implicit.
+    denom = 1.0 + (9.0 * h / 24.0) * damping + (9.0 * h * h / 24.0) * e0 * kt[0]
+    for i in range(rows):
+        m = i + 2  # row of u[b + i]; f[b + i] is row m + 1
         partial = eye[i] + np.add.reduce(kt[i:0:-1, None] * u[2:m], axis=0)
         partial += (e2 - 1.0) * kt[2] * u[m - 2] + (e1 - 1.0) * kt[1] * u[m - 1]
-        u[m], f[m + 1] = step(u[m - 1], f[m], f[m - 1], f[m - 2], partial, e0)
+        explicit = u[m - 1] + (h / 24.0) * (
+            19.0 * f[m] - 5.0 * f[m - 1] + f[m - 2]
+        ) - (9.0 * h * h / 24.0) * partial
+        u[m] = explicit / denom
+        f[m + 1] = -damping * u[m] - h * (partial + e0 * kt[0] * u[m])
     return np.concatenate((u[2:], f[-3:]))
 
 
-def _volterra_taylor_start(u0, damping, k0, delta, times):
-    """Values and derivatives of the memory-kernel solution at small t.
+def _volterra_start(kt, damping, c1_0, h):
+    """u and du/dt at t = 0, h, ..., 4h from the Taylor series of u through t^5.
 
-    Differentiating the rotated equation u' = -damping u - I(t) with
-    I(t) = int_0^t k0 e^{-i delta (t-s)} u(s) ds gives the closed recursion
-    u^(k+1) = -damping u^(k) - I^(k), I^(k+1) = k0 u^(k) - i delta I^(k),
-    whose Taylor series converges like an exponential; terms are summed
-    until they fall below roundoff.
+    Differentiating u' = -damping u - int_0^t k(t - s) u(s) ds at t = 0 gives
+    u^(k+1)(0) = -damping u^(k)(0) - sum_{j<k} k^(j)(0) u^(k-1-j)(0), with the
+    kernel's derivatives k^(j)(0), j <= 3, those of the cubic through
+    kt[0..3]: a Taylor starting procedure (Linz, Analytical and Numerical
+    Methods for Volterra Equations, SIAM 1985).  The values err by O(h^6)
+    and the derivatives by O(h^5), so the fourth-order steps that follow
+    keep their order.
     """
-    values, derivs = [], []
-    for t in times:
-        u_k, i_k = complex(u0), 0.0j
-        u_sum, du_sum = u_k, 0.0j
-        factorial_term = 1.0
-        for k in range(1, 60):
-            u_k, i_k = -damping * u_k - i_k, k0 * u_k - 1j * delta * i_k
-            factorial_term *= t / k
-            du_sum += u_k * factorial_term * (k / t) if t != 0 else 0.0
-            term = u_k * factorial_term
-            u_sum += term
-            if abs(term) < 1e-18 * max(1.0, abs(u_sum)) and k > 6:
-                break
-        values.append(u_sum)
-        derivs.append(du_sum)
-    return values, derivs
+    k0, k1, k2, k3 = kt[:4]
+    kernel = (
+        k0,
+        (-11.0 * k0 + 18.0 * k1 - 9.0 * k2 + 2.0 * k3) / (6.0 * h),
+        (2.0 * k0 - 5.0 * k1 + 4.0 * k2 - k3) / h**2,
+        (3.0 * (k1 - k2) + k3 - k0) / h**3,
+    )
+    derivs = [complex(c1_0)]
+    for k in range(_START):
+        memory = sum(kernel[j] * derivs[k - 1 - j] for j in range(k))
+        derivs.append(-damping * derivs[k] - memory)
+    # Taylor coefficients u^(k)(0) / k!, highest power first
+    series = np.array([d / math.factorial(k) for k, d in enumerate(derivs)])[::-1]
+    t = h * np.arange(_START)
+    return np.polyval(series, t), np.polyval(np.polyder(series), t)
+
+
+def _volterra_core(kt, damping, c1_0, h):
+    """u(t) at t = 0, h, ..., nh for u' = -damping u - int_0^t k(t - s) u(s) ds,
+    u(0) = c1_0, from the samples kt[i] = k(ih), i = 0..n + _BLOCK - _START.
+
+    The history integral is the fourth-order Gregory sum, and the step the
+    implicit fourth-order Adams-Moulton rule; global error O(h^4).  u[0..4]
+    come from :func:`_volterra_start`, and every later sample is stepped.
+    The Gregory interior is a causal Toeplitz product of kt and the history,
+    kept with _BLOCK - _START leading zeros so that the stepped base blocks
+    start at 5 + 64k and the start fills the block before the first of them.
+    :func:`_far_field` sums the pairs from earlier base blocks by FFT; the
+    samples past n meet only those zeros.  The Gregory endpoint corrections
+    are applied exactly.  When a block starts, its far field is complete, so
+    its 64 values are one fixed linear map (:func:`_block_response`, built
+    once per run) of the forcing g[m] = far[m] + the start-side corrections
+    on u[0..2] and of the carried u[b - 2], u[b - 1], f[b - 3..b - 1]: one
+    fixed-order product per block, so results are bit-for-bit reproducible.
+    """
+    kernel_scale = max(abs(kt[0]), damping)
+    if h * kernel_scale > 0.1:
+        raise StepSizeError(
+            f"h * max|kernel| = {h * kernel_scale:.3g} > 0.1; reduce h"
+        )
+    lead = _BLOCK - _START
+    n = len(kt) - 1 - lead
+    history = np.zeros(len(kt), dtype=complex)  # u[j] at lead + j
+    values, derivs = _volterra_start(kt, damping, c1_0, h)
+    history[lead : lead + _START] = values[: n + 1]
+
+    response = _block_response(kt, damping, h, min(_BLOCK, n + 1 - _START))
+    e0, e1, e2 = _GREGORY_EDGE
+    start_edge = (
+        (e0 - 1.0) * values[0], (e1 - 1.0) * values[1], (e2 - 1.0) * values[2]
+    )
+    x = np.zeros(_BLOCK + 5, dtype=complex)
+    x[_BLOCK:] = *values[_START - 2 :], *derivs[_START - 3 :]
+    for b, far in zip(range(_BLOCK, len(history), _BLOCK), _far_field(kt, history)):
+        # A last block shorter than _BLOCK leaves stale forcing in
+        # x[size:_BLOCK]; the map is causal, so it reaches only u past n.
+        size, m = len(far), b - lead
+        x[:size] = far + start_edge[0] * kt[m : m + size]
+        x[:size] += start_edge[1] * kt[m - 1 : m - 1 + size]
+        x[:size] += start_edge[2] * kt[m - 2 : m - 2 + size]
+        y = np.add.reduce(response * x, axis=1)  # fixed order, unlike BLAS
+        history[b : b + size] = y[:size]
+        x[_BLOCK:] = y[_BLOCK - 2 :]
+    return history[lead:]
 
 
 def solve_volterra(
@@ -519,105 +573,29 @@ def solve_volterra(
 
         dc1/dt = -i omega_A c1 - int_0^t F(t - t') c1(t') dt'
 
-    directly, keeping the full amplitude history.  The delta part of F
-    contributes half its weight at the endpoint of the one-sided integral,
-    i.e. a local -pi J0 c1(t) damping, applied analytically and never
-    smeared onto the grid.  The regular part is convolved against the
-    stored history with fourth-order Gregory weights, and the step is the
-    implicit fourth-order Adams-Moulton rule (started from the equation's
-    own Taylor expansion).  Global error O(h^4).
-
-    The interior of the Gregory sum is a causal Toeplitz product of the
-    sampled kernel and the history, evaluated as a blocked convolution:
-    pairs inside one base block of 64 steps directly, all others by FFT
-    squares of doubling size (:func:`_far_field`), O(n log^2 n) for n
-    steps; the Gregory endpoint corrections are applied exactly.  Only the
-    kernel samples enter it, never the kernel's one-pole form.
-
-    The step is linear in u.  The first base block, whose far field is
-    empty, steps one at a time over the direct Gregory sum.  Past the first
-    base block, when block b starts its far field is complete, so its 64
-    values are one fixed linear map (:func:`_block_response`, built once per
-    run) of the forcing g[m] = far[m] + the start-side Gregory corrections
-    on u[0..2] and of the carried u[b - 2], u[b - 1], f[b - 3..b - 1]: one
-    fixed-order product per block, so results are bit-for-bit reproducible.
+    directly, keeping the full amplitude history.  In the omega_A rotating
+    frame the kernel is that of the pole shifted by -omega_A, sampled by
+    :func:`~fanomode.spectral.memory_kernel`; the delta part of F contributes
+    half its weight at the endpoint of the one-sided integral, i.e. a local
+    -pi J0 c1(t) damping, applied analytically and never smeared onto the
+    grid.  :func:`_volterra_core` solves the equation from the regular
+    kernel's samples alone, never from its one-pole form: a fourth-order
+    Gregory history sum, blocked by FFT (O(n log^2 n) for n steps), implicit
+    fourth-order Adams-Moulton steps taken 64 at a time, and a Taylor start
+    from the samples.  Global error O(h^4).
     """
     times = _time_grid(t_max, h)
     c0 = _c0_from_c1(c1_0)
-    n = len(times) - 1
-
-    damping = math.pi * spec.J0
-    kernel_scale = max(abs(TWO_PI * spec.r1), damping)
-    if h * kernel_scale > 0.1:
-        raise StepSizeError(
-            f"h * max|kernel| = {h * kernel_scale:.3g} > 0.1; reduce h"
-        )
-
-    # Regular kernel in the omega_A rotating frame, on the time grid.
-    delta = spec.z1 - omega_A
-    k0 = -1j * TWO_PI * spec.r1
-    kt = k0 * np.exp(-1j * delta * times)
-
-    u = np.zeros(n + 1, dtype=complex)
-    # du/dt samples for the multistep rule; the block steps carry the last three
-    f = np.zeros(min(n + 1, _BLOCK), dtype=complex)
-    u[0] = c1_0
-    f[0] = -damping * c1_0
-    starts = min(n, 2)
-    if starts:
-        values, derivs = _volterra_taylor_start(
-            c1_0, damping, k0, delta, [(i + 1) * h for i in range(starts)]
-        )
-        u[1 : starts + 1] = values
-        f[1 : starts + 1] = derivs
-
-    def step(u_1, f_1, f_2, f_3, partial, w_end):
-        """u[m] and f[m] from u[m - 1], f[m - 1..m - 3] and the history sum
-        without its endpoint term w_end kt[0] u[m], which is implicit."""
-        denom = 1.0 + (9.0 * h / 24.0) * damping + (9.0 * h * h / 24.0) * w_end * kt[0]
-        explicit = u_1 + (h / 24.0) * (
-            19.0 * f_1 - 5.0 * f_2 + f_3
-        ) - (9.0 * h * h / 24.0) * partial
-        u_m = explicit / denom
-        return u_m, -damping * u_m - h * (partial + w_end * kt[0] * u_m)
-
-    # The first base block steps one at a time: short histories and the
-    # start-side corrections overlapping the end-side ones live there, and
-    # with no far field each history sum is the direct Gregory sum.
-    e0, e1, e2 = _GREGORY_EDGE
-    for m in range(3, min(n + 1, _BLOCK)):
-        if m < 6:
-            w = _SHORT_WEIGHTS[m]
-            partial, w_end = sum(w[j] * kt[m - j] * u[j] for j in range(m)), w[m]
-        else:
-            partial, w_end = _dot(kt[m:0:-1], u[:m]), e0
-            partial += (e0 - 1.0) * kt[m] * u[0] + (e1 - 1.0) * kt[m - 1] * u[1]
-            partial += (e2 - 1.0) * kt[m - 2] * u[2]
-            partial += (e2 - 1.0) * kt[2] * u[m - 2] + (e1 - 1.0) * kt[1] * u[m - 1]
-        u[m], f[m] = step(u[m - 1], f[m - 1], f[m - 2], f[m - 3], partial, w_end)
-
-    if n >= _BLOCK:
-        response = _block_response(kt, step)
-        start_edge = ((e0 - 1.0) * u[0], (e1 - 1.0) * u[1], (e2 - 1.0) * u[2])
-        x = np.zeros(_BLOCK + 5, dtype=complex)
-        x[_BLOCK:] = u[_BLOCK - 2], u[_BLOCK - 1], *f[-3:]
-        for b, far in zip(range(_BLOCK, n + 1, _BLOCK), _far_field(kt, u)):
-            # A last block shorter than _BLOCK leaves stale forcing in
-            # x[size:_BLOCK]; the map is causal, so it reaches only u past n.
-            size = len(far)
-            x[:size] = far + start_edge[0] * kt[b : b + size]
-            x[:size] += start_edge[1] * kt[b - 1 : b - 1 + size]
-            x[:size] += start_edge[2] * kt[b - 2 : b - 2 + size]
-            y = np.add.reduce(response * x, axis=1)  # fixed order, unlike BLAS
-            u[b : b + size] = y[:size]
-            x[_BLOCK:] = y[_BLOCK - 2 :]
-
-    phase = np.exp(-1j * omega_A * times)
+    kernel = memory_kernel(
+        PoleSpectral(J0=spec.J0, z1=spec.z1 - omega_A, r1=spec.r1),
+        h * np.arange(len(times) + _BLOCK - _START),
+    )
+    u = _volterra_core(kernel.regular, kernel.delta_weight / 2.0, c1_0, h)
     return Trajectory(
         times=times,
         method="volterra",
         c0=complex(c0),
-        c1=u * phase,
+        c1=u * np.exp(-1j * omega_A * times),
         metadata={
             "spec": spec, "omega_A": omega_A, "c1_0": complex(c1_0),
             "t_max": t_max, "h": h,

@@ -256,7 +256,8 @@ def kernel_by_quadrature(
     Integrates f(omega) e^{-i omega tau} over [Re z1 - window, Re z1 + window]
     on a uniform grid; the delta part of F is excluded analytically.  For
     tau > 0 this converges to ``memory_kernel(spec, tau).regular`` as window
-    and n_points grow; the slowly decaying 1/omega tail of f makes the
+    and n_points grow; tau < 0 raises DomainError, as for
+    :func:`memory_kernel`.  The slowly decaying 1/omega tail of f makes the
     truncation error fall off only like 1/(window * tau), which dominates the
     reported estimate at practical settings.
     """
@@ -278,6 +279,8 @@ def _kernel_quadrature(
     integrand.
     """
     _check_finite(tau=taus, window=window)
+    if np.any(taus < 0):
+        raise DomainError(f"tau must be >= 0, got {float(np.min(taus))!r}")
     if window <= 0:
         raise ParameterError(f"window must be > 0, got {window}")
     if n_points < 2:

@@ -43,16 +43,12 @@ def star_solution(res, omega_A: float, c1_0: complex, times: np.ndarray):
 
 def direct_history(kt, u):
     """Reference: the Gregory history sums with one dot over the whole
-    history per step, O(n^2); yields (partial, w_end) for m = 3..n, where
+    history per step, O(n^2); yields (partial, w_end) for m = 5..n, where
     partial leaves out the implicit endpoint term w_end kt[0] u[m]."""
     n = len(u) - 1
     kt_rev = kt[::-1].copy()
     e0, e1, e2 = dynamics._GREGORY_EDGE
-    for m in range(3, n + 1):
-        if m < 6:
-            w = dynamics._SHORT_WEIGHTS[m]
-            yield sum(w[j] * kt[m - j] * u[j] for j in range(m)), w[m]
-            continue
+    for m in range(dynamics._START, n + 1):
         total = complex(np.add.reduce(kt_rev[n - m : n] * u[:m]))
         total += (e0 - 1.0) * kt[m] * u[0] + (e1 - 1.0) * kt[m - 1] * u[1]
         total += (e2 - 1.0) * kt[m - 2] * u[2]
@@ -63,32 +59,27 @@ def direct_history(kt, u):
 def volterra_per_step(spec, omega_A: float, c1_0: complex, t_max: float, h: float):
     """Reference for the Volterra solver: one implicit Adams-Moulton step at
     a time over the O(n^2) history sums of ``direct_history``, from the
-    solver's own Taylor start.  Returns c1(t)."""
+    solver's own start.  Returns c1(t)."""
     n = round(t_max / h)
-    times = h * np.arange(n + 1)
     damping = math.pi * spec.J0
     delta = spec.z1 - omega_A
     k0 = -2j * math.pi * spec.r1
+    times = h * np.arange(max(n, 3) + 1)  # the start reads kt[0..3]
     kt = k0 * np.exp(-1j * delta * times)
+    values, derivs = dynamics._volterra_start(kt, damping, c1_0, h)
     u = np.zeros(n + 1, dtype=complex)
-    f = np.zeros(n + 1, dtype=complex)
-    u[0] = c1_0
-    f[0] = -damping * c1_0
-    starts = min(n, 2)
-    if starts:
-        values, derivs = dynamics._volterra_taylor_start(
-            c1_0, damping, k0, delta, [(i + 1) * h for i in range(starts)]
-        )
-        u[1 : starts + 1] = values
-        f[1 : starts + 1] = derivs
-    for m, (partial, w_end) in enumerate(direct_history(kt, u), start=3):
+    f = np.zeros(max(n + 1, dynamics._START), dtype=complex)
+    u[: dynamics._START] = values[: n + 1]
+    f[: dynamics._START] = derivs
+    for m, (partial, w_end) in enumerate(direct_history(kt[: n + 1], u),
+                                         start=dynamics._START):
         denom = 1.0 + (9.0 * h / 24.0) * damping + (9.0 * h * h / 24.0) * w_end * kt[0]
         explicit = u[m - 1] + (h / 24.0) * (
             19.0 * f[m - 1] - 5.0 * f[m - 2] + f[m - 3]
         ) - (9.0 * h * h / 24.0) * partial
         u[m] = explicit / denom
         f[m] = -damping * u[m] - h * (partial + w_end * kt[0] * u[m])
-    return u * np.exp(-1j * omega_A * times)
+    return u * np.exp(-1j * omega_A * times[: n + 1])
 
 
 def render_reference(command: str, config: dict, output, fmt: str, header: bool) -> str:

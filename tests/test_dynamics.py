@@ -455,12 +455,13 @@ class TestSolveVolterra:
             want = volterra_per_step(spec, model.omega_A, 1.0, t_max, 1e-3)
             assert np.max(np.abs(got - want)) <= 1e-12
 
-    # the Taylor start, the short-history branch, the per-step head and
-    # every base-block and square boundary of the block steps
+    # the start alone (n <= 4), the first stepped sample, and the base-block
+    # and square boundaries of the block steps, in the padded history
+    # (u[m] at m + B - 5) and in u itself
     @pytest.mark.parametrize(
         "n",
-        [3, 5, 6, B - 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1, 3 * B, 4 * B - 1,
-         16 * B, 4097],
+        [1, 2, 3, 4, 5, 6, B - 1, B, B + 1, B + 4, B + 5, 2 * B - 1, 2 * B, 2 * B + 1,
+         3 * B, 4 * B - 1, 16 * B - 59, 16 * B, 4097],
     )
     def test_block_steps_match_per_step(self, n):
         model = random_lindblad_model(np.random.default_rng(n), resonant=False)
@@ -469,19 +470,6 @@ class TestSolveVolterra:
         want = volterra_per_step(spec, model.omega_A, 1.0, n * 1e-3, 1e-3)
         assert len(got) == n + 1
         assert np.max(np.abs(got - want)) <= 1e-12
-
-    @pytest.mark.parametrize("n", [3, 5, 6, B - 1, B])
-    def test_first_block_is_the_reference(self, n):
-        # the first base block steps one at a time over the direct Gregory
-        # sum, the reference's own operations; at n = B the last sample is
-        # the first block-response output, which
-        # test_block_steps_match_per_step checks
-        model = random_lindblad_model(np.random.default_rng(n), resonant=False)
-        spec = pole_residue_from_model(model)
-        got = solve_volterra(spec, model.omega_A, 1.0, n * 1e-3, 1e-3).c1
-        want = volterra_per_step(spec, model.omega_A, 1.0, n * 1e-3, 1e-3)
-        assert len(got) == n + 1
-        np.testing.assert_array_equal(got[:B], want[:B])
 
     def test_bitwise_reproducible(self):
         spec = pole_residue_from_model(PRESET)
@@ -499,6 +487,26 @@ class TestSolveVolterra:
             traj = solve_volterra(spec, 0.0, 1.0, 4.0, h)
             oracle = effective_hamiltonian_solution(qme, 1.0, traj.times)
             errors.append(float(np.max(np.abs(traj.c1 - oracle[:, 0]))))
+        for coarse, fine in zip(errors, errors[1:]):
+            assert coarse / fine == pytest.approx(16.0, rel=0.2)
+
+    def test_core_reads_only_kernel_samples(self):
+        # a two-exponential kernel, which no single pole gives: with
+        # I_i = int a_i e^{-b_i (t - s)} u(s) ds, (u, I_1, I_2)' = M (u, I_1, I_2),
+        # so u(t) is the first entry of e^{tM} (1, 0, 0)
+        (a1, b1), (a2, b2), damping = (0.6, 0.5 + 2j), (0.4 - 0.3j, 1.5 - 1j), 0.1
+        gen = np.array([[-damping, -1, -1], [a1, -b1, 0], [a2, 0, -b2]], dtype=complex)
+
+        def error(h):
+            n = round(10.0 / h)
+            lags = h * np.arange(n + 1 + B - dynamics._START)
+            kt = a1 * np.exp(-b1 * lags) + a2 * np.exp(-b2 * lags)
+            u = dynamics._volterra_core(kt, damping, 1.0, h)
+            exact = dynamics._expm(lags[: n + 1, None, None] * gen)[:, 0, 0]
+            return float(np.max(np.abs(u - exact)))
+
+        assert error(1e-3) <= 1e-12
+        errors = [error(h) for h in (1.6e-2, 8e-3, 4e-3)]
         for coarse, fine in zip(errors, errors[1:]):
             assert coarse / fine == pytest.approx(16.0, rel=0.2)
 

@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from fanomode import dynamics
 from fanomode.dynamics import (
     DensityMatrix3,
     build_discretized,
@@ -22,12 +23,18 @@ from fanomode.dynamics import (
 )
 from fanomode.embedding import embed, embed_from_model, kossakowski, spectral_from_qme
 from fanomode.fanodiag import _lambda_identity
-from fanomode.spectral import FanoModel, evaluate_J, pole_residue_from_model
+from fanomode.spectral import (
+    FanoModel,
+    PoleSpectral,
+    evaluate_J,
+    memory_kernel,
+    pole_residue_from_model,
+)
 
 from conftest import star_solution, volterra_per_step
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 DETERMINISTIC = settings(
     derandomize=True, database=None, deadline=None, max_examples=60
@@ -139,10 +146,42 @@ def test_comb_chain_matches_dense_star(model, t_max):
     assert np.max(np.abs(traj.reservoir_population - reservoir)) <= 1e-12
 
 
+# u[k] errs by O(h^6) and du/dt by O(h^5); the kernel's derivatives are
+# largest at the box's corners, the explicit examples.  Bounds ~2.5x the
+# largest error measured over the draws and the examples (1.9e-15, 3.0e-12;
+# 1.9e-9, 2.9e-7).
+@pytest.mark.parametrize(
+    "h, u_bound, du_bound", [(1e-3, 5e-15, 8e-12), (1e-2, 5e-9, 8e-7)]
+)
+@settings(DETERMINISTIC, max_examples=30)
+@given(model=models())
+@example(
+    model=FanoModel(gamma=1.0, kappa=1.0, g_abs=2.0, eta=1.0, omega_A=2.0, phi=math.pi)
+)
+@example(model=FanoModel(gamma=1.0, kappa=1.0, g_abs=2.0, eta=0.0, omega_A=-2.0))
+def test_volterra_start_is_the_exponential(model, h, u_bound, du_bound):
+    # the start from kt[0..3] alone against u(kh) = (e^{khA} y0)_0 and
+    # du/dt(kh) = (A e^{khA} y0)_0, A the amplitudes generator
+    spec = pole_residue_from_model(model)
+    shifted = PoleSpectral(J0=spec.J0, z1=spec.z1 - model.omega_A, r1=spec.r1)
+    kernel = memory_kernel(shifted, h * np.arange(4))
+    values, derivs = dynamics._volterra_start(
+        kernel.regular, kernel.delta_weight / 2.0, 1.0, h
+    )
+    qme = embed_from_model(model)
+    gen = np.array([
+        [-0.5 * qme.gamma, -1j * qme.g_tilde_minus],
+        [-1j * np.conj(qme.g_tilde_plus), -1j * (qme.z1 - qme.omega_A)],
+    ])
+    states = dynamics._expm(h * np.arange(5)[:, None, None] * gen)[:, :, 0]
+    assert np.max(np.abs(values - states[:, 0])) <= u_bound
+    assert np.max(np.abs(derivs - states @ gen[0])) <= du_bound
+
+
 @DETERMINISTIC
 @given(model=models())
 def test_volterra_block_steps_match_per_step(model):
-    # T = 1 runs the per-step head, 13 whole blocks and a partial one
+    # T = 1 runs the start, 15 whole blocks and a partial one
     spec = pole_residue_from_model(model)
     got = solve_volterra(spec, model.omega_A, 1.0, 1.0, 1e-3).c1
     want = volterra_per_step(spec, model.omega_A, 1.0, 1.0, 1e-3)

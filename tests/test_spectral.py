@@ -250,6 +250,8 @@ class TestMemoryKernel:
         assert kernel.regular.shape == taus.shape
         with pytest.raises(DomainError):
             memory_kernel(spec, -0.1)
+        with pytest.raises(DomainError):
+            kernel_by_quadrature(spec, -1.0, window=50.0, n_points=1001)
 
 
 class TestKernelQuadrature:

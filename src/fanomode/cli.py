@@ -236,6 +236,10 @@ def cmd_kernel(config: dict) -> _Output:
         "pole": f"{spec.z1.real:.17g}{spec.z1.imag:+.17g}j",
     }
     if section["quadrature_check"]:
+        if section["quadrature_points"] < 2:
+            raise ConfigError("kernel.quadrature_points must be >= 2")
+        if section["quadrature_window"] <= 0:
+            raise ConfigError("kernel.quadrature_window must be > 0")
         values, estimates = _kernel_quadrature(
             spec, taus, section["quadrature_window"], section["quadrature_points"]
         )

@@ -259,12 +259,19 @@ def kernel_by_quadrature(
     and n_points grow; tau < 0 raises DomainError, as for
     :func:`memory_kernel`.  The slowly decaying 1/omega tail of f makes the
     truncation error fall off only like 1/(window * tau), which dominates the
-    reported estimate at practical settings.
+    reported estimate at practical settings.  The sum reads only the samples
+    of J on the grid and is factorized over rows of about sqrt(n_points)
+    points: O(sqrt(n_points)) exponentials and O(n_points) multiply-adds per
+    tau.
     """
     values, estimates = _kernel_quadrature(spec, np.array([tau]), window, n_points)
     return QuadratureResult(
         value=complex(values[0]), error_estimate=float(estimates[0])
     )
+
+
+# Taus per pass of the factorized quadrature sum, which bounds its memory.
+_QUADRATURE_CHUNK = 64
 
 
 def _kernel_quadrature(
@@ -273,10 +280,22 @@ def _kernel_quadrature(
     """Values and error estimates of :func:`kernel_by_quadrature` at every tau
     of ``taus``.
 
-    The grid and f = J - J0 are built once; each tau costs one exponential
-    over the grid, and the half-resolution subgrid and the central
-    half-window slice that give the error estimate are slices of that one
-    integrand.
+    The trapezoid sum reads only the samples f = J - J0 on the uniform grid
+    omega_j = omega_0 + j d.  With the grid index split as j = b m + r, where
+    m ~ sqrt(n_points) is even, it factorizes as
+
+        sum_j w_j f_j e^{-i omega_j tau}
+            = sum_b e^{-i omega_{bm} tau} sum_r w_{bm+r} f_{bm+r} e^{-i r d tau}.
+
+    The inner sums of all rows are one real matrix product against the
+    interleaved cos(r d tau) and -sin(r d tau), so a tau costs
+    O(sqrt(n_points)) exponentials and O(n_points) multiply-adds.  Each phase
+    is rounded at eps (|omega_{bm}| + r d) tau, as the direct sum's
+    omega_j tau is at eps |omega_j| tau.  As m is even, the
+    half-resolution subgrid of the discretization estimate is the even
+    columns; the central half-window slice of the truncation estimate is the
+    rows inside it plus its two partial edge rows.  Taus are taken 64 at a
+    time, so memory does not grow with their number.
     """
     _check_finite(tau=taus, window=window)
     if np.any(taus < 0):
@@ -286,34 +305,66 @@ def _kernel_quadrature(
     if n_points < 2:
         raise ParameterError(f"n_points must be >= 2, got {n_points}")
 
-    def integrate(integrand: np.ndarray, grid: np.ndarray) -> complex:
-        h = grid[1] - grid[0]
-        return complex(h * (integrand.sum() - 0.5 * (integrand[0] + integrand[-1])))
-
-    grid = np.linspace(spec.z1.real - window, spec.z1.real + window, n_points)
+    m = 2 * math.ceil(math.sqrt(n_points) / 2)
+    rows = -(-n_points // m)
+    lo, hi = spec.z1.real - window, spec.z1.real + window
+    grid = np.linspace(lo, hi, n_points)
     f = evaluate_J(spec, grid) - spec.J0
-    quarter = (n_points - 1) // 4
-    central = slice(quarter, n_points - quarter)
+    # Trapezoid weights times f, in zero-padded rows of m; each sum's step,
+    # grid[1] - grid[0] or its analogue on the slice, is applied last.
+    weights = np.zeros(rows * m)
+    weights[:n_points] = f
+    weights[[0, n_points - 1]] *= 0.5
+    weights = weights.reshape(rows, m)
+    row_omegas = grid[::m].copy()
+    h = grid[1] - grid[0]
+    if n_points >= 5:
+        # Even j, with j = n_points - 2 ending the subgrid when n_points is even.
+        half = weights[:, ::2].copy()
+        if n_points % 2 == 0:
+            half.flat[n_points // 2 - 1] *= 0.5
+        # j = first..last: the rows inside whole, the edge rows masked.
+        quarter = (n_points - 1) // 4
+        first, last = quarter, n_points - 1 - quarter
+        inside = slice(first // m + 1, last // m)
+        edge = np.array(sorted({first // m, last // m}))
+        j = edge[:, None] * m + np.arange(m)
+        central_edge = np.where((j < first) | (j > last), 0.0, weights[edge])
+        central_edge[(j == first) | (j == last)] *= 0.5
+        h_half, h_central = grid[2] - grid[0], grid[first + 1] - grid[first]
+    del grid, f  # only the weights stay alive through the tau loop
+    # Phases from linspace's own step: grid[1] - grid[0] carries the rounding
+    # of grid[1], which r up to m would multiply.
+    phase_steps = (hi - lo) / (n_points - 1) * np.arange(m)
+
+    def sums(tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        inner = np.exp(np.outer(phase_steps, -1j * tau))
+        outer = np.exp(np.outer(row_omegas, -1j * tau))
+        terms = _row_sums(weights, inner)
+        terms *= outer
+        value = h * terms.sum(axis=0)
+        if n_points < 5:
+            # Neither estimate has a subgrid to compare with.
+            return value, 2.0 * np.abs(value)
+        # Truncation estimate: compare with the central half-window slice.
+        central = terms[inside].sum(axis=0)
+        central += (outer[edge] * _row_sums(central_edge, inner)).sum(axis=0)
+        # Discretization estimate: compare with the half-resolution subgrid.
+        terms = _row_sums(half, inner[::2])
+        terms *= outer
+        coarse = terms.sum(axis=0)
+        return value, (np.abs(value - h_half * coarse)
+                       + np.abs(value - h_central * central))
+
     values = np.empty(len(taus), dtype=complex)
     estimates = np.empty(len(taus))
-    integrand = np.empty(n_points, dtype=complex)
-    for i, tau in enumerate(taus):
-        # f * exp(-1j * grid * tau), in place and in that operation order
-        np.multiply(-1j, grid, out=integrand)
-        integrand *= tau
-        np.exp(integrand, out=integrand)
-        integrand *= f
-        value = integrate(integrand, grid)
-        # Discretization estimate: compare with the half-resolution subgrid.
-        if n_points >= 5:
-            est_disc = abs(value - integrate(integrand[::2], grid[::2]))
-        else:
-            est_disc = abs(value)
-        # Truncation estimate: compare with the central half-window slice.
-        if quarter >= 1:
-            est_trunc = abs(value - integrate(integrand[central], grid[central]))
-        else:
-            est_trunc = abs(value)
-        values[i] = value
-        estimates[i] = est_disc + est_trunc
+    for start in range(0, len(taus), _QUADRATURE_CHUNK):
+        part = slice(start, start + _QUADRATURE_CHUNK)
+        values[part], estimates[part] = sums(taus[part])
     return values, estimates
+
+
+def _row_sums(weights: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """weights @ phases for real weights and complex phases, as one real
+    matrix product against the interleaved cos and -sin parts of the phases."""
+    return (weights @ phases.view(float)).view(complex)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fanomode import __version__, cli, dynamics
-from fanomode.spectral import FanoModel
+from fanomode.spectral import FanoModel, evaluate_J
 
 
 def random_lindblad_model(rng: np.random.Generator, resonant: bool = True) -> FanoModel:
@@ -80,6 +80,34 @@ def volterra_per_step(spec, omega_A: float, c1_0: complex, t_max: float, h: floa
         u[m] = explicit / denom
         f[m] = -damping * u[m] - h * (partial + w_end * kt[0] * u[m])
     return u * np.exp(-1j * omega_A * times[: n + 1])
+
+
+def kernel_quadrature_direct(spec, taus, window: float, n_points: int):
+    """Reference for ``spectral._kernel_quadrature``: one complex exponential
+    over the whole grid per tau, and each trapezoid sum taken on its own
+    slice of that integrand.  Returns (values, estimates)."""
+
+    def integrate(integrand, grid):
+        h = grid[1] - grid[0]
+        return complex(h * (integrand.sum() - 0.5 * (integrand[0] + integrand[-1])))
+
+    grid = np.linspace(spec.z1.real - window, spec.z1.real + window, n_points)
+    f = evaluate_J(spec, grid) - spec.J0
+    quarter = (n_points - 1) // 4
+    central = slice(quarter, n_points - quarter)
+    values = np.empty(len(taus), dtype=complex)
+    estimates = np.empty(len(taus))
+    for i, tau in enumerate(taus):
+        integrand = f * np.exp(-1j * grid * tau)
+        value = integrate(integrand, grid)
+        if n_points >= 5:
+            est_disc = abs(value - integrate(integrand[::2], grid[::2]))
+            est_trunc = abs(value - integrate(integrand[central], grid[central]))
+        else:
+            est_disc = est_trunc = abs(value)
+        values[i] = value
+        estimates[i] = est_disc + est_trunc
+    return values, estimates
 
 
 def render_reference(command: str, config: dict, output, fmt: str, header: bool) -> str:

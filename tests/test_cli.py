@@ -159,6 +159,32 @@ class TestKernel:
         assert data[0, 7] == pytest.approx(0.25, abs=1e-3)
         assert abs(data[0, 5]) < 1e-10  # quadrature itself is real at tau = 0
 
+    def test_quadrature_check_at_default_size(self, tmp_path):
+        # 1001 taus on the default 100001-point grid
+        out = tmp_path / "kernel_q.csv"
+        assert run("kernel", "--out", str(out),
+                   "--set", "kernel.quadrature_check=true") == 0
+        lines = out.read_text().splitlines()
+        assert ("# columns: tau,re_regular,im_regular,abs_regular,re_quadrature,"
+                "im_quadrature,quadrature_error_estimate,abs_deviation") in lines
+        data = load_rows(out)
+        assert data.shape == (1001, 8)
+        assert np.all(np.isfinite(data))
+        header = next(line for line in lines if line.startswith("# max_abs_deviation:"))
+        max_deviation = float(header.split(":")[1])
+        assert max_deviation == np.max(data[:, 7])
+        # The tau = 0 row: the arc term 0.25 (see above) plus 7.1e-7 of
+        # window truncation, measured.
+        assert max_deviation == data[0, 7]
+        assert abs(max_deviation - 0.25) < 2e-6
+
+    @pytest.mark.parametrize("setting", ["kernel.quadrature_points=1",
+                                         "kernel.quadrature_window=-1"])
+    def test_bad_quadrature_setting_names_its_key(self, capsys, setting):
+        code = run("kernel", "--set", "kernel.quadrature_check=true", "--set", setting)
+        assert code == 1
+        assert setting.split("=")[0] in capsys.readouterr().err
+
 
 class TestEvolve:
     def test_markovian_preset(self, tmp_path):

@@ -23,7 +23,6 @@ from .dynamics import (
     solve_volterra,
 )
 from .fanodiag import (
-    FanoDiagCoefficients,
     fano_alpha,
     fano_lambda,
     verify_lambda_identity,
@@ -48,7 +47,6 @@ __all__ = [
     "DensityMatrix3",
     "DiscretizedReservoir",
     "EmbeddedQME",
-    "FanoDiagCoefficients",
     "FanoModel",
     "KossakowskiMatrix",
     "LindbladReport",

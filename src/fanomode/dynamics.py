@@ -19,8 +19,10 @@ explicit reservoir modes) and are deterministic on a fixed time grid:
   frequency comb sampling J(omega); the brute-force oracle.  The comb is
   mapped exactly to a tridiagonal chain (Lanczos), cut at depth
   min(N, ceil(0.6 W t_max) + 32) for a comb of half-width W, and
-  diagonalized: exact at every sample.  A cut chain whose last site is
-  reached by t_max / 2 raises RecurrenceError.
+  diagonalized: exact at every sample.  It evaluates only the atom's site
+  and the last one, whose weight must stay below 1e-16 up to t_max / 2 on
+  a cut chain (else RecurrenceError).  The eigenvectors V are orthogonal,
+  so the reservoir population is |c1(0)|^2 ||V_0||^2 - |c1(t)|^2.
 
 Amplitudes, QME and the oracle are exact at every sample, so for them h is
 only the sampling step.  Fast phases at omega_A are removed internally
@@ -92,18 +94,6 @@ class DensityMatrix3:
             raise ParameterError("density matrix must be positive semidefinite")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
-
-    @classmethod
-    def ground(cls) -> "DensityMatrix3":
-        m = np.zeros((3, 3), dtype=complex)
-        m[GROUND, GROUND] = 1.0
-        return cls(m)
-
-    @classmethod
-    def excited_atom(cls) -> "DensityMatrix3":
-        m = np.zeros((3, 3), dtype=complex)
-        m[ATOM_EXCITED, ATOM_EXCITED] = 1.0
-        return cls(m)
 
     @classmethod
     def from_amplitudes(
@@ -664,9 +654,10 @@ def build_discretized(
     [Re z1 - window, Re z1 + window].
 
     Requires n_modes >= 100 and window >= 20 pole widths so that the comb
-    can stand in for the continuum.  A genuinely negative J sample raises
-    :class:`SpectralError`; roundoff-level negatives at a spectral zero are
-    clamped to 0.
+    can stand in for the continuum, and frequencies that are finite and
+    strictly increasing in floating point.  A genuinely negative J sample
+    raises :class:`SpectralError`; roundoff-level negatives at a spectral
+    zero are clamped to 0.
     """
     if n_modes < 100:
         raise ParameterError(f"n_modes must be >= 100, got {n_modes}")
@@ -675,6 +666,11 @@ def build_discretized(
             f"window must cover >= 20 pole widths ({20 * spec.kappa:.3g}), got {window}"
         )
     omegas = np.linspace(spec.z1.real - window, spec.z1.real + window, n_modes)
+    if not (np.all(np.isfinite(omegas)) and np.all(np.diff(omegas) > 0.0)):
+        raise ParameterError(
+            f"a comb of {n_modes} modes over {spec.z1.real:.6g} +- {window:.6g} "
+            "does not resolve into finite, distinct frequencies"
+        )
     j_vals = evaluate_J(spec, omegas)
     scale = spec.J0 + abs(spec.r1) / spec.kappa
     if np.min(j_vals) < -1e-12 * max(scale, 1e-300):
@@ -697,7 +693,7 @@ _CHAIN_LIGHT_CONE = 0.6
 _CHAIN_MARGIN = 32
 # Largest weight the last site of a cut chain may carry up to t_max / 2.
 _CHAIN_LEAK = 1e-16
-# Samples per block of the chain-state product, which bounds its memory.
+# Samples per block of the chain's phase table, which bounds its memory.
 _STATE_BLOCK = 128
 
 
@@ -747,20 +743,23 @@ def solve_discretized(
 
     by exact diagonalization.  In the omega_A rotating frame the comb is
     mapped to a real tridiagonal chain (see :func:`_comb_chain`) of depth
-    M = min(N, ceil(0.6 W t_max) + 32) with W half the comb's width; with
-    psi(t) = V e^{-i lambda t} V^T e_0 from ``np.linalg.eigh`` of the chain,
-    c1(t) = c1(0) psi_0(t) e^{-i omega_A t} at every sample, so ``h`` is
-    only the sampling step.  The Hamiltonian is real symmetric, so
-    c1(t) = sum_s psi_s(t/2)^2: a cut chain is exact on [0, t_max] while
-    its last site stays empty up to t_max / 2.  When it does not (weight
-    above 1e-16), RecurrenceError names the depth and the weight.  Only the
-    comb's samples of J enter, never the pole form or the kernel.
+    M = min(N, ceil(0.6 W t_max) + 32) with W half the comb's width.  Of
+    the chain state, with V, lambda from ``np.linalg.eigh`` of the chain,
+    only two sites psi_s(t) = sum_k V_sk V_0k e^{-i lambda_k t} are
+    evaluated: the atom's, c1(t) = c1(0) psi_0(t) e^{-i omega_A t} at every
+    sample, so ``h`` is only the sampling step; and the last.  The
+    Hamiltonian is real symmetric, so c1(t) = sum_s psi_s(t/2)^2: a cut
+    chain is exact on [0, t_max] while its last site stays empty up to
+    t_max / 2.  When it does not (weight above 1e-16), RecurrenceError
+    names the depth and the weight.  Only the comb's samples of J enter,
+    never the pole form or the kernel.
 
     Refuses t_max past half the comb's recurrence time, where the finite
-    comb stops mimicking the continuum.  The reservoir population
-    |c1(0)|^2 sum_{s>=1} |psi_s(t)|^2 is summed from the chain state, in
-    blocks of samples, into ``reservoir_population``; the chain
-    depth goes to ``metadata["chain_depth"]``.
+    comb stops mimicking the continuum.  V is orthogonal, so the reservoir
+    population |c1(0)|^2 sum_{s>=1} |psi_s(t)|^2 is
+    |c1(0)|^2 (||V_0||^2 - |psi_0(t)|^2) in ``reservoir_population``, and
+    the norm check of :meth:`Trajectory.observables` tests ||V_0||^2 = 1.
+    The chain depth goes to ``metadata["chain_depth"]``.
     """
     if t_max >= 0.5 * res.recurrence_time:
         raise RecurrenceError(
@@ -780,32 +779,25 @@ def solve_discretized(
     chain[sites, sites + 1] = chain[sites + 1, sites] = off
     lam, vecs = np.linalg.eigh(chain)
 
-    psi_0 = np.empty(len(times), dtype=complex)
-    reservoir_pop = np.empty(len(times))
+    weights = (vecs[[0, -1]] * vecs[0]).T
+    rotation = -1j * lam
+    psi = np.empty((len(times), 2), dtype=complex)
     for start in range(0, len(times), _STATE_BLOCK):
-        t = times[start : start + _STATE_BLOCK]
-        block = slice(start, start + len(t))
-        phase = np.outer(t, lam)
-        # Rows: Re psi(t) for each t of the block, then -Im psi(t).
-        state = np.concatenate((np.cos(phase), np.sin(phase)))
-        state *= vecs[0]
-        state = state @ vecs.T
-        psi_0[block] = state[: len(t), 0] - 1j * state[len(t) :, 0]
-        state *= state
-        weight = state[: len(t)] + state[len(t) :]
-        reservoir_pop[block] = np.sum(weight[:, 1:], axis=1)
-        leak = float(np.max(weight[t <= 0.5 * t_max, -1], initial=0.0))
-        if cut and leak > _CHAIN_LEAK:
-            raise RecurrenceError(
-                f"comb chain of depth {depth} too shallow: its last site holds "
-                f"weight {leak:.3g} > {_CHAIN_LEAK:g} before t_max / 2"
-            )
+        block = slice(start, start + _STATE_BLOCK)
+        psi[block] = np.exp(np.outer(times[block], rotation)) @ weights
+    leak = float(np.max(np.abs(psi[times <= 0.5 * t_max, 1]) ** 2))
+    if cut and leak > _CHAIN_LEAK:
+        raise RecurrenceError(
+            f"comb chain of depth {depth} too shallow: its last site holds "
+            f"weight {leak:.3g} > {_CHAIN_LEAK:g} before t_max / 2"
+        )
+    reservoir_pop = vecs[0] @ vecs[0] - np.abs(psi[:, 0]) ** 2
 
     return Trajectory(
         times=times,
         method="discretized",
         c0=complex(c0),
-        c1=c1_0 * psi_0 * np.exp(-1j * omega_A * times),
+        c1=c1_0 * psi[:, 0] * np.exp(-1j * omega_A * times),
         reservoir_population=abs(c1_0) ** 2 * reservoir_pop,
         metadata={
             "n_modes": res.n_modes, "delta_omega": res.delta_omega,

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,45 +63,6 @@ def fano_lambda(
     ) + detuning * math.sqrt(model.gamma / TWO_PI) * cmath.exp(1j * model.theta_A)
     out = cmath.exp(-1j * psi) * numerator / (detuning + 0.5j * model.kappa)
     return _match_scalar(omega, out)
-
-
-@dataclass(frozen=True)
-class FanoDiagCoefficients:
-    """Closed-form eigenmode coefficients of a model at gauge phase psi.
-
-    The continuum kernel beta(omega, omega') is kept symbolically as the
-    coefficient pair of its principal-value and delta parts; only integrals
-    with a closed form (the principal-value integral vanishes) are ever used.
-    """
-
-    model: FanoModel
-    psi: float = 0.0
-
-    def alpha(self, omega: float | np.ndarray) -> complex | np.ndarray:
-        return fano_alpha(self.model, omega, self.psi)
-
-    def beta_principal_coeff(
-        self, omega: float | np.ndarray
-    ) -> complex | np.ndarray:
-        """Coefficient of P/(omega - omega') in beta(omega, omega')."""
-        w = np.asarray(omega, dtype=float)
-        out = (
-            (self.model.kappa / TWO_PI)
-            * cmath.exp(1j * self.psi)
-            / (w - self.model.omega_C - 0.5j * self.model.kappa)
-        )
-        return _match_scalar(omega, out)
-
-    def beta_delta_coeff(self, omega: float | np.ndarray) -> complex | np.ndarray:
-        """Coefficient of delta(omega - omega') in beta(omega, omega')."""
-        w = np.asarray(omega, dtype=float)
-        detuning = w - self.model.omega_C
-        out = cmath.exp(1j * self.psi) * detuning / (detuning - 0.5j * self.model.kappa)
-        return _match_scalar(omega, out)
-
-    def coupling(self, omega: float | np.ndarray) -> complex | np.ndarray:
-        """Atom-eigenmode coupling Lambda(omega)."""
-        return fano_lambda(self.model, omega, self.psi)
 
 
 def _lambda_identity(

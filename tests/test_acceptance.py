@@ -106,7 +106,9 @@ def test_criterion_3_brute_force_oracle():
 
 def test_criterion_4_qme_consistency():
     qme = embed_from_model(FanoModel(gamma=0.25, kappa=1.0, g_abs=0.5, eta=1.0))
-    master = solve_qme(qme, DensityMatrix3.excited_atom(), 20.0, 1e-3)
+    master = solve_qme(
+        qme, DensityMatrix3.from_amplitudes(0.0, 1.0, 0.0), 20.0, 1e-3
+    )
     amplitudes = solve_amplitudes(qme, 1.0, 20.0, 1e-3)
     rho = master.rho
     err_11 = float(np.max(np.abs(rho[:, 1, 1].real - amplitudes.c1_abs2)))

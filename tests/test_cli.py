@@ -652,10 +652,16 @@ class TestConfig:
         ("evolve", "--set", "model.g_abs=1e200", "--set", "solver.t_max=1",
          "--set", "solver.method=discretized"),
         ("spectrum", "--set", 'spectrum.curves=[{"q_abs": 1e300}]'),
+        ("evolve", "--set", "solver.method=discretized",
+         "--set", "model.omega_C=1e17", "--set", "solver.t_max=1"),
+        ("evolve", "--set", "solver.method=discretized",
+         "--set", "solver.window=1e308"),
     ])
     def test_overflowing_input_is_usage_error(self, tmp_path, capsys, argv):
         # squaring g_abs or |q| as a Python float used to end in an
-        # OverflowError traceback
+        # OverflowError traceback; a comb whose frequencies repeat (at
+        # omega_C = 1e17) or overflow (a window of 1e308) in a
+        # ZeroDivisionError or ValueError one
         out = tmp_path / "out.csv"
         assert run(*argv, "--out", str(out)) == 1
         err = capsys.readouterr().err

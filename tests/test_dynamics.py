@@ -519,12 +519,15 @@ class TestSolveVolterra:
 
 class TestSolveQME:
     def test_ground_state_is_stationary(self):
-        traj = solve_qme(embed_from_model(PRESET), DensityMatrix3.ground(), 2.0, 1e-3)
+        rho_0 = DensityMatrix3.from_amplitudes(1.0, 0.0, 0.0)
+        traj = solve_qme(embed_from_model(PRESET), rho_0, 2.0, 1e-3)
         assert np.max(np.abs(traj.rho - traj.rho[0])) < 1e-14
 
     def test_matches_amplitudes(self):
         qme = embed_from_model(PRESET)
-        tq = solve_qme(qme, DensityMatrix3.excited_atom(), 20.0, 1e-3)
+        tq = solve_qme(
+            qme, DensityMatrix3.from_amplitudes(0.0, 1.0, 0.0), 20.0, 1e-3
+        )
         ta = solve_amplitudes(qme, 1.0, 20.0, 1e-3)
         rho = tq.rho
         assert np.max(np.abs(rho[:, 1, 1].real - ta.c1_abs2)) < 1e-8
@@ -544,7 +547,9 @@ class TestSolveQME:
 
     def test_trace_and_positivity(self):
         qme = embed_from_model(PRESET)
-        traj = solve_qme(qme, DensityMatrix3.excited_atom(), 20.0, 1e-3)
+        traj = solve_qme(
+            qme, DensityMatrix3.from_amplitudes(0.0, 1.0, 0.0), 20.0, 1e-3
+        )
         trace = np.trace(traj.rho, axis1=1, axis2=2)
         assert np.max(np.abs(trace - 1.0)) < 1e-10
         assert np.min(np.linalg.eigvalsh(traj.rho)) > -1e-10
@@ -560,9 +565,8 @@ class TestSolveQME:
         # all dissipative eigenmodes are strictly lossy away from the
         # eta = 1 boundary; measured residual ~1e-11 at t = 100/kappa
         model = FanoModel(gamma=0.25, kappa=1.0, g_abs=0.5, eta=0.5)
-        traj = solve_qme(
-            embed_from_model(model), DensityMatrix3.excited_atom(), 100.0, 2e-3
-        )
+        rho_0 = DensityMatrix3.from_amplitudes(0.0, 1.0, 0.0)
+        traj = solve_qme(embed_from_model(model), rho_0, 100.0, 2e-3)
         final = traj.rho[-1]
         assert final[1, 1].real + final[2, 2].real < 1e-6
         assert final[0, 0].real == pytest.approx(1.0, abs=1e-6)
@@ -612,7 +616,9 @@ class TestSolveQME:
         # eigenvalue is 2.9 for the QME) overflows it: StepSizeError, not inf
         qme = embed_from_model(FanoModel(gamma=0.25, kappa=1.0, g_abs=5.0, eta=50.0))
         with pytest.raises(StepSizeError, match="not finite"):
-            solve_qme(qme, DensityMatrix3.excited_atom(), 1800.0, 0.9)
+            solve_qme(
+                qme, DensityMatrix3.from_amplitudes(0.0, 1.0, 0.0), 1800.0, 0.9
+            )
         with pytest.raises(StepSizeError, match="not finite"):
             solve_amplitudes(qme, 1.0, 1800.0, 0.9)
 
@@ -691,8 +697,8 @@ class TestDiscretizedReservoir:
         assert np.max(np.abs(np.abs(traj.c1) - expected)) < 5e-3
 
     def test_norm_conservation(self):
-        # RK4 sheds ~1e-10 of norm at h = 1e-3 through the far-detuned
-        # comb modes; h = 5e-4 keeps the defect at the 1e-12 level
+        # the reservoir population is |c1(0)|^2 ||V_0||^2 - |c1|^2, so the
+        # norm sum checks the norm of row 0 of the chain's eigenvectors V
         spec = pole_residue_from_model(PRESET)
         res = build_discretized(spec, 40.0, 2001)
         traj = solve_discretized(res, 0.0, 1.0, 5.0, 5e-4)
@@ -728,8 +734,7 @@ class TestDiscretizedReservoir:
         assert errors[2] < 2.0 * max(floor, 1e-6)
 
     def test_coarse_step_samples_the_same_solution(self):
-        # h is only the sampling step (h = 0.1 used to be refused as an
-        # unstable RK4 step)
+        # each sample is exact, so h is only the sampling step
         spec = pole_residue_from_model(PRESET)
         res = build_discretized(spec, 40.0, 2001)
         fine = solve_discretized(res, 0.0, 1.0, 5.0, 1e-3)
@@ -848,11 +853,14 @@ class TestTrajectory:
         with pytest.raises(ParameterError, match="multiple of h"):
             solve_amplitudes(qme, 1.0, 1.0, 0.3)
         with pytest.raises(ParameterError, match="multiple of h"):
-            solve_qme(qme, DensityMatrix3.excited_atom(), 1.0, 0.3)
+            solve_qme(
+                qme, DensityMatrix3.from_amplitudes(0.0, 1.0, 0.0), 1.0, 0.3
+            )
         assert solve_amplitudes(qme, 1.0, 0.9, 0.3).times[-1] == pytest.approx(0.9)
 
     def test_qme_trajectory_has_no_c1(self):
-        traj = solve_qme(embed_from_model(PRESET), DensityMatrix3.ground(), 0.1, 1e-3)
+        rho_0 = DensityMatrix3.from_amplitudes(1.0, 0.0, 0.0)
+        traj = solve_qme(embed_from_model(PRESET), rho_0, 0.1, 1e-3)
         with pytest.raises(ParameterError):
             traj.c1_abs2
 
@@ -865,8 +873,8 @@ def run_method(method: str, model: FanoModel, t_max: float, h: float):
     if method == "amplitudes":
         return solve_amplitudes(embed_from_model(model), 1.0, t_max, h)
     if method == "qme":
-        return solve_qme(embed_from_model(model), DensityMatrix3.excited_atom(),
-                         t_max, h)
+        rho_0 = DensityMatrix3.from_amplitudes(0.0, 1.0, 0.0)
+        return solve_qme(embed_from_model(model), rho_0, t_max, h)
     reservoir = build_discretized(pole_residue_from_model(model), 40.0, 801)
     return solve_discretized(reservoir, model.omega_A, 1.0, t_max, h)
 
@@ -908,7 +916,7 @@ class TestObservables:
         )
 
     def test_solve_qme_leaves_the_eigenvalues_to_observables(self, monkeypatch):
-        rho_0 = DensityMatrix3.excited_atom()
+        rho_0 = DensityMatrix3.from_amplitudes(0.0, 1.0, 0.0)
 
         def refuse(*args, **kwargs):
             raise AssertionError("eigvalsh called")
@@ -965,6 +973,6 @@ class TestDensityMatrix3:
         assert with_jump.matrix[0, 0] == pytest.approx(0.64)
 
     def test_matrix_is_readonly(self):
-        rho = DensityMatrix3.ground()
+        rho = DensityMatrix3.from_amplitudes(1.0, 0.0, 0.0)
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 0.5

@@ -14,7 +14,6 @@ import pytest
 
 from fanomode.errors import UnsupportedRegimeError
 from fanomode.fanodiag import (
-    FanoDiagCoefficients,
     fano_alpha,
     fano_lambda,
     verify_lambda_identity,
@@ -144,27 +143,6 @@ class TestIdentity:
 
 
 class TestCoefficients:
-    def test_beta_decomposition_values(self):
-        model = FanoModel(gamma=0.25, kappa=1.0, g_abs=0.5, eta=1.0, theta_C=0.4)
-        coeffs = FanoDiagCoefficients(model, psi=0.9)
-        omega = model.omega_C + 1.7
-        denominator = omega - model.omega_C - 0.5j * model.kappa
-        assert coeffs.beta_principal_coeff(omega) == pytest.approx(
-            (model.kappa / TWO_PI) * np.exp(0.9j) / denominator
-        )
-        assert coeffs.beta_delta_coeff(omega) == pytest.approx(
-            np.exp(0.9j) * 1.7 / denominator
-        )
-        assert coeffs.alpha(omega) == pytest.approx(fano_alpha(model, omega, 0.9))
-        assert coeffs.coupling(omega) == pytest.approx(fano_lambda(model, omega, 0.9))
-
-    def test_beta_delta_coeff_asymptotics(self):
-        model = FanoModel(gamma=0.25, kappa=1.0, g_abs=0.5, eta=1.0)
-        coeffs = FanoDiagCoefficients(model)
-        assert abs(coeffs.beta_delta_coeff(model.omega_C + 1e6)) == pytest.approx(
-            1.0, rel=1e-9
-        )
-
     def test_identity_consistent_with_direct_J(self):
         model = FanoModel(gamma=0.3, kappa=1.0, g_abs=0.9, eta=1.0, phi=1.1)
         spec = pole_residue_from_model(model)
@@ -176,7 +154,6 @@ class TestCoefficients:
 
 
 _MODEL = FanoModel(gamma=0.3, kappa=1.0, g_abs=0.9, eta=1.0, phi=1.1, theta_C=0.4)
-_COEFFS = FanoDiagCoefficients(_MODEL, psi=0.9)
 
 # Every public evaluator that takes a frequency, detuning or delay, with the
 # Python type it returns for a scalar argument.
@@ -190,8 +167,6 @@ SCALAR_RETURNING = {
     ),
     "fano_alpha": (lambda x: fano_alpha(_MODEL, x, 0.9), complex),
     "fano_lambda": (lambda x: fano_lambda(_MODEL, x, 0.9), complex),
-    "beta_principal_coeff": (_COEFFS.beta_principal_coeff, complex),
-    "beta_delta_coeff": (_COEFFS.beta_delta_coeff, complex),
 }
 
 

@@ -7,12 +7,15 @@ every run draws the same examples.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import math
+import os
 
 import numpy as np
 import pytest
 
-from fanomode import dynamics
+from fanomode import cli, dynamics
 from fanomode.dynamics import (
     DensityMatrix3,
     build_discretized,
@@ -116,7 +119,9 @@ def test_amplitudes_and_qme_agree_at_coarse_h(model, h):
     # former RK4 solvers, is loose.
     qme = embed_from_model(model)
     ta = solve_amplitudes(qme, 1.0, 10.0, h)
-    rho = solve_qme(qme, DensityMatrix3.excited_atom(), 10.0, h).rho
+    rho = solve_qme(
+        qme, DensityMatrix3.from_amplitudes(0.0, 1.0, 0.0), 10.0, h
+    ).rho
     deviation = max(
         np.max(np.abs(rho[:, 1, 1].real - ta.c1_abs2)),
         np.max(np.abs(rho[:, 2, 2].real - np.abs(ta.b1) ** 2)),
@@ -144,6 +149,40 @@ def test_comb_chain_matches_dense_star(model, t_max):
     c1, reservoir = star_solution(res, model.omega_A, 1.0, traj.times)
     assert np.max(np.abs(traj.c1 - c1)) <= 1e-12
     assert np.max(np.abs(traj.reservoir_population - reservoir)) <= 1e-12
+
+
+def log_uniform(low: float, high: float):
+    """10**e for e uniform on [low, high]."""
+    return st.floats(low, high).map(lambda e: 10.0**e)
+
+
+@settings(DETERMINISTIC, max_examples=50)
+@given(
+    omega_C=st.tuples(st.sampled_from((-1.0, 1.0)), log_uniform(-300.0, 308.0)).map(
+        math.prod
+    ),
+    window=log_uniform(-300.0, 308.0),
+    kappa=log_uniform(-300.0, 300.0),
+)
+# the draws exit 0, 1 or 3; these exit 0 at extreme omega_C and kappa, and
+# 2 where J overflows to inf
+@example(omega_C=-1e15, window=1e4, kappa=1e-300)
+@example(omega_C=0.0, window=1e-200, kappa=1e-300)
+def test_comb_cli_keeps_the_exit_code_contract(omega_C, window, kappa):
+    # extreme combs fail as usage (1), property (2) or solver (3) errors,
+    # each on one stderr line, never with a traceback
+    argv = ["evolve", "--out", os.devnull, "--set", "solver.method=discretized",
+            "--set", "solver.n_modes=100", "--set", "solver.t_max=0.01",
+            "--set", f"model.omega_C={omega_C!r}",
+            "--set", f"solver.window={window!r}", "--set", f"model.kappa={kappa!r}"]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2, 3)
+    if code:
+        assert err.getvalue().startswith("fanomode: ")
+        assert err.getvalue().count("\n") == 1
+        assert "Traceback" not in err.getvalue()
 
 
 # u[k] errs by O(h^6) and du/dt by O(h^5); the kernel's derivatives are
@@ -201,7 +240,9 @@ def test_blocked_runs_keep_their_invariants(model, blocks, rest, h):
     n = 64 * blocks + rest
     qme = embed_from_model(model)
     amplitudes = solve_amplitudes(qme, 1.0, n * h, h)
-    rho = solve_qme(qme, DensityMatrix3.excited_atom(), n * h, h).rho
+    rho = solve_qme(
+        qme, DensityMatrix3.from_amplitudes(0.0, 1.0, 0.0), n * h, h
+    ).rho
     assert len(amplitudes.times) == len(rho) == n + 1
     norm = amplitudes.observables()[0]["norm_sum"]
     assert np.max(np.abs(norm - 1.0)) < 1e-10

@@ -214,11 +214,17 @@ def evaluate_J(spec: PoleSpectral, omega: float | np.ndarray) -> float | np.ndar
             / [(omega - Re z1)^2 + (Im z1)^2]
     """
     w = np.asarray(omega, dtype=float)
-    x = w - spec.z1.real
-    out = spec.J0 + 2.0 * (spec.r1.real * x - spec.z1.imag * spec.r1.imag) / (
-        x * x + spec.z1.imag**2
-    )
-    return _match_scalar(omega, out)
+    # In place on x; for a scalar omega, x is a 0-d array, which takes
+    # in-place operations and still gives a Python float below.
+    x = np.asarray(w - spec.z1.real)
+    denominator = x * x
+    denominator += spec.z1.imag**2
+    x *= spec.r1.real
+    x -= spec.z1.imag * spec.r1.imag
+    x *= 2.0
+    x /= denominator
+    x += spec.J0
+    return _match_scalar(omega, x)
 
 
 def reduced_form_from_model(model: FanoModel) -> ReducedForm:

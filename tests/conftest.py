@@ -41,6 +41,21 @@ def star_solution(res, omega_A: float, c1_0: complex, times: np.ndarray):
     return c1, abs(c1_0) ** 2 * np.sum(np.abs(state[:, 1:]) ** 2, axis=1)
 
 
+def comb_direct(res, omega_A: float, c1_0: complex, times: np.ndarray, depth: int):
+    """Reference for the comb's two-level phase sum: the chain of
+    ``dynamics._comb_chain`` cut at ``depth`` sites and diagonalized, then
+    psi_0(t) = sum_k V_0k^2 e^{-i lambda_k t} as one dense row of phases per
+    sample.  Returns c1(t)."""
+    diag, off, _ = dynamics._comb_chain(res.omegas - omega_A, res.couplings, depth)
+    chain = np.diag(diag)
+    sites = np.arange(len(off))
+    chain[sites, sites + 1] = chain[sites + 1, sites] = off
+    lam, vecs = np.linalg.eigh(chain)
+    rotation, weights = -1j * lam, vecs[0] * vecs[0]
+    psi = np.array([np.exp(t * rotation) @ weights for t in times])
+    return c1_0 * psi * np.exp(-1j * omega_A * times)
+
+
 def direct_history(kt, u):
     """Reference: the Gregory history sums with one dot over the whole
     history per step, O(n^2); yields (partial, w_end) for m = 5..n, where

@@ -34,6 +34,7 @@ from fanomode.errors import (
 from fanomode.spectral import FanoModel, PoleSpectral, pole_residue_from_model
 
 from conftest import (
+    comb_direct,
     random_lindblad_model,
     star_solution,
     volterra_per_step,
@@ -681,6 +682,21 @@ class TestDiscretizedReservoir:
         with pytest.raises(SpectralError):
             build_discretized(corrupt, 40.0, 1001)
 
+    @pytest.mark.parametrize(
+        "spec, window, n_modes",
+        [
+            # kappa = 1e-300: (Im z1)^2 underflows, J overflows to inf
+            (pole_residue_from_model(FanoModel(gamma=0.25, kappa=1e-300, g_abs=0.5,
+                                               eta=1.0)), 1e-200, 100),
+            # J = 1e300 is finite, J d_omega = 2e310 is not
+            (PoleSpectral(J0=1e300, z1=-0.5j, r1=0j), 1e12, 101),
+        ],
+        ids=["J_overflows", "coupling_overflows"],
+    )
+    def test_non_finite_couplings_are_refused(self, spec, window, n_modes):
+        with np.errstate(all="ignore"), pytest.raises(ParameterError, match="not finite"):
+            build_discretized(spec, window, n_modes)
+
     def test_recurrence_guard(self):
         spec = pole_residue_from_model(PRESET)
         res = build_discretized(spec, 40.0, 101)  # recurrence ~ 7.9/kappa
@@ -766,6 +782,25 @@ class TestDiscretizedReservoir:
         c1, reservoir = star_solution(res, model.omega_A, c1_0, traj.times)
         assert np.max(np.abs(traj.c1 - c1)) <= 1e-12
         assert np.max(np.abs(traj.reservoir_population - reservoir)) <= 1e-12
+
+    # n_t = 2 and 3 samples; 100 = 10^2 and 101 = 10^2 + 1; the default
+    # 5001; the coarse h = 0.1
+    @pytest.mark.parametrize(
+        "t_max, h, n_t",
+        [(1e-3, 1e-3, 2), (2e-3, 1e-3, 3), (0.099, 1e-3, 100), (0.1, 1e-3, 101),
+         (5.0, 1e-3, 5001), (5.0, 0.1, 51)],
+    )
+    def test_two_level_sum_matches_direct_sum(self, t_max, h, n_t):
+        # both round each phase at eps |lambda| t; measured at most 7.5e-16
+        # here, and 8.7e-16 over omega_A in {-1.3, 0, 0.4, 2}
+        model = FanoModel(gamma=0.25, kappa=1.0, g_abs=0.5, eta=1.0, omega_A=0.4)
+        res = build_discretized(pole_residue_from_model(model), 40.0, 2001)
+        c1_0 = 0.6 - 0.3j
+        traj = solve_discretized(res, model.omega_A, c1_0, t_max, h)
+        assert len(traj.times) == n_t
+        c1 = comb_direct(res, model.omega_A, c1_0, traj.times,
+                         traj.metadata["chain_depth"])
+        assert np.max(np.abs(traj.c1 - c1)) <= 3e-15
 
     def test_zero_coupling_is_free_rotation(self):
         model = FanoModel(gamma=0.0, kappa=1.0, g_abs=0.0, eta=0.0, omega_A=0.7)
@@ -962,6 +997,37 @@ class TestObservables:
         samples = getattr(traj, population)
         samples[500] = np.nan
         assert traj.observables()[1] == expected
+
+    @pytest.mark.parametrize(
+        "corrupt, expected",
+        [
+            (lambda lam, vecs: vecs.__imul__(1.0 + 1e-9),
+             ["chain eigensystem is inexact (max |V^T V - I| 2.000e-09)"]),
+            # each lambda_k moved by 1e-6 max |lambda|: the residual is that
+            # times the largest entry of V, 0.725
+            (lambda lam, vecs: lam.__iadd__(1e-6 * np.max(np.abs(lam))),
+             ["chain eigensystem is inexact "
+              "(max |T V - V Lambda| / max |lambda| 7.248e-07)"]),
+            (lambda lam, vecs: vecs.__setitem__((0, 0), np.nan),
+             ["norm conservation drifts by nan",
+              "chain eigensystem is inexact (max |V^T V - I| nan)",
+              "chain eigensystem is inexact "
+              "(max |T V - V Lambda| / max |lambda| nan)"]),
+        ],
+        ids=["non_orthogonal", "wrong_eigenvalues", "nan"],
+    )
+    def test_inexact_chain_eigensystem_is_a_violation(
+        self, monkeypatch, corrupt, expected
+    ):
+        eigh = np.linalg.eigh
+
+        def corrupted_eigh(matrix):
+            lam, vecs = eigh(matrix)
+            corrupt(lam, vecs)
+            return lam, vecs
+
+        monkeypatch.setattr(np.linalg, "eigh", corrupted_eigh)
+        assert run_method("discretized", PRESET, 1.0, 1e-3).observables()[1] == expected
 
 
 class TestDensityMatrix3:

@@ -165,7 +165,7 @@ def log_uniform(low: float, high: float):
     kappa=log_uniform(-300.0, 300.0),
 )
 # the draws exit 0, 1 or 3; these exit 0 at extreme omega_C and kappa, and
-# 2 where J overflows to inf
+# 1 where J overflows to inf
 @example(omega_C=-1e15, window=1e4, kappa=1e-300)
 @example(omega_C=0.0, window=1e-200, kappa=1e-300)
 def test_comb_cli_keeps_the_exit_code_contract(omega_C, window, kappa):

@@ -166,6 +166,21 @@ class TestEvaluateJ:
             f = r1 / (omegas - z1) + np.conj(r1) / (omegas - np.conj(z1))
             assert np.max(np.abs(f.imag)) < 1e-14
 
+    def test_holds_two_grid_sized_arrays(self):
+        # the result and the denominator; with out-of-place arithmetic it
+        # held 2.40 MB at N = 100 001, three grid-sized arrays
+        spec = pole_residue_from_model(FanoModel(gamma=0.25, kappa=1.0, g_abs=0.5,
+                                                 eta=1.0))
+        grid = np.linspace(-40.0, 40.0, 100001)
+        evaluate_J(spec, grid[:10])  # warms numpy up
+        tracemalloc.start()
+        try:
+            evaluate_J(spec, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * grid.nbytes + 65536
+
 
 class TestReducedForm:
     def test_symmetric_antiresonance_dip(self):

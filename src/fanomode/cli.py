@@ -5,9 +5,9 @@ decay-rate.  Every run is controlled by one JSON config (see
 :mod:`fanomode.config`); flags override file values.  Output is CSV with a
 ``#``-prefixed metadata header (or a JSON mirror via ``--format json``),
 printed with 17 significant digits so values round-trip exactly, and carries
-no wall-clock content: identical configs give byte-identical files.  CSV
-rows are formatted from one row template per table and written in blocks of
-rows as they are formatted, so a table's text is never held whole.
+no wall-clock content: identical configs give byte-identical files.  A
+table is rendered and written in blocks of rows, one format call per block
+in either format, so its text is never held whole.
 
 Each ``cmd_*`` is a function of the config alone: it returns a table or a
 key/value report, the summary lines it prints and the property violations it
@@ -128,21 +128,37 @@ def _render(
 
     The header names the tool, the command and the config; a table's header
     also carries the units note, its meta and its column names.  Table rows
-    are formatted from one ``%.17g`` row template (the bytes of
-    ``f"{x:.17g}"``) and yielded in blocks of ``_ROW_BLOCK`` rows, so the
-    whole table is never held as text; JSON is one chunk.
+    are yielded in blocks of ``_ROW_BLOCK`` rows, so the whole table is never
+    held as text.  A CSV block is one ``%`` call on a block template of
+    ``%.17g`` fields (the bytes of ``f"{x:.17g}"``); a JSON block is one
+    ``json.dumps`` of its rows, spliced into the document's ``rows`` member.
+    A key/value report is one chunk.
     """
     table = output.report is None
+    if table:
+        rows = output.rows
+        blocks = (rows[start : start + _ROW_BLOCK]
+                  for start in range(0, len(rows), _ROW_BLOCK))
     if fmt == "json":
-        doc = (
-            {"columns": output.columns, "rows": output.rows.tolist()}
-            if table else dict(output.report)
-        )
+        compact = {"separators": (",", ":")}
+        doc = {"columns": output.columns} if table else dict(output.report)
         if header:
             doc.update(tool=f"fanomode {__version__}", command=command, config=config)
             if table:
                 doc.update(units=_UNITS_NOTE, meta=output.meta)
-        yield json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        if not table:
+            yield json.dumps(doc, sort_keys=True, **compact) + "\n"
+            return
+        # keys are sorted, so "rows" falls between the members that sort
+        # before it (at least "columns") and those that sort after it
+        before = json.dumps({k: v for k, v in doc.items() if k < "rows"},
+                            sort_keys=True, **compact)[1:-1]
+        after = json.dumps({k: v for k, v in doc.items() if k > "rows"},
+                           sort_keys=True, **compact)[1:-1]
+        yield "{" + before + ',"rows":['
+        for i, block in enumerate(blocks):
+            yield ("," if i else "") + json.dumps(block.tolist(), **compact)[1:-1]
+        yield "]" + ("," + after if after else "") + "}\n"
         return
     lines = []
     if header:
@@ -162,10 +178,12 @@ def _render(
     if lines:
         yield "\n".join(lines) + "\n"
     if table:
-        template = ",".join(["%.17g"] * output.rows.shape[1])
-        for start in range(0, len(output.rows), _ROW_BLOCK):
-            block = output.rows[start : start + _ROW_BLOCK].tolist()
-            yield "\n".join([template % tuple(row) for row in block]) + "\n"
+        row = ",".join(["%.17g"] * rows.shape[1])
+        template = None
+        for block in blocks:  # only the last block can be short
+            if template is None or len(block) < _ROW_BLOCK:
+                template = "\n".join([row] * len(block)) + "\n"
+            yield template % tuple(block.ravel().tolist())
 
 
 def _run_method(method: str, config: dict) -> Trajectory:
@@ -204,6 +222,11 @@ def cmd_spectrum(config: dict) -> _Output:
     eps = np.linspace(
         section["epsilon_min"], section["epsilon_max"], section["n_points"]
     )
+    if not np.all(np.isfinite(eps)):
+        raise ConfigError(
+            "spectrum.epsilon_min and spectrum.epsilon_max span a grid that "
+            "overflows floating point"
+        )
     columns = ["epsilon"]
     data = [eps]
     meta: dict[str, Any] = {}
@@ -321,6 +344,11 @@ def cmd_fanodiag(config: dict) -> _Output:
         model.omega_C + section["half_width"],
         section["n_points"],
     )
+    if not np.all(np.isfinite(grid)):
+        raise ConfigError(
+            "model.omega_C +- fanodiag.half_width spans a grid that overflows "
+            "floating point"
+        )
     lam_sq, j_vals, diff, max_rel_error = _lambda_identity(model, grid, section["psi"])
     columns = ["omega", "twopi_lambda_sq", "twopi_J", "abs_diff"]
     rows = np.column_stack([grid, lam_sq, j_vals, diff])

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -656,12 +658,16 @@ class TestConfig:
          "--set", "model.omega_C=1e17", "--set", "solver.t_max=1"),
         ("evolve", "--set", "solver.method=discretized",
          "--set", "solver.window=1e308"),
+        ("spectrum", "--set", "spectrum.epsilon_min=-1e308",
+         "--set", "spectrum.epsilon_max=1e308"),
+        ("fanodiag", "--set", "fanodiag.half_width=1e308"),
     ])
     def test_overflowing_input_is_usage_error(self, tmp_path, capsys, argv):
         # squaring g_abs or |q| as a Python float used to end in an
         # OverflowError traceback; a comb whose frequencies repeat (at
         # omega_C = 1e17) or overflow (a window of 1e308) in a
-        # ZeroDivisionError or ValueError one
+        # ZeroDivisionError or ValueError one; a spectrum or fanodiag grid
+        # whose span overflows in nan rows and exit 2
         out = tmp_path / "out.csv"
         assert run(*argv, "--out", str(out)) == 1
         err = capsys.readouterr().err
@@ -796,3 +802,74 @@ class TestRendering:
         proc.stderr.close()
         assert proc.wait(timeout=60) == 0
         assert err == ""  # no traceback, no message
+
+    def test_closed_stdout_is_not_an_error_for_json(self):
+        # the default evolve document is written in row blocks, so a later
+        # block is written to a closed pipe
+        src = str(Path(fanomode.__file__).resolve().parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "fanomode.cli", "evolve", "--format", "json"],
+            env=dict(os.environ, PYTHONPATH=src),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.read(len(b'{"columns":')) == b'{"columns":'
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert err == ""
+
+    def test_reused_block_template_then_partial_block(self):
+        output = random_table(2 * cli._ROW_BLOCK + 1)
+        self.assert_renders_as_reference("spectrum", load_config(None, []), output)
+
+    @pytest.mark.parametrize("layout", ["one_column", "fortran", "column_strided"])
+    def test_table_layouts_byte_identical(self, layout):
+        rows = random_table(cli._ROW_BLOCK + 5).rows
+        rows = {
+            "one_column": rows[:, :1],
+            "fortran": np.asfortranarray(rows),
+            "column_strided": np.hstack([rows, -rows])[:, ::2],
+        }[layout]
+        output = cli._Output([f"c{i}" for i in range(rows.shape[1])], rows)
+        self.assert_renders_as_reference("spectrum", load_config(None, []), output)
+
+    def test_edge_values_inside_a_full_block_byte_identical(self):
+        rows = np.random.default_rng(3).standard_normal(
+            (cli._ROW_BLOCK + 1, len(EDGE_VALUES)))
+        rows[[0, 511, cli._ROW_BLOCK - 1]] = edge_table().rows
+        output = cli._Output([f"c{i}" for i in range(len(EDGE_VALUES))], rows)
+        self.assert_renders_as_reference("spectrum", load_config(None, []), output)
+
+    @pytest.mark.parametrize("command", ["evolve", "compare"])
+    def test_default_size_tables_byte_identical(self, command):
+        config = load_config(None, [])
+        output = cli._COMMANDS[command][0](config)
+        assert len(output.rows) > 2 * cli._ROW_BLOCK
+        self.assert_renders_as_reference(command, config, output)
+
+    @pytest.mark.parametrize("n_rows", [1, cli._ROW_BLOCK, 2 * cli._ROW_BLOCK + 1])
+    def test_json_rows_arrive_in_blocks(self, n_rows):
+        output = random_table(n_rows)
+        chunks = list(cli._render("spectrum", {}, output, "json", True))
+        row_chunks = chunks[1:-1]
+        assert len(row_chunks) == math.ceil(n_rows / cli._ROW_BLOCK)
+        assert [len(json.loads("[" + chunk.lstrip(",") + "]"))
+                for chunk in row_chunks] == [
+            min(cli._ROW_BLOCK, n_rows - start)
+            for start in range(0, n_rows, cli._ROW_BLOCK)
+        ]
+
+    def test_json_table_is_never_held_whole(self):
+        # 20 001 x 5 rows as one list and one string peaked near 10 MB;
+        # in row blocks the measured peak is ~0.9 MB
+        rows = np.random.default_rng(7).standard_normal((20_001, 5))
+        output = cli._Output([f"c{i}" for i in range(5)], rows, {"kind": "mem"})
+        tracemalloc.start()
+        try:
+            for _ in cli._render("evolve", {}, output, "json", True):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000

@@ -16,14 +16,15 @@ explicit reservoir modes) and are deterministic on a fixed time grid:
 * :func:`solve_qme`          -- full 3x3 master equation, each sample
   e^{tL} rho0 of its vectorized 9x9 Liouvillian L, sampled the same way.
 * :func:`solve_discretized`  -- Schroedinger evolution against an explicit
-  frequency comb sampling J(omega); the brute-force oracle.  The comb is
-  mapped exactly to a tridiagonal chain (Lanczos), cut at depth
-  min(N, ceil(0.6 W t_max) + 32) for a comb of half-width W, and
-  diagonalized: exact at every sample.  It evaluates only the atom's site
-  and the last one, whose weight must stay below 1e-16 up to t_max / 2 on
-  a cut chain (else RecurrenceError), by a two-level phase sum over the
-  samples.  The eigenvectors V are orthogonal (checked once per run), so
-  the reservoir population is |c1(0)|^2 ||V_0||^2 - |c1(t)|^2.
+  frequency comb sampling J(omega); the brute-force oracle.  The N comb
+  modes are mapped exactly to a tridiagonal chain (Lanczos, O(N M)), cut
+  at depth M = min(N, ceil(0.6 W t_max) + 32) for a comb of half-width W,
+  and diagonalized: exact at every sample.  It evaluates only the atom's
+  site and the last one, whose weight must stay below 1e-16 up to
+  t_max / 2 on a cut chain (else RecurrenceError), by a two-level phase
+  sum over the n_t samples (O(M sqrt(n_t)) exponentials).  The
+  eigenvectors V are orthogonal (checked once per run), so the reservoir
+  population is |c1(0)|^2 ||V_0||^2 - |c1(t)|^2.
 
 Amplitudes, QME and the oracle are exact at every sample, so for them h is
 only the sampling step.  Fast phases at omega_A are removed internally
@@ -722,31 +723,44 @@ def _comb_chain(
 
     The star-to-chain map of Chin, Rivas, Huelga & Plenio (J. Math. Phys. 51
     (2010) 092109): the Lanczos (discrete Stieltjes) recurrence on
-    diag(detunings) started from g / |g|, O(N) work per site and no
-    reorthogonalization.  Site 0 couples to site 1 by |g|.  At a breakdown
-    (|g| = 0, or a residual at roundoff of the chain's scale) the remaining
-    modes are decoupled and the shorter chain is exact.  Returns the
-    diagonal, the off-diagonal and whether the chain was cut short of it.
+    Omega = diag(detunings) started from g / |g|, O(N) work per site and no
+    reorthogonalization, so O(N M) for M sites.  Site 0 couples to site 1 by
+    |g|.  At a breakdown (|g| = 0, or a residual at roundoff of the chain's
+    scale) the remaining modes are decoupled and the shorter chain is
+    exact.  Returns the diagonal, the off-diagonal and whether the chain
+    was cut short of it.
+
+    Each site makes about 8 passes over the N modes: r = Omega q, the BLAS
+    dot alpha = q . r, r -= alpha q and r -= beta q_prev through one scratch
+    buffer, the BLAS dot beta^2 = r . r and r /= beta, all in place in
+    buffers that rotate with q_prev.  The BLAS dot fixes its order of
+    summation by the length (and, past 10 000 modes, by the BLAS thread
+    count), never by the address: unaligned vector loads, no peeling to an
+    aligned one.  So the chain does not depend on where numpy places the
+    buffers.
     """
     norm = math.sqrt(float(np.add.reduce(couplings * couplings)))
     if norm == 0.0:
         return np.zeros(1), np.zeros(0), False
     tiny = np.finfo(float).eps * max(norm, float(np.max(np.abs(detunings))))
     diag, off = [0.0], [norm]
-    q_prev, q = np.zeros_like(couplings), couplings / norm
+    q = couplings / norm
+    q_prev, r, scaled = np.zeros_like(q), np.empty_like(q), np.empty_like(q)
     beta = 0.0  # coupling of q to q_prev
     while True:
-        dq = detunings * q
-        alpha = float(np.add.reduce(q * dq))
+        np.multiply(detunings, q, out=r)
+        alpha = float(q @ r)
         diag.append(alpha)
         if len(off) == depth:
             return np.array(diag), np.array(off), depth < len(couplings)
-        residual = dq - alpha * q - beta * q_prev
-        beta = math.sqrt(float(np.add.reduce(residual * residual)))
+        r -= np.multiply(alpha, q, out=scaled)
+        r -= np.multiply(beta, q_prev, out=scaled)
+        beta = math.sqrt(float(r @ r))
         if beta <= tiny:
             return np.array(diag), np.array(off), False
         off.append(beta)
-        q_prev, q = q, residual / beta
+        r /= beta
+        q_prev, q, r = q, r, q_prev
 
 
 def _chain_residuals(
@@ -792,7 +806,8 @@ def solve_discretized(
 
     is one (2B x M) by (M x m) product for both sites: O(M sqrt(n_t))
     exponentials, O(M n_t) multiply-adds, so at a fixed comb it grows like
-    t_max^2 (eigh like t_max^3).  The Hamiltonian is real symmetric, so
+    t_max^2 (eigh like t_max^3, the chain's O(N M) like t_max).  The
+    Hamiltonian is real symmetric, so
     c1(t) = sum_s psi_s(t/2)^2: a cut chain is exact on [0, t_max] while
     its last site stays empty up to t_max / 2.  When it does not (weight
     above 1e-16), RecurrenceError names the depth and the weight.  Only the

@@ -41,6 +41,31 @@ def star_solution(res, omega_A: float, c1_0: complex, times: np.ndarray):
     return c1, abs(c1_0) ** 2 * np.sum(np.abs(state[:, 1:]) ** 2, axis=1)
 
 
+def comb_chain_direct(detunings: np.ndarray, couplings: np.ndarray, depth: int):
+    """Reference for ``dynamics._comb_chain``: the same Lanczos recurrence
+    with each inner product a pairwise ``np.add.reduce`` over a product
+    temporary and a fresh array per vector.  Returns (diag, off, cut)."""
+    norm = math.sqrt(float(np.add.reduce(couplings * couplings)))
+    if norm == 0.0:
+        return np.zeros(1), np.zeros(0), False
+    tiny = np.finfo(float).eps * max(norm, float(np.max(np.abs(detunings))))
+    diag, off = [0.0], [norm]
+    q_prev, q = np.zeros_like(couplings), couplings / norm
+    beta = 0.0  # coupling of q to q_prev
+    while True:
+        dq = detunings * q
+        alpha = float(np.add.reduce(q * dq))
+        diag.append(alpha)
+        if len(off) == depth:
+            return np.array(diag), np.array(off), depth < len(couplings)
+        residual = dq - alpha * q - beta * q_prev
+        beta = math.sqrt(float(np.add.reduce(residual * residual)))
+        if beta <= tiny:
+            return np.array(diag), np.array(off), False
+        off.append(beta)
+        q_prev, q = q, residual / beta
+
+
 def comb_direct(res, omega_A: float, c1_0: complex, times: np.ndarray, depth: int):
     """Reference for the comb's two-level phase sum: the chain of
     ``dynamics._comb_chain`` cut at ``depth`` sites and diagonalized, then

@@ -735,10 +735,18 @@ class TestRendering:
 
     @staticmethod
     def assert_renders_as_reference(command, config, output):
+        # On a mismatch, compare 80 characters around the first difference:
+        # pytest's diff of the whole MB-sized texts takes minutes.
         for fmt in ("csv", "json"):
             for header in (True, False):
                 text = "".join(cli._render(command, config, output, fmt, header))
-                assert text == render_reference(command, config, output, fmt, header)
+                want = render_reference(command, config, output, fmt, header)
+                if text != want:
+                    at = next((i for i, (a, b) in enumerate(zip(text, want))
+                               if a != b), min(len(text), len(want)))
+                    window = slice(max(at - 40, 0), at + 40)
+                    assert text[window] == want[window], (
+                        f"{fmt}, header={header}: first difference at offset {at}")
 
     @pytest.mark.parametrize("case", list(SMALL))
     def test_commands_byte_identical_to_per_value_format(self, case):

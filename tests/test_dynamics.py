@@ -17,6 +17,7 @@ import pytest
 from fanomode import dynamics
 from fanomode.dynamics import (
     DensityMatrix3,
+    DiscretizedReservoir,
     build_discretized,
     decay_rate,
     solve_amplitudes,
@@ -828,6 +829,34 @@ class TestDiscretizedReservoir:
         np.testing.assert_array_equal(
             first.reservoir_population, again.reservoir_population
         )
+
+    def test_bitwise_reproducible_at_any_alignment(self):
+        # the chain's inner products are BLAS dots, whose order of summation
+        # must follow the length alone, never the address of the operands
+        rng = np.random.default_rng(19)
+        for n in [*range(7, 40), 101, 1000, 4001, 8001]:
+            x, y = rng.standard_normal((2, n))
+            want = x @ y
+            for offset in range(1, 8):
+                x_buf, y_buf = np.empty(n + 8), np.empty(n + 8)
+                x_moved, y_moved = x_buf[offset:offset + n], y_buf[8 - offset:-offset]
+                x_moved[:], y_moved[:] = x, y
+                assert x_moved @ y_moved == want
+        res = build_discretized(pole_residue_from_model(PRESET), 40.0, 4001)
+        want = solve_discretized(res, 0.3, 0.9, 5.0, 1e-3)
+        for offset in range(1, 8):
+            moved = []
+            for values in (res.omegas, res.couplings):
+                buffer = np.empty(len(values) + 8)
+                moved.append(buffer[offset:offset + len(values)])
+                moved[-1][:] = values
+            got = solve_discretized(
+                DiscretizedReservoir(*moved, res.delta_omega), 0.3, 0.9, 5.0, 1e-3
+            )
+            assert got.c1.tobytes() == want.c1.tobytes()
+            assert (got.reservoir_population.tobytes()
+                    == want.reservoir_population.tobytes())
+            assert got.metadata == want.metadata
 
 
 class TestDecayRate:

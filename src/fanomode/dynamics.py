@@ -16,22 +16,23 @@ explicit reservoir modes) and are deterministic on a fixed time grid:
 * :func:`solve_qme`          -- full 3x3 master equation, each sample
   e^{tL} rho0 of its vectorized 9x9 Liouvillian L, sampled the same way.
 * :func:`solve_discretized`  -- Schroedinger evolution against an explicit
-  frequency comb sampling J(omega); the brute-force oracle.  The N comb
-  modes are mapped exactly to a tridiagonal chain (Lanczos, O(N M)), cut
-  at depth M = min(N, ceil(0.6 W t_max) + 32) for a comb of half-width W,
-  and diagonalized: exact at every sample.  It evaluates only the atom's
-  site and the last one, whose weight must stay below 1e-16 up to
-  t_max / 2 on a cut chain (else RecurrenceError), by a two-level phase
-  sum over the n_t samples (O(M sqrt(n_t)) exponentials).  The
-  eigenvectors V are orthogonal (checked once per run), so the reservoir
-  population is |c1(0)|^2 ||V_0||^2 - |c1(t)|^2.
+  frequency comb sampling J(omega); the brute-force oracle.  The atom's
+  amplitude is the Chebyshev series of e^{-iHt} on the atom + comb star
+  (Tal-Ezer & Kosloff), its K moments from K / 2 star products (O(N K)),
+  with K from the tail bound |J_k(x)| <= (x/2)^k / k! at x = a t_max, a
+  the half-width of the star's Weyl bound.  By Jacobi-Anger the series is
+  a sum over K + 3 real-weighted nodes, its weights from one FFT of the
+  moments, evaluated by a two-level phase sum over the n_t samples
+  (O(K sqrt(n_t)) exponentials): exact at every sample.  The state stays
+  normalized, so the reservoir population is |c1(0)|^2 - |c1(t)|^2; each
+  run checks its moments against [-1, 1] and psi_0(0) against 1.
 
 Amplitudes, QME and the oracle are exact at every sample, so for them h is
 only the sampling step.  Fast phases at omega_A are removed internally
 (rotating frame) and restored on output.  Each :class:`Trajectory` reports
 its own observables: the columns of its table and the invariants it breaks
 (norm identity, trace, positivity, jump-probability monotonicity, comb
-eigensystem), computed only when asked for.
+moments), computed only when asked for.
 """
 
 from __future__ import annotations
@@ -53,12 +54,12 @@ GROUND, ATOM_EXCITED, CAVITY_EXCITED = 0, 1, 2
 
 # Levels beyond integrator noise at which a run breaks an invariant: the
 # density matrix's minimum eigenvalue, a jump-probability increment, the
-# drift from 1 of a conserved sum (trace, norm), and the comb chain's
-# eigensystem error (measured <= 7e-15 up to 2912 sites).
+# drift from 1 of a conserved sum (trace, norm), and the comb's excess of a
+# Chebyshev moment over 1 in modulus or error of psi_0(0) = 1.
 _EIG_VIOLATION = -1e-9
 _INCREMENT_VIOLATION = -1e-11
 _DRIFT_VIOLATION = 1e-8
-_CHAIN_VIOLATION = 1e-12
+_MOMENT_VIOLATION = 1e-12
 
 
 def _drift(values: np.ndarray, what: str) -> list[str]:
@@ -153,9 +154,9 @@ class Trajectory:
         """The run's columns by name, ``t`` first, and the invariants it breaks:
         jump-probability monotonicity (qme, by rho_00, and amplitudes),
         positivity and trace (qme), the norm identity
-        |c0|^2 + |c1|^2 + |b1|^2 + Pi_j = 1 (amplitudes), norm conservation
-        and the chain eigensystem (discretized); Volterra has none.  NaN
-        fails every check.
+        |c0|^2 + |c1|^2 + |b1|^2 + Pi_j = 1 (amplitudes), norm conservation,
+        moments in [-1, 1] and psi_0(0) = 1 (discretized); Volterra has
+        none.  NaN fails every check.
         """
         columns: dict[str, np.ndarray] = {"t": self.times}
         violations: list[str] = []
@@ -188,13 +189,14 @@ class Trajectory:
             columns["reservoir_population"] = reservoir
             columns["norm_sum"] = abs(self.c0) ** 2 + columns["c1_abs2"] + reservoir
             violations += _drift(columns["norm_sum"], "norm conservation")
-            for key, what in (
-                ("orthogonality", "max |V^T V - I|"),
-                ("eigen_residual", "max |T V - V Lambda| / max |lambda|"),
-            ):
-                error = self.metadata[key]
-                if not error <= _CHAIN_VIOLATION:
-                    violations.append(f"chain eigensystem is inexact ({what} {error:.3e})")
+            excess = self.metadata["max_moment"] - 1.0
+            if not excess <= _MOMENT_VIOLATION:
+                violations.append(
+                    f"star moments leave [-1, 1] (max |mu_k| - 1 = {excess:.3e})"
+                )
+            error = self.metadata["start_error"]
+            if not error <= _MOMENT_VIOLATION:
+                violations.append(f"psi_0(0) misses 1 by {error:.3e}")
         return columns, violations
 
 
@@ -704,85 +706,110 @@ def build_discretized(
     )
 
 
-# Depth of the comb oracle's chain: by t_max / 2 its light cone spans about
-# W t_max / 2 sites (W = half the comb's width); the margin covers the
-# front's exponentially small tail.
-_CHAIN_LIGHT_CONE = 0.6
-_CHAIN_MARGIN = 32
-# Largest weight the last site of a cut chain may carry up to t_max / 2.
-_CHAIN_LEAK = 1e-16
-_CHECK_COLUMNS = 32
+# The Chebyshev series of e^{-iHt} is cut at the least even order K >= x
+# with (x/2)^K / K! <= _CHEB_TAIL, x = a t_max; then the terms past K, and
+# the aliases of the trapezoid sum on 2K + 4 nodes, add up to < 1e-16.
+_CHEB_TAIL = 1e-18
+# An atom far from the comb widens the Chebyshev interval, and K with it: a
+# run may need at most this many times the K of an atom inside the window.
+_CHEB_REACH = 8
+# Nodes per block of the phase sum: a block's two phase tables stay in
+# cache, and the sum's memory does not grow with K.
+_NODE_BLOCK = 256
+# (-i)^k, k mod 4, exactly.
+_MINUS_I_POWERS = np.array([1.0, -1j, -1.0, 1j])
 
 
-def _comb_chain(
-    detunings: np.ndarray, couplings: np.ndarray, depth: int
-) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Tridiagonal chain equivalent to the atom (site 0, detuning 0) coupled
-    to modes at ``detunings`` with real ``couplings``, cut after ``depth``
-    reservoir sites.
+def _chebyshev_order(x: float) -> int:
+    """Least even K >= x with (x/2)^K / K! <= _CHEB_TAIL.
 
-    The star-to-chain map of Chin, Rivas, Huelga & Plenio (J. Math. Phys. 51
-    (2010) 092109): the Lanczos (discrete Stieltjes) recurrence on
-    Omega = diag(detunings) started from g / |g|, O(N) work per site and no
-    reorthogonalization, so O(N M) for M sites.  Site 0 couples to site 1 by
-    |g|.  At a breakdown (|g| = 0, or a residual at roundoff of the chain's
-    scale) the remaining modes are decoupled and the shorter chain is
-    exact.  Returns the diagonal, the off-diagonal and whether the chain
-    was cut short of it.
-
-    Each site makes about 8 passes over the N modes: r = Omega q, the BLAS
-    dot alpha = q . r, r -= alpha q and r -= beta q_prev through one scratch
-    buffer, the BLAS dot beta^2 = r . r and r /= beta, all in place in
-    buffers that rotate with q_prev.  The BLAS dot fixes its order of
-    summation by the length (and, past 10 000 modes, by the BLAS thread
-    count), never by the address: unaligned vector loads, no peeling to an
-    aligned one.  So the chain does not depend on where numpy places the
-    buffers.
+    (x/2)^k / k! bounds |J_k(x)| and falls for k >= x/2, by more than half
+    per step once k >= x; past e x it is below 2^-k, so K <= max(e x, 64)
+    and a bisection on the log of the bound finds it in O(log x) steps.
+    An x that underflows to 0 needs mu_0 alone; K is at least 2.
     """
-    norm = math.sqrt(float(np.add.reduce(couplings * couplings)))
-    if norm == 0.0:
-        return np.zeros(1), np.zeros(0), False
-    tiny = np.finfo(float).eps * max(norm, float(np.max(np.abs(detunings))))
-    diag, off = [0.0], [norm]
-    q = couplings / norm
-    q_prev, r, scaled = np.zeros_like(q), np.empty_like(q), np.empty_like(q)
-    beta = 0.0  # coupling of q to q_prev
-    while True:
-        np.multiply(detunings, q, out=r)
-        alpha = float(q @ r)
-        diag.append(alpha)
-        if len(off) == depth:
-            return np.array(diag), np.array(off), depth < len(couplings)
-        r -= np.multiply(alpha, q, out=scaled)
-        r -= np.multiply(beta, q_prev, out=scaled)
-        beta = math.sqrt(float(r @ r))
-        if beta <= tiny:
-            return np.array(diag), np.array(off), False
-        off.append(beta)
-        r /= beta
-        q_prev, q, r = q, r, q_prev
+    log_half = math.log(0.5 * x) if x > 0.0 else -math.inf
+    log_tail = math.log(_CHEB_TAIL)
+
+    def above(k):
+        return k * log_half - math.lgamma(k + 1.0) > log_tail
+
+    low, high = max(math.ceil(x), 1), max(math.ceil(math.e * x), 64)
+    if not above(low):
+        high = low
+    while high - low > 1:  # above(low) and not above(high)
+        mid = (low + high) // 2
+        low, high = (mid, high) if above(mid) else (low, mid)
+    return high + high % 2
 
 
-def _chain_residuals(
-    diag: np.ndarray, off: np.ndarray, lam: np.ndarray, vecs: np.ndarray
-) -> tuple[float, float]:
-    """max |V^T V - I| and max |T V - V Lambda| / max |lambda| of the chain
-    T = tridiag(off, diag, off), 32 columns of V at a time: M x M
-    temporaries raised the comb's peak memory."""
-    orthogonality = residual = 0.0
-    for start in range(0, len(lam), _CHECK_COLUMNS):
-        cols = slice(start, start + _CHECK_COLUMNS)
-        v = vecs[:, cols]
-        gram = v.T @ vecs
-        gram[:, cols] -= np.eye(v.shape[1])
-        tv = (diag[:, None] - lam[cols]) * v
-        tv[1:] += off[:, None] * v[:-1]
-        tv[:-1] += off[:, None] * v[1:]
-        # np.maximum, unlike max, keeps a NaN.
-        orthogonality = np.maximum(orthogonality, np.max(np.abs(gram)))
-        residual = np.maximum(residual, np.max(np.abs(tv)))
-    scale = np.max(np.abs(lam), initial=np.finfo(float).tiny)
-    return float(orthogonality), float(residual / scale)
+def _star_moments(
+    detunings: np.ndarray, couplings: np.ndarray, centre: float,
+    half_width: float, order: int,
+) -> np.ndarray:
+    """Chebyshev moments mu_k = <0|T_k(H')|0>, k = 0..``order`` (even), of the
+    atom (site 0, detuning 0) coupled to modes at ``detunings`` with real
+    ``couplings``, H' = (H - centre) / half_width.
+
+    The vectors v_k = T_k(H') |0> follow v_{k+1} = 2 H' v_k - v_{k-1}, and
+    each pair of moments comes from one of them (Weisse, Wellein, Alvermann
+    & Fehske, Rev. Mod. Phys. 78 (2006) 275): mu_2k = 2 <v_k, v_k> - 1 and
+    mu_2k+1 = 2 <v_k+1, v_k> - mu_1, so order / 2 star products give all.
+    The vectors are real.  Each product makes 4 passes over the N modes in
+    place, in buffers that rotate, and the three inner products are BLAS
+    dots, whose order of summation follows the length (and, past 10 000
+    modes, the BLAS thread count), never the address of the buffers.
+    """
+    scale = 2.0 / half_width
+    diag = (detunings - centre) * scale
+    links = couplings * scale
+    mu = np.empty(order + 1)
+    # v_0 = |0>, v_1 = H' |0>: the atom's entry first, then the modes'.
+    prev0, prev = 1.0, np.zeros_like(diag)
+    v0, v = -centre / half_width, 0.5 * links
+    mu[0], mu[1] = 1.0, v0
+    scratch = np.empty_like(diag)
+    for k in range(1, order // 2 + 1):
+        mu[2 * k] = 2.0 * (v0 * v0 + float(v @ v)) - 1.0
+        if k == order // 2:
+            break
+        # v_{k+1} into the buffer of v_{k-1}
+        new0 = -centre * scale * v0 + float(links @ v) - prev0
+        np.multiply(diag, v, out=scratch)
+        np.subtract(scratch, prev, out=prev)
+        prev += np.multiply(links, v0, out=scratch)
+        mu[2 * k + 1] = 2.0 * (new0 * v0 + float(prev @ v)) - mu[1]
+        prev0, v0, prev, v = v0, new0, v, prev
+    return mu
+
+
+def _chebyshev_nodes(
+    mu: np.ndarray, centre: float, half_width: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes lambda_n and real weights w_n with
+    psi_0(t) = sum_n w_n e^{-i lambda_n t} for |t| half_width <= x, x the
+    argument of :func:`_chebyshev_order`.
+
+    By Jacobi-Anger, J_k(z) is the mean of e^{i(z sin theta - k theta)} over
+    the circle, so the Chebyshev series of psi_0(t) (Tal-Ezer & Kosloff, J.
+    Chem. Phys. 81 (1984) 3967) is a mean of
+    e^{-i(centre - half_width sin theta) t} against the weight
+    sum_k (2 - delta_k0) (-i)^k mu_k e^{-ik theta}.  Its
+    trapezoid sum on L = 2K + 4 angles theta_n = 2 pi n / L is one FFT; it
+    errs only by the Bessel terms of order >= L - K > K.  The angles theta
+    and pi - theta share their node, so n runs over -L/4..L/4 and each pair
+    is folded into one real weight (the imaginary parts cancel).
+    """
+    order = len(mu) - 1
+    size = 2 * order + 4
+    series = mu * _MINUS_I_POWERS[np.arange(order + 1) % 4]
+    series[1:] *= 2.0
+    spectrum = np.fft.fft(series, size)
+    angles = np.arange(-size // 4, size // 4 + 1)
+    weights = spectrum[angles]
+    weights[1:-1] += spectrum[size // 2 - angles[1:-1]]
+    nodes = centre - half_width * np.sin((TWO_PI / size) * angles)
+    return nodes, weights.real / size
 
 
 def solve_discretized(
@@ -793,33 +820,42 @@ def solve_discretized(
         dc1/dt = -i omega_A c1 - i sum_k g_k c_k,
         dc_k/dt = -i omega_k c_k - i g_k c1,
 
-    by exact diagonalization.  In the omega_A rotating frame the comb is
-    mapped to a real tridiagonal chain (see :func:`_comb_chain`) of depth
-    M = min(N, ceil(0.6 W t_max) + 32) with W half the comb's width.  Of
-    the chain state, with V, lambda from ``np.linalg.eigh`` of the chain,
-    only two sites psi_s(t) = sum_k V_sk V_0k e^{-i lambda_k t} are
-    evaluated: the atom's, c1(t) = c1(0) psi_0(t) e^{-i omega_A t} at every
-    sample, so ``h`` is only the sampling step; and the last.  With the
-    sample index j = b m + r, m = ceil(sqrt(n_t)),
+    from the Chebyshev moments of the star.  In the omega_A rotating frame
+    the atom's amplitude is c1(t) = c1(0) psi_0(t) e^{-i omega_A t} with
+    psi_0(t) = <0|e^{-iHt}|0>, H the real symmetric star of the atom and
+    the modes at detunings Omega_k = omega_k - omega_A.  Its spectrum lies
+    in the Weyl bound [b - a, b + a] = [min(0, Omega) - |g|, max(0, Omega) + |g|],
+    so with H' = (H - b) / a
 
-        psi_s(j h) = sum_k [V_sk V_0k e^{-i lambda_k b m h}] e^{-i lambda_k r h}
+        psi_0(t) = e^{-ibt} sum_k (2 - delta_k0) (-i)^k J_k(at) mu_k,
 
-    is one (2B x M) by (M x m) product for both sites: O(M sqrt(n_t))
-    exponentials, O(M n_t) multiply-adds, so at a fixed comb it grows like
-    t_max^2 (eigh like t_max^3, the chain's O(N M) like t_max).  The
-    Hamiltonian is real symmetric, so
-    c1(t) = sum_s psi_s(t/2)^2: a cut chain is exact on [0, t_max] while
-    its last site stays empty up to t_max / 2.  When it does not (weight
-    above 1e-16), RecurrenceError names the depth and the weight.  Only the
-    comb's samples of J enter, never the pole form or the kernel.
+    mu_k = <0|T_k(H')|0>, exact to double precision when cut at the K of
+    :func:`_chebyshev_order` for x = a t_max (:func:`_star_moments`, O(N K)).
+    By Jacobi-Anger the sum is sum_n w_n e^{-i lambda_n t} over K + 3
+    nodes lambda_n = b - a sin theta_n (:func:`_chebyshev_nodes`, one FFT),
+    evaluated at every sample, so ``h`` is only the sampling step.  With
+    the sample index j = b' m + r, m = ceil(sqrt(n_t)),
 
-    Refuses t_max past half the comb's recurrence time, where the finite
-    comb stops mimicking the continuum.  V is orthogonal, so the reservoir
-    population |c1(0)|^2 sum_{s>=1} |psi_s(t)|^2 is
-    |c1(0)|^2 (||V_0||^2 - |psi_0(t)|^2) in ``reservoir_population``, and
-    the norm check of :meth:`Trajectory.observables` tests ||V_0||^2 = 1.
-    ``metadata`` holds the chain depth and, for the same check, V's
-    ``orthogonality`` and ``eigen_residual`` (see :func:`_chain_residuals`).
+        psi_0(j h) = sum_n [w_n e^{-i lambda_n b' m h}] e^{-i lambda_n r h}
+
+    is a (B x nodes) by (nodes x m) product, taken 256 nodes at a time:
+    O(K sqrt(n_t)) exponentials, O(K n_t) multiply-adds.  At a fixed comb
+    K grows like t_max, so the moments grow like t_max and the sum like
+    t_max^2.  Only the comb's samples of J enter, never the pole form or
+    the kernel.  A comb with |g| = 0 leaves the atom in its free rotation,
+    psi_0 = 1.
+
+    An atom far from the comb widens [b - a, b + a], and K with it: a run
+    that needs more than 8 times the K of an atom inside the window
+    (a = W + |g|, W half the comb's width) raises RecurrenceError before
+    any moment is computed, as does t_max past half the comb's recurrence
+    time, where the finite comb stops mimicking the continuum.
+
+    The state is normalized, so the reservoir population is
+    |c1(0)|^2 (1 - |psi_0(t)|^2).  The moments are those of a probability
+    measure on [-1, 1]: ``metadata`` holds ``max_moment`` = max_k |mu_k|
+    and ``start_error`` = |psi_0(0) - 1|, which
+    :meth:`Trajectory.observables` judges, and the order K.
     """
     if t_max >= 0.5 * res.recurrence_time:
         raise RecurrenceError(
@@ -829,45 +865,55 @@ def solve_discretized(
     times = _time_grid(t_max, h)
     c0 = _c0_from_c1(c1_0)
 
-    half_width = 0.5 * float(res.omegas[-1] - res.omegas[0])
-    depth = min(
-        res.n_modes, math.ceil(_CHAIN_LIGHT_CONE * half_width * t_max) + _CHAIN_MARGIN
-    )
-    diag, off, cut = _comb_chain(res.omegas - omega_A, res.couplings, depth)
-    chain = np.diag(diag)
-    sites = np.arange(len(off))
-    chain[sites, sites + 1] = chain[sites + 1, sites] = off
-    lam, vecs = np.linalg.eigh(chain)
-    orthogonality, eigen_residual = _chain_residuals(diag, off, lam, vecs)
+    detunings = res.omegas - omega_A
+    norm = math.sqrt(float(res.couplings @ res.couplings))
+    if norm == 0.0:
+        order, psi = 0, np.ones(len(times), dtype=complex)
+        max_moment, start_error = 1.0, 0.0  # mu_0 = 1 alone
+    else:
+        low = min(0.0, float(np.min(detunings))) - norm
+        high = max(0.0, float(np.max(detunings))) + norm
+        centre, half_width = 0.5 * (low + high), 0.5 * (high - low)
+        window = 0.5 * float(np.max(res.omegas) - np.min(res.omegas))
+        order = _chebyshev_order(half_width * t_max)
+        inside = _chebyshev_order((window + norm) * t_max)
+        if order > _CHEB_REACH * inside:
+            raise RecurrenceError(
+                f"the atom lies too far from the comb: {order} Chebyshev "
+                f"moments needed, more than {_CHEB_REACH} times the {inside} "
+                "of an atom inside the window"
+            )
+        if not 32 * order <= sys.maxsize:  # no array has that many samples
+            raise ParameterError(f"too many Chebyshev moments: {order:.3g}")
+        mu = _star_moments(detunings, res.couplings, centre, half_width, order)
+        nodes, weights = _chebyshev_nodes(mu, centre, half_width)
 
-    # Row s B + b, column r of the product is psi_s((b m + r) h).
-    n_t = len(times)
-    m = math.isqrt(n_t - 1) + 1
-    rotation = -1j * lam
-    starts = np.exp(np.outer(times[::m], rotation))
-    offsets = np.exp(np.outer(rotation, times[:m]))
-    weights = vecs[[0, -1]] * vecs[0]
-    psi = (weights[:, None, :] * starts).reshape(-1, len(lam)) @ offsets
-    psi = psi.reshape(2, -1)[:, :n_t]
-    leak = float(np.max(np.abs(psi[1, times <= 0.5 * t_max]) ** 2))
-    if cut and leak > _CHAIN_LEAK:
-        raise RecurrenceError(
-            f"comb chain of depth {depth} too shallow: its last site holds "
-            f"weight {leak:.3g} > {_CHAIN_LEAK:g} before t_max / 2"
-        )
-    reservoir_pop = vecs[0] @ vecs[0] - np.abs(psi[0]) ** 2
+        # Row b', column r of the product is psi_0((b' m + r) h), summed
+        # over the nodes _NODE_BLOCK at a time.
+        n_t = len(times)
+        m = math.isqrt(n_t - 1) + 1
+        coarse = times[::m]
+        psi = np.zeros((len(coarse), m), dtype=complex)
+        for block in range(0, len(nodes), _NODE_BLOCK):
+            rotation = -1j * nodes[block : block + _NODE_BLOCK]
+            starts = np.exp(np.outer(coarse, rotation))
+            starts *= weights[block : block + _NODE_BLOCK]
+            psi += starts @ np.exp(np.outer(rotation, times[:m]))
+        psi = psi.reshape(-1)[:n_t]
+        max_moment = float(np.max(np.abs(mu)))
+        start_error = float(abs(psi[0] - 1.0))
 
     return Trajectory(
         times=times,
         method="discretized",
         c0=complex(c0),
-        c1=c1_0 * psi[0] * np.exp(-1j * omega_A * times),
-        reservoir_population=abs(c1_0) ** 2 * reservoir_pop,
+        c1=c1_0 * psi * np.exp(-1j * omega_A * times),
+        reservoir_population=abs(c1_0) ** 2 * (1.0 - np.abs(psi) ** 2),
         metadata={
             "n_modes": res.n_modes, "delta_omega": res.delta_omega,
             "omega_A": omega_A, "c1_0": complex(c1_0), "t_max": t_max, "h": h,
-            "chain_depth": len(off), "orthogonality": orthogonality,
-            "eigen_residual": eigen_residual,
+            "chebyshev_order": order, "max_moment": max_moment,
+            "start_error": start_error,
         },
     )
 

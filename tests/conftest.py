@@ -41,43 +41,35 @@ def star_solution(res, omega_A: float, c1_0: complex, times: np.ndarray):
     return c1, abs(c1_0) ** 2 * np.sum(np.abs(state[:, 1:]) ** 2, axis=1)
 
 
-def comb_chain_direct(detunings: np.ndarray, couplings: np.ndarray, depth: int):
-    """Reference for ``dynamics._comb_chain``: the same Lanczos recurrence
-    with each inner product a pairwise ``np.add.reduce`` over a product
-    temporary and a fresh array per vector.  Returns (diag, off, cut)."""
-    norm = math.sqrt(float(np.add.reduce(couplings * couplings)))
-    if norm == 0.0:
-        return np.zeros(1), np.zeros(0), False
-    tiny = np.finfo(float).eps * max(norm, float(np.max(np.abs(detunings))))
-    diag, off = [0.0], [norm]
-    q_prev, q = np.zeros_like(couplings), couplings / norm
-    beta = 0.0  # coupling of q to q_prev
-    while True:
-        dq = detunings * q
-        alpha = float(np.add.reduce(q * dq))
-        diag.append(alpha)
-        if len(off) == depth:
-            return np.array(diag), np.array(off), depth < len(couplings)
-        residual = dq - alpha * q - beta * q_prev
-        beta = math.sqrt(float(np.add.reduce(residual * residual)))
-        if beta <= tiny:
-            return np.array(diag), np.array(off), False
-        off.append(beta)
-        q_prev, q = q, residual / beta
-
-
-def comb_direct(res, omega_A: float, c1_0: complex, times: np.ndarray, depth: int):
-    """Reference for the comb's two-level phase sum: the chain of
-    ``dynamics._comb_chain`` cut at ``depth`` sites and diagonalized, then
-    psi_0(t) = sum_k V_0k^2 e^{-i lambda_k t} as one dense row of phases per
-    sample.  Returns c1(t)."""
-    diag, off, _ = dynamics._comb_chain(res.omegas - omega_A, res.couplings, depth)
-    chain = np.diag(diag)
-    sites = np.arange(len(off))
-    chain[sites, sites + 1] = chain[sites + 1, sites] = off
-    lam, vecs = np.linalg.eigh(chain)
-    rotation, weights = -1j * lam, vecs[0] * vecs[0]
-    psi = np.array([np.exp(t * rotation) @ weights for t in times])
+def comb_direct(res, omega_A: float, c1_0: complex, times: np.ndarray, order: int):
+    """Reference for the comb's Jacobi-Anger sum: from the solver's own
+    Chebyshev moments mu_0..mu_order, the folded weight of each angle
+    theta_n = 2 pi n / L, n = -L/4..L/4, L = 2K + 4, as its own dense sum
+    over k of the real terms mu_k (2 - delta_k0) (-1)^(k/2) 2 cos(k theta)
+    (k even) and mu_k 2 (-1)^((k+1)/2) 2 sin(k theta) (k odd) (halved at
+    theta = +-pi/2, which has no partner pi - theta), with no FFT; then
+    psi_0(t) = sum_n w_n e^{-i lambda_n t} as one dense row of node phases
+    per sample.  Returns c1(t)."""
+    detunings = res.omegas - omega_A
+    norm = math.sqrt(float(res.couplings @ res.couplings))
+    low = min(0.0, float(np.min(detunings))) - norm
+    high = max(0.0, float(np.max(detunings))) + norm
+    centre, half_width = 0.5 * (low + high), 0.5 * (high - low)
+    mu = dynamics._star_moments(detunings, res.couplings, centre, half_width, order)
+    size = 2 * order + 4
+    k = np.arange(order + 1)
+    n = np.arange(-size // 4, size // 4 + 1)
+    theta = 2.0 * math.pi * n / size
+    # e^{-ik theta} + e^{-ik (pi - theta)} times (-i)^k; k theta is reduced
+    # modulo 2 pi in integers, so each angle is exact to an ulp
+    k_theta = (2.0 * math.pi / size) * (np.outer(n, k) % size)
+    terms = np.where(k % 2 == 0, np.cos(k_theta), np.sin(k_theta))
+    terms *= 2.0 * (-1.0) ** ((k + 1) // 2)
+    terms[[0, -1]] *= 0.5
+    series = (2.0 - (k == 0)) * mu
+    weights = terms @ series / size
+    nodes = centre - half_width * np.sin(theta)
+    psi = np.array([np.exp(-1j * t * nodes) @ weights for t in times])
     return c1_0 * psi * np.exp(-1j * omega_A * times)
 
 

@@ -661,6 +661,10 @@ class TestConfig:
         ("spectrum", "--set", "spectrum.epsilon_min=-1e308",
          "--set", "spectrum.epsilon_max=1e308"),
         ("fanodiag", "--set", "fanodiag.half_width=1e308"),
+        # couplings so strong that the comb's Chebyshev series would need
+        # more moments than any array holds
+        ("evolve", "--set", "model.g_abs=1e100", "--set", "solver.t_max=1",
+         "--set", "solver.method=discretized"),
     ])
     def test_overflowing_input_is_usage_error(self, tmp_path, capsys, argv):
         # squaring g_abs or |q| as a Python float used to end in an

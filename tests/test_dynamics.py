@@ -714,8 +714,8 @@ class TestDiscretizedReservoir:
         assert np.max(np.abs(np.abs(traj.c1) - expected)) < 5e-3
 
     def test_norm_conservation(self):
-        # the reservoir population is |c1(0)|^2 ||V_0||^2 - |c1|^2, so the
-        # norm sum checks the norm of row 0 of the chain's eigenvectors V
+        # the reservoir population is |c1(0)|^2 (1 - |psi_0|^2): the norm
+        # sum checks that c1 and the population come from one psi_0
         spec = pole_residue_from_model(PRESET)
         res = build_discretized(spec, 40.0, 2001)
         traj = solve_discretized(res, 0.0, 1.0, 5.0, 5e-4)
@@ -766,20 +766,19 @@ class TestDiscretizedReservoir:
         model = random_lindblad_model(rng, resonant=resonant)
         res = build_discretized(pole_residue_from_model(model), 40.0, 801)
         traj = solve_discretized(res, model.omega_A, 0.8, 4.0, 1e-3)
-        assert traj.metadata["chain_depth"] < res.n_modes  # a cut chain
         c1, reservoir = comb_reference_rk4(res, model.omega_A, 0.8, 4.0, 1e-3)
         assert np.max(np.abs(traj.c1 - c1)) <= 1e-9
         assert np.max(np.abs(traj.reservoir_population - reservoir)) <= 1e-9
 
     @pytest.mark.parametrize(
-        "n_modes, t_max, full_depth", [(801, 4.0, False), (201, 7.5, True)]
+        "n_modes, t_max, near_recurrence", [(801, 4.0, False), (201, 7.5, True)]
     )
-    def test_matches_dense_star(self, rng, n_modes, t_max, full_depth):
+    def test_matches_dense_star(self, rng, n_modes, t_max, near_recurrence):
         model = random_lindblad_model(rng, resonant=False)
         res = build_discretized(pole_residue_from_model(model), 40.0, n_modes)
+        assert (t_max > 0.45 * res.recurrence_time) == near_recurrence
         c1_0 = 0.6 - 0.3j
         traj = solve_discretized(res, model.omega_A, c1_0, t_max, 1e-2)
-        assert (traj.metadata["chain_depth"] == n_modes) == full_depth
         c1, reservoir = star_solution(res, model.omega_A, c1_0, traj.times)
         assert np.max(np.abs(traj.c1 - c1)) <= 1e-12
         assert np.max(np.abs(traj.reservoir_population - reservoir)) <= 1e-12
@@ -792,15 +791,16 @@ class TestDiscretizedReservoir:
          (5.0, 1e-3, 5001), (5.0, 0.1, 51)],
     )
     def test_two_level_sum_matches_direct_sum(self, t_max, h, n_t):
-        # both round each phase at eps |lambda| t; measured at most 7.5e-16
-        # here, and 8.7e-16 over omega_A in {-1.3, 0, 0.4, 2}
+        # the weights from one FFT against their direct sums, and each
+        # phase rounded at eps |lambda| t; measured at most 2.2e-15 here,
+        # and 1.4e-15 over omega_A in {-1.3, 0, 2}
         model = FanoModel(gamma=0.25, kappa=1.0, g_abs=0.5, eta=1.0, omega_A=0.4)
         res = build_discretized(pole_residue_from_model(model), 40.0, 2001)
         c1_0 = 0.6 - 0.3j
         traj = solve_discretized(res, model.omega_A, c1_0, t_max, h)
         assert len(traj.times) == n_t
         c1 = comb_direct(res, model.omega_A, c1_0, traj.times,
-                         traj.metadata["chain_depth"])
+                         traj.metadata["chebyshev_order"])
         assert np.max(np.abs(traj.c1 - c1)) <= 3e-15
 
     def test_zero_coupling_is_free_rotation(self):
@@ -811,15 +811,51 @@ class TestDiscretizedReservoir:
             traj.c1, (0.6 + 0.3j) * np.exp(-0.7j * traj.times), rtol=1e-15
         )
         assert np.all(traj.reservoir_population == 0.0)
-        assert traj.metadata["chain_depth"] == 0
 
-    def test_shallow_chain_raises(self, monkeypatch):
+    @pytest.mark.parametrize("side", [-1.0, 1.0])
+    def test_atom_at_window_edge_matches_dense_star(self, side):
+        # |omega_A - Re z1| = W: the widest Chebyshev interval of an atom
+        # inside the window
         spec = pole_residue_from_model(PRESET)
-        res = build_discretized(spec, 40.0, 2001)
-        monkeypatch.setattr(dynamics, "_CHAIN_LIGHT_CONE", 0.3)
-        monkeypatch.setattr(dynamics, "_CHAIN_MARGIN", 0)
-        with pytest.raises(RecurrenceError, match="depth 60 too shallow"):
-            solve_discretized(res, 0.0, 1.0, 5.0, 1e-3)
+        res = build_discretized(spec, 40.0, 801)
+        omega_A = spec.z1.real + side * 40.0
+        traj = solve_discretized(res, omega_A, 0.6 - 0.3j, 4.0, 1e-2)
+        c1, reservoir = star_solution(res, omega_A, 0.6 - 0.3j, traj.times)
+        assert np.max(np.abs(traj.c1 - c1)) <= 1e-12
+        assert np.max(np.abs(traj.reservoir_population - reservoir)) <= 1e-12
+
+    def test_far_detuned_atom_is_exact_at_a_higher_order(self):
+        # 500 from the comb's centre the interval is ~6.5 times as wide as
+        # inside the window, and K grows with it, within the 8x bound
+        spec = pole_residue_from_model(PRESET)
+        res = build_discretized(spec, 40.0, 801)
+        inside = solve_discretized(res, 5.0, 1.0, 4.0, 1e-2)
+        traj = solve_discretized(res, 500.0, 1.0, 4.0, 1e-2)
+        ratio = traj.metadata["chebyshev_order"] / inside.metadata["chebyshev_order"]
+        assert 4.0 < ratio <= dynamics._CHEB_REACH
+        c1, reservoir = star_solution(res, 500.0, 1.0, traj.times)
+        assert np.max(np.abs(traj.c1 - c1)) <= 1e-12
+        assert np.max(np.abs(traj.reservoir_population - reservoir)) <= 1e-12
+
+    def test_far_detuned_atom_is_refused_before_any_moment(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("moments computed")
+
+        monkeypatch.setattr(dynamics, "_star_moments", refuse)
+        res = build_discretized(pole_residue_from_model(PRESET), 40.0, 801)
+        with pytest.raises(RecurrenceError, match="too far from the comb"):
+            solve_discretized(res, 5000.0, 1.0, 4.0, 1e-2)
+
+    def test_high_order_matches_dense_star(self):
+        # t_max = 30 is just inside half the recurrence time 31.4 of this
+        # comb; the series runs to K ~ 1700 moments
+        model = FanoModel(gamma=0.25, kappa=1.0, g_abs=0.5, eta=1.0, omega_A=0.4)
+        res = build_discretized(pole_residue_from_model(model), 40.0, 801)
+        traj = solve_discretized(res, model.omega_A, 0.6 - 0.3j, 30.0, 1e-2)
+        assert traj.metadata["chebyshev_order"] > 1500
+        c1, reservoir = star_solution(res, model.omega_A, 0.6 - 0.3j, traj.times)
+        assert np.max(np.abs(traj.c1 - c1)) <= 1e-12
+        assert np.max(np.abs(traj.reservoir_population - reservoir)) <= 1e-12
 
     def test_bitwise_reproducible(self):
         res = build_discretized(pole_residue_from_model(PRESET), 40.0, 2001)
@@ -831,7 +867,7 @@ class TestDiscretizedReservoir:
         )
 
     def test_bitwise_reproducible_at_any_alignment(self):
-        # the chain's inner products are BLAS dots, whose order of summation
+        # the moments' inner products are BLAS dots, whose order of summation
         # must follow the length alone, never the address of the operands
         rng = np.random.default_rng(19)
         for n in [*range(7, 40), 101, 1000, 4001, 8001]:
@@ -1028,34 +1064,32 @@ class TestObservables:
         assert traj.observables()[1] == expected
 
     @pytest.mark.parametrize(
-        "corrupt, expected",
+        "stage, corrupt, expected",
         [
-            (lambda lam, vecs: vecs.__imul__(1.0 + 1e-9),
-             ["chain eigensystem is inexact (max |V^T V - I| 2.000e-09)"]),
-            # each lambda_k moved by 1e-6 max |lambda|: the residual is that
-            # times the largest entry of V, 0.725
-            (lambda lam, vecs: lam.__iadd__(1e-6 * np.max(np.abs(lam))),
-             ["chain eigensystem is inexact "
-              "(max |T V - V Lambda| / max |lambda| 7.248e-07)"]),
-            (lambda lam, vecs: vecs.__setitem__((0, 0), np.nan),
+            ("_star_moments", lambda mu: mu.__setitem__(7, 1.0 + 1e-9),
+             ["star moments leave [-1, 1] (max |mu_k| - 1 = 1.000e-09)"]),
+            # every weight 1e-9 too large: psi_0(0) = sum_n w_n misses 1
+            ("_chebyshev_nodes",
+             lambda nodes_weights: nodes_weights[1].__imul__(1.0 + 1e-9),
+             ["psi_0(0) misses 1 by 1.000e-09"]),
+            ("_star_moments", lambda mu: mu.__setitem__(7, np.nan),
              ["norm conservation drifts by nan",
-              "chain eigensystem is inexact (max |V^T V - I| nan)",
-              "chain eigensystem is inexact "
-              "(max |T V - V Lambda| / max |lambda| nan)"]),
+              "star moments leave [-1, 1] (max |mu_k| - 1 = nan)",
+              "psi_0(0) misses 1 by nan"]),
         ],
-        ids=["non_orthogonal", "wrong_eigenvalues", "nan"],
+        ids=["moment_above_one", "wrong_weights", "nan"],
     )
-    def test_inexact_chain_eigensystem_is_a_violation(
-        self, monkeypatch, corrupt, expected
+    def test_corrupted_moments_are_a_violation(
+        self, monkeypatch, stage, corrupt, expected
     ):
-        eigh = np.linalg.eigh
+        compute = getattr(dynamics, stage)
 
-        def corrupted_eigh(matrix):
-            lam, vecs = eigh(matrix)
-            corrupt(lam, vecs)
-            return lam, vecs
+        def corrupted(*args):
+            result = compute(*args)
+            corrupt(result)
+            return result
 
-        monkeypatch.setattr(np.linalg, "eigh", corrupted_eigh)
+        monkeypatch.setattr(dynamics, stage, corrupted)
         assert run_method("discretized", PRESET, 1.0, 1e-3).observables()[1] == expected
 
 

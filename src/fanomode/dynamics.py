@@ -20,12 +20,17 @@ explicit reservoir modes) and are deterministic on a fixed time grid:
   amplitude is the Chebyshev series of e^{-iHt} on the atom + comb star
   (Tal-Ezer & Kosloff), its K moments from K / 2 star products (O(N K)),
   with K from the tail bound |J_k(x)| <= (x/2)^k / k! at x = a t_max, a
-  the half-width of the star's Weyl bound.  By Jacobi-Anger the series is
-  a sum over K + 3 real-weighted nodes, its weights from one FFT of the
-  moments, evaluated by a two-level phase sum over the n_t samples
+  the half-width of an interval reaching at most the comb's half-width W
+  beyond the comb.  An outer eigenvalue of the star further out (a
+  polariton of a strong coupling, an atom far from the comb) is split off
+  and summed in closed form, so K < ~pi N whatever the coupling.  By
+  Jacobi-Anger the series is a sum over K + 3 real-weighted nodes, its
+  weights from one FFT of the moments, evaluated with the split-off
+  eigenvalues by a two-level phase sum over the n_t samples
   (O(K sqrt(n_t)) exponentials): exact at every sample.  The state stays
   normalized, so the reservoir population is |c1(0)|^2 - |c1(t)|^2; each
-  run checks its moments against [-1, 1] and psi_0(0) against 1.
+  run checks its moments against [-1, 1], psi_0(0) against 1 and |psi_0|
+  against 1.
 
 Amplitudes, QME and the oracle are exact at every sample, so for them h is
 only the sampling step.  Fast phases at omega_A are removed internally
@@ -55,7 +60,8 @@ GROUND, ATOM_EXCITED, CAVITY_EXCITED = 0, 1, 2
 # Levels beyond integrator noise at which a run breaks an invariant: the
 # density matrix's minimum eigenvalue, a jump-probability increment, the
 # drift from 1 of a conserved sum (trace, norm), and the comb's excess of a
-# Chebyshev moment over 1 in modulus or error of psi_0(0) = 1.
+# Chebyshev moment over mu_0 in modulus, error of psi_0(0) = 1 or excess of
+# |psi_0| over 1.
 _EIG_VIOLATION = -1e-9
 _INCREMENT_VIOLATION = -1e-11
 _DRIFT_VIOLATION = 1e-8
@@ -155,8 +161,8 @@ class Trajectory:
         jump-probability monotonicity (qme, by rho_00, and amplitudes),
         positivity and trace (qme), the norm identity
         |c0|^2 + |c1|^2 + |b1|^2 + Pi_j = 1 (amplitudes), norm conservation,
-        moments in [-1, 1] and psi_0(0) = 1 (discretized); Volterra has
-        none.  NaN fails every check.
+        moments in [-1, 1], psi_0(0) = 1 and |psi_0| <= 1 (discretized);
+        Volterra has none.  NaN fails every check.
         """
         columns: dict[str, np.ndarray] = {"t": self.times}
         violations: list[str] = []
@@ -189,14 +195,19 @@ class Trajectory:
             columns["reservoir_population"] = reservoir
             columns["norm_sum"] = abs(self.c0) ** 2 + columns["c1_abs2"] + reservoir
             violations += _drift(columns["norm_sum"], "norm conservation")
-            excess = self.metadata["max_moment"] - 1.0
+            excess = self.metadata["moment_excess"]
             if not excess <= _MOMENT_VIOLATION:
                 violations.append(
-                    f"star moments leave [-1, 1] (max |mu_k| - 1 = {excess:.3e})"
+                    f"star moments leave [-1, 1] (max |mu_k| - mu_0 = {excess:.3e})"
                 )
             error = self.metadata["start_error"]
             if not error <= _MOMENT_VIOLATION:
                 violations.append(f"psi_0(0) misses 1 by {error:.3e}")
+            # the norm sum holds by construction; |psi_0| <= 1 carries the
+            # information (a reservoir population >= 0)
+            excess = self.metadata["psi_peak"] - 1.0
+            if not excess <= _MOMENT_VIOLATION:
+                violations.append(f"|psi_0| exceeds 1 by {excess:.3e}")
         return columns, violations
 
 
@@ -710,9 +721,14 @@ def build_discretized(
 # with (x/2)^K / K! <= _CHEB_TAIL, x = a t_max; then the terms past K, and
 # the aliases of the trapezoid sum on 2K + 4 nodes, add up to < 1e-16.
 _CHEB_TAIL = 1e-18
-# An atom far from the comb widens the Chebyshev interval, and K with it: a
-# run may need at most this many times the K of an atom inside the window.
-_CHEB_REACH = 8
+# Newton steps to an eigenvalue of the star outside the comb; from the
+# start of :func:`_upper_edge` it converges in a handful.
+_NEWTON_STEPS = 100
+# With both outer eigenvalues split off, the atom's weight on the rest is
+# not summed once it is bounded by this (a coupling ~1e10 times the comb's
+# width): it is far below roundoff, and the rest no longer resolves
+# against the split-off pair in double precision.
+_INTERIOR_NEGLIGIBLE = 1e-20
 # Nodes per block of the phase sum: a block's two phase tables stay in
 # cache, and the sum's memory does not grow with K.
 _NODE_BLOCK = 256
@@ -743,34 +759,126 @@ def _chebyshev_order(x: float) -> int:
     return high + high % 2
 
 
+def _upper_edge(
+    detunings: np.ndarray, couplings: np.ndarray, norm: float
+) -> tuple[float, float | None]:
+    """Upper end of an interval that holds the star's spectrum, and the
+    star's top eigenvalue if it is split off from the series (else None).
+
+    All eigenvalues but the top and the bottom one lie between the lowest
+    and the highest mode (they interlace the modes), and the top one is
+    the root above the modes of f(x) = x - sum_k g_k^2 / (x - Omega_k),
+    which rises and is concave there.  With W the comb's half-width, the
+    Weyl end max(0, Omega) + |g| serves while it lies within W of the top
+    mode.  Past that, a top eigenvalue within W / 2 of the top mode is
+    kept, the end at the top mode + W; one further out, a polariton of a
+    strong coupling or the level of an atom far from the comb, is split
+    off, and the end is the top mode + W / 8 (a margin for the roundoff of
+    the split, which the moments' check would flag as growth past the
+    end).  It is found by Newton from below, where the iterates rise
+    monotonically to it: from the top mode + W / 2 or from
+    (bottom + sqrt(bottom^2 + 4 |g|^2)) / 2, where f <= 0 as every
+    g_k^2 / (x - Omega_k) >= g_k^2 / (x - bottom).
+    """
+    top, bottom = float(np.max(detunings)), float(np.min(detunings))
+    width = 0.5 * (top - bottom)
+    weyl = max(0.0, top) + norm
+    if weyl <= top + width:
+        return weyl, None
+    x = top + 0.5 * width
+    if x >= float((couplings / (x - detunings)) @ couplings):
+        return top + width, None
+    x = max(x, 0.5 * (bottom + math.hypot(bottom, 2.0 * norm)))
+    for _ in range(_NEWTON_STEPS):
+        ratios = couplings / (x - detunings)
+        step = (float(ratios @ couplings) - x) / (1.0 + float(ratios @ ratios))
+        if not x + step > x:
+            break
+        x += step
+    return top + 0.125 * width, x
+
+
+def _split_off(
+    detunings: np.ndarray, couplings: np.ndarray, norm: float
+) -> tuple[float, float, list[tuple[float, np.ndarray, float]], bool]:
+    """The series' interval [low, high], the eigenvalues split off from it
+    as (lambda, u, w), and whether the atom's weight on the remaining ones
+    is summed.
+
+    The eigenvector of lambda is (1, u) sqrt(w) with u_k = g_k / (lambda -
+    Omega_k) and w = 1 / (1 + |u|^2) its weight on the atom.  With both
+    outer eigenvalues l < Omega < h split off, p(x) = (x - h)(x - l) bounds
+    the weight m on the rest: sum_j w_j p(lambda_j)^2 = |p(H)|0>|^2 =
+    (|g|^2 + h l)^2 + |(Omega - h - l) g|^2 >= m min_comb p^2.  A bound
+    below _INTERIOR_NEGLIGIBLE leaves the rest out.
+    """
+    high, top = _upper_edge(detunings, couplings, norm)
+    low, bottom = _upper_edge(-detunings, couplings, norm)
+    roots = [] if top is None else [top]
+    if bottom is not None:
+        roots.append(-bottom)
+    split = []
+    for root in roots:
+        u = couplings / (root - detunings)
+        split.append((root, u, 1.0 / (1.0 + float(u @ u))))
+    interior = True
+    if len(roots) == 2:
+        h, l = roots
+        ends = (float(np.min(detunings)), float(np.max(detunings)))
+        p_min = min((h - x) * (x - l) for x in ends)
+        spread = (detunings - (h + l)) * (couplings / p_min)
+        bound = ((norm * norm + h * l) / p_min) ** 2 + float(spread @ spread)
+        interior = not bound <= _INTERIOR_NEGLIGIBLE
+    return -low, high, split, interior
+
+
 def _star_moments(
     detunings: np.ndarray, couplings: np.ndarray, centre: float,
-    half_width: float, order: int,
+    half_width: float, order: int, split: list[tuple[float, np.ndarray, float]],
 ) -> np.ndarray:
-    """Chebyshev moments mu_k = <0|T_k(H')|0>, k = 0..``order`` (even), of the
-    atom (site 0, detuning 0) coupled to modes at ``detunings`` with real
-    ``couplings``, H' = (H - centre) / half_width.
+    """Chebyshev moments mu_k = <0'|T_k(H')|0'>, k = 0..``order`` (even), of
+    the atom (site 0, detuning 0) coupled to modes at ``detunings`` with
+    real ``couplings``, H' = (H - centre) / half_width.
 
-    The vectors v_k = T_k(H') |0> follow v_{k+1} = 2 H' v_k - v_{k-1}, and
+    The eigenvectors (1, u) sqrt(w) of the eigenvalues ``split`` off from
+    the interval (:func:`_split_off`) are projected out of the atom's state,
+    |0'> = |0> - sum w (1, u), and H' is taken with their eigenvalues moved
+    to the centre (a rank-one term each), where roundoff along them stays
+    bounded.  With nothing split off, |0'> = |0>.
+
+    The vectors v_k = T_k(H') |0'> follow v_{k+1} = 2 H' v_k - v_{k-1}, and
     each pair of moments comes from one of them (Weisse, Wellein, Alvermann
-    & Fehske, Rev. Mod. Phys. 78 (2006) 275): mu_2k = 2 <v_k, v_k> - 1 and
-    mu_2k+1 = 2 <v_k+1, v_k> - mu_1, so order / 2 star products give all.
-    The vectors are real.  Each product makes 4 passes over the N modes in
-    place, in buffers that rotate, and the three inner products are BLAS
-    dots, whose order of summation follows the length (and, past 10 000
-    modes, the BLAS thread count), never the address of the buffers.
+    & Fehske, Rev. Mod. Phys. 78 (2006) 275): mu_2k = 2 <v_k, v_k> - mu_0
+    and mu_2k+1 = 2 <v_k+1, v_k> - mu_1, so order / 2 star products give
+    all.  The vectors are real.  Each product makes 4 passes over the N
+    modes in place, 2 more per eigenvalue split off, in buffers that
+    rotate, and the inner products are BLAS dots, whose order of summation
+    follows the length (and, past 10 000 modes, the BLAS thread count),
+    never the address of the buffers.
     """
     scale = 2.0 / half_width
     diag = (detunings - centre) * scale
     links = couplings * scale
+    moved = [((centre - root) * scale * w, u) for root, u, w in split]
+    if split:
+        start0 = 1.0 - sum(w for _, _, w in split)
+        start = -sum(w * u for _, u, w in split)
+    else:
+        start0, start = 1.0, np.zeros_like(diag)
     mu = np.empty(order + 1)
-    # v_0 = |0>, v_1 = H' |0>: the atom's entry first, then the modes'.
-    prev0, prev = 1.0, np.zeros_like(diag)
-    v0, v = -centre / half_width, 0.5 * links
-    mu[0], mu[1] = 1.0, v0
+    # v_0 = |0'>, v_1 = H' |0'>: the atom's entry first, then the modes'.
+    prev0, prev = start0, start
+    v0 = -centre / half_width * start0 + 0.5 * float(links @ start)
+    v = 0.5 * (diag * start + links * start0)
+    for coef, u in moved:
+        shift = 0.5 * coef * (start0 + float(u @ start))
+        v0 += shift
+        v += shift * u
+    mu[0] = start0 * start0 + float(start @ start)
+    mu[1] = start0 * v0 + float(start @ v)
     scratch = np.empty_like(diag)
     for k in range(1, order // 2 + 1):
-        mu[2 * k] = 2.0 * (v0 * v0 + float(v @ v)) - 1.0
+        mu[2 * k] = 2.0 * (v0 * v0 + float(v @ v)) - mu[0]
         if k == order // 2:
             break
         # v_{k+1} into the buffer of v_{k-1}
@@ -778,6 +886,10 @@ def _star_moments(
         np.multiply(diag, v, out=scratch)
         np.subtract(scratch, prev, out=prev)
         prev += np.multiply(links, v0, out=scratch)
+        for coef, u in moved:
+            shift = coef * (v0 + float(u @ v))
+            new0 += shift
+            prev += np.multiply(u, shift, out=scratch)
         mu[2 * k + 1] = 2.0 * (new0 * v0 + float(prev @ v)) - mu[1]
         prev0, v0, prev, v = v0, new0, v, prev
     return mu
@@ -787,8 +899,8 @@ def _chebyshev_nodes(
     mu: np.ndarray, centre: float, half_width: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nodes lambda_n and real weights w_n with
-    psi_0(t) = sum_n w_n e^{-i lambda_n t} for |t| half_width <= x, x the
-    argument of :func:`_chebyshev_order`.
+    <0'|e^{-iHt}|0'> = sum_n w_n e^{-i lambda_n t} for |t| half_width <= x,
+    x the argument of :func:`_chebyshev_order`.
 
     By Jacobi-Anger, J_k(z) is the mean of e^{i(z sin theta - k theta)} over
     the circle, so the Chebyshev series of psi_0(t) (Tal-Ezer & Kosloff, J.
@@ -824,17 +936,28 @@ def solve_discretized(
     the atom's amplitude is c1(t) = c1(0) psi_0(t) e^{-i omega_A t} with
     psi_0(t) = <0|e^{-iHt}|0>, H the real symmetric star of the atom and
     the modes at detunings Omega_k = omega_k - omega_A.  Its spectrum lies
-    in the Weyl bound [b - a, b + a] = [min(0, Omega) - |g|, max(0, Omega) + |g|],
-    so with H' = (H - b) / a
+    in the Weyl bound [min(0, Omega) - |g|, max(0, Omega) + |g|], and all of
+    it but the two outer eigenvalues within the modes' span.  The series
+    runs on an interval [b - a, b + a] that holds the spectrum and reaches
+    at most W, the comb's half-width, beyond the span: the Weyl bound
+    where it does, else the span widened by W, or by W / 8 on a side whose
+    outer eigenvalue lies more than W / 2 out.  That eigenvalue (a
+    polariton of a strong coupling, or the level of an atom far from the
+    comb) is split off and summed in closed form, e^{-i lambda t} times its
+    weight on the atom (:func:`_split_off`).  So with H' = (H - b) / a
 
-        psi_0(t) = e^{-ibt} sum_k (2 - delta_k0) (-i)^k J_k(at) mu_k,
+        psi_0(t) = sum_split w e^{-i lambda t}
+                   + e^{-ibt} sum_k (2 - delta_k0) (-i)^k J_k(at) mu_k,
 
-    mu_k = <0|T_k(H')|0>, exact to double precision when cut at the K of
-    :func:`_chebyshev_order` for x = a t_max (:func:`_star_moments`, O(N K)).
-    By Jacobi-Anger the sum is sum_n w_n e^{-i lambda_n t} over K + 3
-    nodes lambda_n = b - a sin theta_n (:func:`_chebyshev_nodes`, one FFT),
-    evaluated at every sample, so ``h`` is only the sampling step.  With
-    the sample index j = b' m + r, m = ceil(sqrt(n_t)),
+    mu_k = <0'|T_k(H')|0'> the moments of the atom's state with the split
+    eigenvectors projected out, exact to double precision when cut at the
+    K of :func:`_chebyshev_order` for x = a t_max (:func:`_star_moments`,
+    O(N K)).  As a <= 2W and t_max < pi / d_omega (the recurrence guard),
+    K < ~pi N whatever the coupling or the atom's detuning.  By
+    Jacobi-Anger the series is a sum over K + 3 nodes lambda_n = b - a sin
+    theta_n (:func:`_chebyshev_nodes`, one FFT), and with the split-off
+    eigenvalues it is evaluated at every sample, so ``h`` is only the
+    sampling step.  With the sample index j = b' m + r, m = ceil(sqrt(n_t)),
 
         psi_0(j h) = sum_n [w_n e^{-i lambda_n b' m h}] e^{-i lambda_n r h}
 
@@ -843,19 +966,16 @@ def solve_discretized(
     K grows like t_max, so the moments grow like t_max and the sum like
     t_max^2.  Only the comb's samples of J enter, never the pole form or
     the kernel.  A comb with |g| = 0 leaves the atom in its free rotation,
-    psi_0 = 1.
-
-    An atom far from the comb widens [b - a, b + a], and K with it: a run
-    that needs more than 8 times the K of an atom inside the window
-    (a = W + |g|, W half the comb's width) raises RecurrenceError before
-    any moment is computed, as does t_max past half the comb's recurrence
-    time, where the finite comb stops mimicking the continuum.
+    psi_0 = 1.  t_max past half the comb's recurrence time, where the
+    finite comb stops mimicking the continuum, raises RecurrenceError.
 
     The state is normalized, so the reservoir population is
-    |c1(0)|^2 (1 - |psi_0(t)|^2).  The moments are those of a probability
-    measure on [-1, 1]: ``metadata`` holds ``max_moment`` = max_k |mu_k|
-    and ``start_error`` = |psi_0(0) - 1|, which
-    :meth:`Trajectory.observables` judges, and the order K.
+    |c1(0)|^2 (1 - |psi_0(t)|^2).  The moments are those of a positive
+    measure of mass mu_0 on [-1, 1], and |psi_0| <= 1: ``metadata`` holds
+    ``moment_excess`` = max_k |mu_k| - mu_0, ``start_error`` =
+    |psi_0(0) - 1| and ``psi_peak`` = max_t |psi_0(t)|, which
+    :meth:`Trajectory.observables` judges, the order K and the number of
+    eigenvalues split off.
     """
     if t_max >= 0.5 * res.recurrence_time:
         raise RecurrenceError(
@@ -867,26 +987,23 @@ def solve_discretized(
 
     detunings = res.omegas - omega_A
     norm = math.sqrt(float(res.couplings @ res.couplings))
+    order, split, moment_excess = 0, [], 0.0
     if norm == 0.0:
-        order, psi = 0, np.ones(len(times), dtype=complex)
-        max_moment, start_error = 1.0, 0.0  # mu_0 = 1 alone
+        psi = np.ones(len(times), dtype=complex)
     else:
-        low = min(0.0, float(np.min(detunings))) - norm
-        high = max(0.0, float(np.max(detunings))) + norm
-        centre, half_width = 0.5 * (low + high), 0.5 * (high - low)
-        window = 0.5 * float(np.max(res.omegas) - np.min(res.omegas))
-        order = _chebyshev_order(half_width * t_max)
-        inside = _chebyshev_order((window + norm) * t_max)
-        if order > _CHEB_REACH * inside:
-            raise RecurrenceError(
-                f"the atom lies too far from the comb: {order} Chebyshev "
-                f"moments needed, more than {_CHEB_REACH} times the {inside} "
-                "of an atom inside the window"
+        low, high, split, interior = _split_off(detunings, res.couplings, norm)
+        nodes = np.array([root for root, _, _ in split])
+        weights = np.array([w for _, _, w in split])
+        if interior:
+            centre, half_width = 0.5 * (low + high), 0.5 * (high - low)
+            order = _chebyshev_order(half_width * t_max)
+            mu = _star_moments(
+                detunings, res.couplings, centre, half_width, order, split
             )
-        if not 32 * order <= sys.maxsize:  # no array has that many samples
-            raise ParameterError(f"too many Chebyshev moments: {order:.3g}")
-        mu = _star_moments(detunings, res.couplings, centre, half_width, order)
-        nodes, weights = _chebyshev_nodes(mu, centre, half_width)
+            series_nodes, series_weights = _chebyshev_nodes(mu, centre, half_width)
+            nodes = np.concatenate([series_nodes, nodes])
+            weights = np.concatenate([series_weights, weights])
+            moment_excess = float(np.max(np.abs(mu)) - mu[0])
 
         # Row b', column r of the product is psi_0((b' m + r) h), summed
         # over the nodes _NODE_BLOCK at a time.
@@ -900,8 +1017,6 @@ def solve_discretized(
             starts *= weights[block : block + _NODE_BLOCK]
             psi += starts @ np.exp(np.outer(rotation, times[:m]))
         psi = psi.reshape(-1)[:n_t]
-        max_moment = float(np.max(np.abs(mu)))
-        start_error = float(abs(psi[0] - 1.0))
 
     return Trajectory(
         times=times,
@@ -912,8 +1027,10 @@ def solve_discretized(
         metadata={
             "n_modes": res.n_modes, "delta_omega": res.delta_omega,
             "omega_A": omega_A, "c1_0": complex(c1_0), "t_max": t_max, "h": h,
-            "chebyshev_order": order, "max_moment": max_moment,
-            "start_error": start_error,
+            "chebyshev_order": order, "split_off": len(split),
+            "moment_excess": moment_excess,
+            "start_error": float(abs(psi[0] - 1.0)),
+            "psi_peak": float(np.max(np.abs(psi))),
         },
     )
 

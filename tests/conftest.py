@@ -52,10 +52,12 @@ def comb_direct(res, omega_A: float, c1_0: complex, times: np.ndarray, order: in
     per sample.  Returns c1(t)."""
     detunings = res.omegas - omega_A
     norm = math.sqrt(float(res.couplings @ res.couplings))
-    low = min(0.0, float(np.min(detunings))) - norm
-    high = max(0.0, float(np.max(detunings))) + norm
+    low, high, split, _ = dynamics._split_off(detunings, res.couplings, norm)
+    assert not split  # a comb whose spectrum the series covers alone
     centre, half_width = 0.5 * (low + high), 0.5 * (high - low)
-    mu = dynamics._star_moments(detunings, res.couplings, centre, half_width, order)
+    mu = dynamics._star_moments(
+        detunings, res.couplings, centre, half_width, order, split
+    )
     size = 2 * order + 4
     k = np.arange(order + 1)
     n = np.arange(-size // 4, size // 4 + 1)

@@ -714,8 +714,9 @@ class TestDiscretizedReservoir:
         assert np.max(np.abs(np.abs(traj.c1) - expected)) < 5e-3
 
     def test_norm_conservation(self):
-        # the reservoir population is |c1(0)|^2 (1 - |psi_0|^2): the norm
-        # sum checks that c1 and the population come from one psi_0
+        # the reservoir population is |c1(0)|^2 (1 - |psi_0|^2), so the norm
+        # sum holds by construction and fails only on NaN; the invariant
+        # that carries information is |psi_0| <= 1 (a population >= 0)
         spec = pole_residue_from_model(PRESET)
         res = build_discretized(spec, 40.0, 2001)
         traj = solve_discretized(res, 0.0, 1.0, 5.0, 5e-4)
@@ -723,6 +724,8 @@ class TestDiscretizedReservoir:
             abs(traj.c0) ** 2 + traj.c1_abs2 + traj.reservoir_population
         )
         assert np.max(np.abs(norm - 1.0)) < 1e-10
+        assert traj.metadata["psi_peak"] <= 1.0 + 1e-12
+        assert np.min(traj.reservoir_population) >= -1e-12
 
     def test_matches_volterra_at_study_tolerance(self):
         # window-truncation floor ~2.7e-3 at W = 40/kappa (measured)
@@ -824,27 +827,64 @@ class TestDiscretizedReservoir:
         assert np.max(np.abs(traj.c1 - c1)) <= 1e-12
         assert np.max(np.abs(traj.reservoir_population - reservoir)) <= 1e-12
 
-    def test_far_detuned_atom_is_exact_at_a_higher_order(self):
-        # 500 from the comb's centre the interval is ~6.5 times as wide as
-        # inside the window, and K grows with it, within the 8x bound
+    @pytest.mark.parametrize("omega_A", [-500.0, 500.0, 5000.0])
+    def test_far_detuned_atom_is_split_off(self, omega_A):
+        # the atom's level lies far above or below the comb: it is summed in
+        # closed form, and the series keeps about the order of an atom
+        # inside the window
         spec = pole_residue_from_model(PRESET)
         res = build_discretized(spec, 40.0, 801)
         inside = solve_discretized(res, 5.0, 1.0, 4.0, 1e-2)
-        traj = solve_discretized(res, 500.0, 1.0, 4.0, 1e-2)
-        ratio = traj.metadata["chebyshev_order"] / inside.metadata["chebyshev_order"]
-        assert 4.0 < ratio <= dynamics._CHEB_REACH
-        c1, reservoir = star_solution(res, 500.0, 1.0, traj.times)
+        traj = solve_discretized(res, omega_A, 1.0, 4.0, 1e-2)
+        assert traj.metadata["split_off"] == 1
+        assert (traj.metadata["chebyshev_order"]
+                <= 1.1 * inside.metadata["chebyshev_order"])
+        c1, reservoir = star_solution(res, omega_A, 1.0, traj.times)
         assert np.max(np.abs(traj.c1 - c1)) <= 1e-12
         assert np.max(np.abs(traj.reservoir_population - reservoir)) <= 1e-12
 
-    def test_far_detuned_atom_is_refused_before_any_moment(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("moments computed")
+    def test_strong_coupling_splits_off_both_polaritons(self):
+        # |g| ~ 5 W: both polaritons lie far outside the comb, and the
+        # series runs on the comb alone
+        model = FanoModel(gamma=0.25, kappa=1.0, g_abs=200.0, eta=1.0, omega_A=0.4)
+        res = build_discretized(pole_residue_from_model(model), 40.0, 801)
+        traj = solve_discretized(res, model.omega_A, 0.6 - 0.3j, 4.0, 1e-2)
+        assert traj.metadata["split_off"] == 2
+        assert traj.observables()[1] == []
+        c1, reservoir = star_solution(res, model.omega_A, 0.6 - 0.3j, traj.times)
+        assert np.max(np.abs(traj.c1 - c1)) <= 1e-12
+        assert np.max(np.abs(traj.reservoir_population - reservoir)) <= 1e-12
 
-        monkeypatch.setattr(dynamics, "_star_moments", refuse)
-        res = build_discretized(pole_residue_from_model(PRESET), 40.0, 801)
-        with pytest.raises(RecurrenceError, match="too far from the comb"):
-            solve_discretized(res, 5000.0, 1.0, 4.0, 1e-2)
+    @pytest.mark.parametrize(
+        "g_abs, omega_A",
+        [(0.5, 0.4), (0.5, 40.0), (50.0, 0.4), (5000.0, 0.4), (5000.0, 300.0),
+         (0.5, 1e6), (1e7, -3.0)],
+    )
+    def test_order_is_bounded_by_the_comb(self, g_abs, omega_A):
+        # the interval reaches at most W beyond the comb on either side, so
+        # K is at most the order of a = 2 W, whatever |g| or the detuning
+        model = FanoModel(gamma=0.25, kappa=1.0, g_abs=g_abs, eta=1.0, omega_A=omega_A)
+        res = build_discretized(pole_residue_from_model(model), 40.0, 801)
+        traj = solve_discretized(res, omega_A, 1.0, 4.0, 1e-2)
+        assert traj.metadata["chebyshev_order"] <= dynamics._chebyshev_order(320.0)
+        assert traj.observables()[1] == []
+
+    @pytest.mark.parametrize("g_abs", [1e13, 1e100])
+    def test_negligible_interior_is_left_out(self, monkeypatch, g_abs):
+        # past |g| ~ 1e10 W the atom's weight between the polaritons is
+        # bounded below 1e-20 and not summed; at 1e13 the series is still
+        # stable, and summing it changes nothing
+        model = FanoModel(gamma=0.25, kappa=1.0, g_abs=g_abs, eta=1.0, omega_A=0.4)
+        res = build_discretized(pole_residue_from_model(model), 40.0, 801)
+        traj = solve_discretized(res, model.omega_A, 1.0, 4.0, 1e-2)
+        assert traj.metadata["split_off"] == 2
+        assert traj.metadata["chebyshev_order"] == 0
+        assert traj.observables()[1] == []
+        if g_abs < 1e50:
+            monkeypatch.setattr(dynamics, "_INTERIOR_NEGLIGIBLE", 0.0)
+            summed = solve_discretized(res, model.omega_A, 1.0, 4.0, 1e-2)
+            assert summed.metadata["chebyshev_order"] > 0
+            assert np.max(np.abs(summed.c1 - traj.c1)) <= 1e-15
 
     def test_high_order_matches_dense_star(self):
         # t_max = 30 is just inside half the recurrence time 31.4 of this
@@ -1066,16 +1106,19 @@ class TestObservables:
     @pytest.mark.parametrize(
         "stage, corrupt, expected",
         [
+            # mu_7 set to 1 + 1e-9 also moves psi_0 by O(1)
             ("_star_moments", lambda mu: mu.__setitem__(7, 1.0 + 1e-9),
-             ["star moments leave [-1, 1] (max |mu_k| - 1 = 1.000e-09)"]),
-            # every weight 1e-9 too large: psi_0(0) = sum_n w_n misses 1
+             ["star moments leave [-1, 1] (max |mu_k| - mu_0 = 1.000e-09)",
+              "|psi_0| exceeds 1 by 1.861e-01"]),
+            # every weight 1e-9 too large: psi_0(0) = sum_n w_n misses 1,
+            # and |psi_0| leaves the unit disc
             ("_chebyshev_nodes",
              lambda nodes_weights: nodes_weights[1].__imul__(1.0 + 1e-9),
-             ["psi_0(0) misses 1 by 1.000e-09"]),
+             ["psi_0(0) misses 1 by 1.000e-09", "|psi_0| exceeds 1 by 1.000e-09"]),
             ("_star_moments", lambda mu: mu.__setitem__(7, np.nan),
              ["norm conservation drifts by nan",
-              "star moments leave [-1, 1] (max |mu_k| - 1 = nan)",
-              "psi_0(0) misses 1 by nan"]),
+              "star moments leave [-1, 1] (max |mu_k| - mu_0 = nan)",
+              "psi_0(0) misses 1 by nan", "|psi_0| exceeds 1 by nan"]),
         ],
         ids=["moment_above_one", "wrong_weights", "nan"],
     )

@@ -827,31 +827,22 @@ class TestDiscretizedReservoir:
         assert np.max(np.abs(traj.c1 - c1)) <= 1e-12
         assert np.max(np.abs(traj.reservoir_population - reservoir)) <= 1e-12
 
-    @pytest.mark.parametrize("omega_A", [-500.0, 500.0, 5000.0])
-    def test_far_detuned_atom_is_split_off(self, omega_A):
-        # the atom's level lies far above or below the comb: it is summed in
-        # closed form, and the series keeps about the order of an atom
-        # inside the window
-        spec = pole_residue_from_model(PRESET)
-        res = build_discretized(spec, 40.0, 801)
-        inside = solve_discretized(res, 5.0, 1.0, 4.0, 1e-2)
-        traj = solve_discretized(res, omega_A, 1.0, 4.0, 1e-2)
-        assert traj.metadata["split_off"] == 1
-        assert (traj.metadata["chebyshev_order"]
-                <= 1.1 * inside.metadata["chebyshev_order"])
-        c1, reservoir = star_solution(res, omega_A, 1.0, traj.times)
-        assert np.max(np.abs(traj.c1 - c1)) <= 1e-12
-        assert np.max(np.abs(traj.reservoir_population - reservoir)) <= 1e-12
-
-    def test_strong_coupling_splits_off_both_polaritons(self):
-        # |g| ~ 5 W: both polaritons lie far outside the comb, and the
-        # series runs on the comb alone
-        model = FanoModel(gamma=0.25, kappa=1.0, g_abs=200.0, eta=1.0, omega_A=0.4)
+    @pytest.mark.parametrize(
+        "g_abs, omega_A, split_off",
+        [(0.5, -500.0, 1), (0.5, 500.0, 1), (0.5, 5000.0, 1), (200.0, 0.4, 2)],
+        ids=["atom_far_below", "atom_far_above", "atom_farther_above",
+             "strong_coupling"],
+    )
+    def test_split_off_eigenvalues_match_dense_star(self, g_abs, omega_A, split_off):
+        # the level of an atom far from the comb, or both polaritons of a
+        # coupling ~5 W, lie far outside the comb and are summed in closed
+        # form; the series runs on the rest
+        model = FanoModel(gamma=0.25, kappa=1.0, g_abs=g_abs, eta=1.0, omega_A=omega_A)
         res = build_discretized(pole_residue_from_model(model), 40.0, 801)
-        traj = solve_discretized(res, model.omega_A, 0.6 - 0.3j, 4.0, 1e-2)
-        assert traj.metadata["split_off"] == 2
+        traj = solve_discretized(res, omega_A, 0.6 - 0.3j, 4.0, 1e-2)
+        assert traj.metadata["split_off"] == split_off
         assert traj.observables()[1] == []
-        c1, reservoir = star_solution(res, model.omega_A, 0.6 - 0.3j, traj.times)
+        c1, reservoir = star_solution(res, omega_A, 0.6 - 0.3j, traj.times)
         assert np.max(np.abs(traj.c1 - c1)) <= 1e-12
         assert np.max(np.abs(traj.reservoir_population - reservoir)) <= 1e-12
 

@@ -3,9 +3,6 @@ cross-validated single-excitation dynamics for dissipative cavity QED."""
 
 from .embedding import (
     EmbeddedQME,
-    KossakowskiMatrix,
-    LindbladReport,
-    embed,
     embed_from_model,
     is_lindblad,
     kossakowski,
@@ -13,7 +10,6 @@ from .embedding import (
 )
 from .dynamics import (
     DensityMatrix3,
-    DiscretizedReservoir,
     Trajectory,
     build_discretized,
     decay_rate,
@@ -29,35 +25,26 @@ from .fanodiag import (
 )
 from .spectral import (
     FanoModel,
-    MemoryKernel,
     PoleSpectral,
-    QuadratureResult,
     ReducedForm,
     evaluate_J,
     evaluate_reduced_J,
     kernel_by_quadrature,
     memory_kernel,
     pole_residue_from_model,
-    reduced_form_from_model,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "DensityMatrix3",
-    "DiscretizedReservoir",
     "EmbeddedQME",
     "FanoModel",
-    "KossakowskiMatrix",
-    "LindbladReport",
-    "MemoryKernel",
     "PoleSpectral",
-    "QuadratureResult",
     "ReducedForm",
     "Trajectory",
     "build_discretized",
     "decay_rate",
-    "embed",
     "embed_from_model",
     "evaluate_J",
     "evaluate_reduced_J",
@@ -68,7 +55,6 @@ __all__ = [
     "kossakowski",
     "memory_kernel",
     "pole_residue_from_model",
-    "reduced_form_from_model",
     "solve_amplitudes",
     "solve_discretized",
     "solve_qme",

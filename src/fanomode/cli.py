@@ -51,7 +51,6 @@ from .embedding import embed_from_model, is_lindblad, kossakowski
 from .errors import (
     ConfigError,
     DomainError,
-    FactorizationError,
     FanomodeError,
     ParameterError,
     RecurrenceError,
@@ -471,7 +470,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except PropertyViolation as exc:
         print(f"fanomode: property violation: {exc}", file=sys.stderr)
         return EXIT_PROPERTY
-    except (StepSizeError, RecurrenceError, FactorizationError, SpectralError) as exc:
+    except (StepSizeError, RecurrenceError, SpectralError) as exc:
         print(f"fanomode: solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except (ConfigError, ParameterError, DomainError, UnsupportedRegimeError) as exc:

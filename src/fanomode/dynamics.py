@@ -140,10 +140,6 @@ class Trajectory:
     metadata: dict[str, Any] = field(default_factory=dict)
 
     @property
-    def h(self) -> float:
-        return float(self.times[1] - self.times[0])
-
-    @property
     def c1_abs2(self) -> np.ndarray:
         if self.c1 is None:
             raise ParameterError(f"method {self.method!r} stores no c1 amplitude")
@@ -160,8 +156,8 @@ class Trajectory:
         """The run's columns by name, ``t`` first, and the invariants it breaks:
         jump-probability monotonicity (qme, by rho_00, and amplitudes),
         positivity and trace (qme), the norm identity
-        |c0|^2 + |c1|^2 + |b1|^2 + Pi_j = 1 (amplitudes), norm conservation,
-        moments in [-1, 1], psi_0(0) = 1 and |psi_0| <= 1 (discretized);
+        |c0|^2 + |c1|^2 + |b1|^2 + Pi_j = 1 (amplitudes), moments in
+        [-1, 1], psi_0(0) = 1 and |psi_0| <= 1 (discretized);
         Volterra has none.  NaN fails every check.
         """
         columns: dict[str, np.ndarray] = {"t": self.times}
@@ -194,7 +190,6 @@ class Trajectory:
             reservoir = self.reservoir_population
             columns["reservoir_population"] = reservoir
             columns["norm_sum"] = abs(self.c0) ** 2 + columns["c1_abs2"] + reservoir
-            violations += _drift(columns["norm_sum"], "norm conservation")
             excess = self.metadata["moment_excess"]
             if not excess <= _MOMENT_VIOLATION:
                 violations.append(
@@ -773,10 +768,9 @@ def _upper_edge(
     mode.  Past that, a top eigenvalue within W / 2 of the top mode is
     kept, the end at the top mode + W; one further out, a polariton of a
     strong coupling or the level of an atom far from the comb, is split
-    off, and the end is the top mode + W / 8 (a margin for the roundoff of
-    the split, which the moments' check would flag as growth past the
-    end).  It is found by Newton from below, where the iterates rise
-    monotonically to it: from the top mode + W / 2 or from
+    off, and the end is the top mode, which by interlacing bounds the rest
+    of the spectrum.  It is found by Newton from below, where the iterates
+    rise monotonically to it: from the top mode + W / 2 or from
     (bottom + sqrt(bottom^2 + 4 |g|^2)) / 2, where f <= 0 as every
     g_k^2 / (x - Omega_k) >= g_k^2 / (x - bottom).
     """
@@ -795,7 +789,7 @@ def _upper_edge(
         if not x + step > x:
             break
         x += step
-    return top + 0.125 * width, x
+    return top, x
 
 
 def _split_off(
@@ -940,8 +934,8 @@ def solve_discretized(
     it but the two outer eigenvalues within the modes' span.  The series
     runs on an interval [b - a, b + a] that holds the spectrum and reaches
     at most W, the comb's half-width, beyond the span: the Weyl bound
-    where it does, else the span widened by W, or by W / 8 on a side whose
-    outer eigenvalue lies more than W / 2 out.  That eigenvalue (a
+    where it does, else the span widened by W, or not at all on a side
+    whose outer eigenvalue lies more than W / 2 out.  That eigenvalue (a
     polariton of a strong coupling, or the level of an atom far from the
     comb) is split off and summed in closed form, e^{-i lambda t} times its
     weight on the atom (:func:`_split_off`).  So with H' = (H - b) / a

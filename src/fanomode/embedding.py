@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FactorizationError, ParameterError
+from .errors import ParameterError
 from .spectral import TWO_PI, FanoModel, PoleSpectral, _check_finite
 
 
@@ -123,43 +123,12 @@ class LindbladReport:
         return self.passed
 
 
-def embed(
-    spec: PoleSpectral, mu: complex, nu: complex, omega_A: float = 0.0
-) -> EmbeddedQME:
-    """Build the generator from a spectral representation and a factorization.
-
-    The caller supplies (mu, nu) with -(mu - i nu) conj(mu + i nu) = 2 pi i r1;
-    the factorization is checked to relative 1e-10 and a mismatch raises
-    :class:`FactorizationError` carrying the residual.  ``omega_A`` is not
-    part of the spectral data and must be given separately.
-    """
-    mu = complex(mu)
-    nu = complex(nu)
-    _check_finite(mu=mu, nu=nu, omega_A=omega_A)
-    target = 2j * math.pi * spec.r1
-    product = -(mu - 1j * nu) * np.conj(mu + 1j * nu)
-    residual = complex(product - target)
-    scale = max(abs(target), abs(mu) ** 2 + abs(nu) ** 2, 1e-300)
-    if abs(residual) > 1e-10 * scale:
-        raise FactorizationError(
-            f"(mu, nu) do not factorize 2 pi i r1: residual {residual!r}",
-            residual=residual,
-        )
-    return EmbeddedQME(
-        omega_A=omega_A,
-        omega_C=spec.z1.real,
-        mu=mu,
-        gamma=TWO_PI * spec.J0,
-        kappa=-2.0 * spec.z1.imag,
-        gamma_F=2.0 * nu,
-    )
-
-
 def embed_from_model(model: FanoModel) -> EmbeddedQME:
     """Generator of a physical model, with mu = g and nu = gamma_F / 2.
 
-    The residue factorization admits a one-parameter family; this pins the
-    member whose coherent coupling is the physical g.
+    The residue factorization admits a one-parameter family of (mu, nu);
+    this is the member whose coherent coupling is the physical g.
+    :func:`spectral_from_qme` maps it back to the model's pole form.
     """
     return EmbeddedQME(
         omega_A=model.omega_A,

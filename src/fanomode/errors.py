@@ -19,17 +19,6 @@ class SpectralError(FanomodeError, ValueError):
     """A spectral representation is corrupt (e.g. J(omega) < 0 where required)."""
 
 
-class FactorizationError(FanomodeError, ValueError):
-    """Supplied (mu, nu) do not factorize the pole residue.
-
-    Carries the complex mismatch in ``residual``.
-    """
-
-    def __init__(self, message: str, residual: complex):
-        super().__init__(message)
-        self.residual = residual
-
-
 class StepSizeError(FanomodeError, ValueError):
     """The requested time step is too large for the solver to be trustworthy."""
 

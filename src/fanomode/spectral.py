@@ -227,11 +227,6 @@ def evaluate_J(spec: PoleSpectral, omega: float | np.ndarray) -> float | np.ndar
     return _match_scalar(omega, x)
 
 
-def reduced_form_from_model(model: FanoModel) -> ReducedForm:
-    """Reduced (gamma, q, eta) parameterization of ``model``; needs gamma > 0."""
-    return ReducedForm(gamma=model.gamma, q=model.q, eta=model.eta)
-
-
 def evaluate_reduced_J(rf: ReducedForm, epsilon: float | np.ndarray) -> float | np.ndarray:
     """J as a function of the reduced detuning epsilon = 2(omega - omega_C)/kappa."""
     eps = np.asarray(epsilon, dtype=float)

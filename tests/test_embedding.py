@@ -1,12 +1,12 @@
 """Embedding, Kossakowski matrix, and Lindblad-condition tests.
 
-Oracles: hand substitution into the residue factorization, an independent
-2x2 determinant, and bisection against the closed-form positivity threshold.
+Oracles: the model's pole residue against the one read back from the
+generator, an independent 2x2 determinant, and bisection against the
+closed-form positivity threshold.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
@@ -14,14 +14,13 @@ import pytest
 
 from fanomode.embedding import (
     EmbeddedQME,
-    embed,
     embed_from_model,
     is_lindblad,
     kossakowski,
     spectral_from_qme,
 )
-from fanomode.errors import FactorizationError, ParameterError
-from fanomode.spectral import FanoModel, PoleSpectral, pole_residue_from_model
+from fanomode.errors import ParameterError
+from fanomode.spectral import FanoModel, pole_residue_from_model
 
 from conftest import random_lindblad_model
 
@@ -33,44 +32,7 @@ def det2(matrix: np.ndarray) -> complex:
     return matrix[0, 0] * matrix[1, 1] - matrix[0, 1] * matrix[1, 0]
 
 
-class TestEmbed:
-    def test_standard_factorization_nu_zero(self):
-        # nu = 0: g_+- = mu and 2 pi i r1 = -|mu|^2, i.e. r1 = i|mu|^2/2pi
-        mu = 0.7 * cmath.exp(0.4j)
-        spec = PoleSpectral(J0=0.0, z1=1.0 - 0.5j, r1=1j * abs(mu) ** 2 / TWO_PI)
-        qme = embed(spec, mu, 0.0, omega_A=0.2)
-        assert qme.gamma_F == 0.0
-        assert qme.g_tilde_minus == mu
-        assert qme.g_tilde_plus == mu
-        assert qme.omega_A == 0.2
-        assert qme.omega_C == 1.0
-        assert qme.kappa == 1.0
-
-    def test_model_factorization_example(self):
-        # mu = 0.5, nu = 0.25: -g_- conj(g_+) = -(0.5 - 0.25i)^2 = -0.1875 + 0.25i
-        model = FanoModel(gamma=0.25, kappa=1.0, g_abs=0.5, eta=1.0)
-        spec = pole_residue_from_model(model)
-        qme = embed(spec, 0.5, 0.25)
-        assert qme.g_tilde_minus == pytest.approx(0.5 - 0.25j)
-        assert qme.g_tilde_plus == pytest.approx(0.5 + 0.25j)
-        product = -qme.g_tilde_minus * np.conj(qme.g_tilde_plus)
-        assert product == pytest.approx(-0.1875 + 0.25j, rel=1e-14)
-        assert product == pytest.approx(2j * math.pi * spec.r1, rel=1e-14)
-
-    def test_pure_cross_damping(self):
-        # g = 0, eta = 1: no coherent coupling, only the cross dissipator
-        model = FanoModel(gamma=0.5, kappa=1.0, g_abs=0.0, eta=1.0, theta_A=0.9)
-        spec = pole_residue_from_model(model)
-        qme = embed(spec, 0.0, model.gamma_F / 2.0)
-        assert qme.mu == 0.0
-        assert abs(qme.gamma_F) == pytest.approx(math.sqrt(0.5))
-
-    def test_mismatch_raises_with_residual(self):
-        spec = PoleSpectral(J0=0.0, z1=-0.5j, r1=1j * 0.49 / TWO_PI)
-        with pytest.raises(FactorizationError) as excinfo:
-            embed(spec, 0.7 * 1.001, 0.0)
-        assert abs(excinfo.value.residual) > 0.0
-
+class TestEmbeddedQME:
     def test_validation(self):
         with pytest.raises(ParameterError):
             EmbeddedQME(omega_A=0.0, omega_C=0.0, mu=0.0, gamma=-0.1,
@@ -103,17 +65,6 @@ class TestEmbedFromModel:
             assert abs(via_qme.r1 - direct.r1) < 1e-12 * scale
             assert via_qme.J0 == pytest.approx(direct.J0, rel=1e-14, abs=0.0)
             assert via_qme.z1 == direct.z1
-
-    def test_mutual_inverse_on_generators(self, rng):
-        for _ in range(50):
-            model = random_lindblad_model(rng, resonant=False)
-            qme = embed_from_model(model)
-            back = embed(spectral_from_qme(qme), qme.mu, qme.nu, qme.omega_A)
-            assert back.omega_C == qme.omega_C
-            assert back.kappa == pytest.approx(qme.kappa, rel=1e-15)
-            assert back.gamma == pytest.approx(qme.gamma, rel=1e-14, abs=1e-300)
-            assert back.mu == qme.mu
-            assert back.gamma_F == qme.gamma_F
 
 
 class TestKossakowski:

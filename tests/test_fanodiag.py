@@ -20,11 +20,11 @@ from fanomode.fanodiag import (
 )
 from fanomode.spectral import (
     FanoModel,
+    ReducedForm,
     evaluate_J,
     evaluate_reduced_J,
     memory_kernel,
     pole_residue_from_model,
-    reduced_form_from_model,
 )
 
 from conftest import random_lindblad_model
@@ -160,7 +160,10 @@ _MODEL = FanoModel(gamma=0.3, kappa=1.0, g_abs=0.9, eta=1.0, phi=1.1, theta_C=0.
 SCALAR_RETURNING = {
     "evaluate_J": (lambda x: evaluate_J(pole_residue_from_model(_MODEL), x), float),
     "evaluate_reduced_J": (
-        lambda x: evaluate_reduced_J(reduced_form_from_model(_MODEL), x), float
+        lambda x: evaluate_reduced_J(
+            ReducedForm(_MODEL.gamma, _MODEL.q, _MODEL.eta), x
+        ),
+        float,
     ),
     "memory_kernel.regular": (
         lambda x: memory_kernel(pole_residue_from_model(_MODEL), x).regular, complex

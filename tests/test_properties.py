@@ -8,6 +8,7 @@ every run draws the same examples.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import math
 import os
@@ -18,13 +19,14 @@ import pytest
 from fanomode import cli, dynamics
 from fanomode.dynamics import (
     DensityMatrix3,
+    DiscretizedReservoir,
     build_discretized,
     solve_amplitudes,
     solve_discretized,
     solve_qme,
     solve_volterra,
 )
-from fanomode.embedding import embed, embed_from_model, kossakowski, spectral_from_qme
+from fanomode.embedding import embed_from_model, kossakowski, spectral_from_qme
 from fanomode.fanodiag import _lambda_identity
 from fanomode.spectral import (
     FanoModel,
@@ -46,6 +48,7 @@ DETERMINISTIC = settings(
 ANGLES = st.floats(0.0, 2.0 * math.pi)
 # Absolute floor: the box reaches couplings whose squares are subnormal.
 UNDERFLOW = 1e-300
+EPS = np.finfo(float).eps
 
 
 def models(eta_max: float = 1.0, **fields):
@@ -94,11 +97,6 @@ def test_embedding_round_trip(model):
     # r1 is a product of the two couplings: its roundoff scales with them
     r1_scale = (abs(qme.mu) + abs(qme.nu)) ** 2
     assert abs(back.r1 - spec.r1) <= 1e-14 * r1_scale + UNDERFLOW
-    again = embed(back, qme.mu, qme.nu, qme.omega_A)
-    assert again.omega_C == qme.omega_C
-    assert (again.mu, again.gamma_F) == (qme.mu, qme.gamma_F)
-    assert abs(again.kappa - qme.kappa) <= 1e-15 * qme.kappa
-    assert abs(again.gamma - qme.gamma) <= 1e-14 * qme.gamma + UNDERFLOW
 
 
 @DETERMINISTIC
@@ -155,6 +153,66 @@ def test_comb_chain_matches_dense_star(model, t_max):
 def log_uniform(low: float, high: float):
     """10**e for e uniform on [low, high]."""
     return st.floats(low, high).map(lambda e: 10.0**e)
+
+
+# A strong coupling with the atom inside the comb: the Weyl end lies
+# farther than W out, so the outer eigenvalue decides the interval's end.
+_STRONG = FanoModel(gamma=0.25, kappa=1.0, g_abs=40.0, eta=1.0)
+
+
+def _outer_eigenvalue_at(side: float, beyond: float) -> FanoModel:
+    """``_STRONG`` with the atom placed so that the star's outer eigenvalue
+    on ``side`` (+1 above, -1 below) lies ``beyond`` past the comb's end
+    (W = 20), by the secular equation E - omega_A = sum_k g_k^2 / (E - omega_k)."""
+    res = build_discretized(pole_residue_from_model(_STRONG), 20.0, 201)
+    level = (res.omegas[-1] if side > 0 else res.omegas[0]) + side * beyond
+    shift = float((res.couplings / (level - res.omegas)) @ res.couplings)
+    return dataclasses.replace(_STRONG, omega_A=level - shift)
+
+
+@DETERMINISTIC
+@given(
+    model=models(
+        g_abs=log_uniform(-1.0, 4.0),
+        omega_A=st.tuples(st.sampled_from((-1.0, 1.0)), log_uniform(-1.0, 4.0)).map(
+            math.prod
+        ),
+    ),
+    window=st.sampled_from([20.0, 40.0]),
+    steps=st.integers(50, 700),
+    decoupled=st.sampled_from([None, 0, -1]),
+)
+# the outer eigenvalue just within and just past W / 2 beyond the comb, the
+# split threshold, on each side; a decoupled top mode at the end of an
+# interval whose two outer eigenvalues are split off
+@example(model=_outer_eigenvalue_at(1.0, 10.0 - 1e-8), window=20.0, steps=700,
+         decoupled=None)
+@example(model=_outer_eigenvalue_at(1.0, 10.0 + 1e-8), window=20.0, steps=700,
+         decoupled=None)
+@example(model=_outer_eigenvalue_at(-1.0, 10.0 - 1e-8), window=20.0, steps=700,
+         decoupled=None)
+@example(model=_outer_eigenvalue_at(-1.0, 10.0 + 1e-8), window=20.0, steps=700,
+         decoupled=None)
+@example(model=dataclasses.replace(_STRONG, g_abs=1e3), window=20.0, steps=700,
+         decoupled=-1)
+def test_comb_matches_dense_star_over_whole_ranges(model, window, steps, decoupled):
+    # couplings and detunings up to 1e4 W; t_max = steps h <= 7 stays below
+    # 0.45 of the recurrence time.  The bound is the dense star's own
+    # conditioning floor eps |H| t.
+    res = build_discretized(pole_residue_from_model(model), window, 201)
+    if decoupled is not None:
+        couplings = res.couplings.copy()
+        couplings[decoupled] = 0.0
+        res = DiscretizedReservoir(res.omegas, couplings, res.delta_omega)
+    t_max = steps * 0.01
+    assert t_max < 0.45 * res.recurrence_time
+    traj = solve_discretized(res, model.omega_A, 1.0, t_max, 0.01)
+    assert traj.observables()[1] == []
+    c1, reservoir = star_solution(res, model.omega_A, 1.0, traj.times)
+    norm = math.sqrt(float(res.couplings @ res.couplings))
+    bound = 50.0 * EPS * max(norm, abs(model.omega_A), window) * t_max
+    assert np.max(np.abs(traj.c1 - c1)) <= bound
+    assert np.max(np.abs(traj.reservoir_population - reservoir)) <= bound
 
 
 @settings(DETERMINISTIC, max_examples=50)

@@ -25,7 +25,6 @@ from fanomode.spectral import (
     kernel_by_quadrature,
     memory_kernel,
     pole_residue_from_model,
-    reduced_form_from_model,
 )
 
 from conftest import kernel_quadrature_direct, random_lindblad_model
@@ -203,7 +202,7 @@ class TestReducedForm:
             if model.gamma == 0.0:
                 continue
             spec = pole_residue_from_model(model)
-            rf = reduced_form_from_model(model)
+            rf = ReducedForm(model.gamma, model.q, model.eta)
             eps = rng.uniform(-20, 20, size=100)
             omegas = model.omega_C + model.kappa * eps / 2.0
             np.testing.assert_allclose(

@@ -9,7 +9,6 @@ from .embedding import (
     spectral_from_qme,
 )
 from .dynamics import (
-    DensityMatrix3,
     Trajectory,
     build_discretized,
     decay_rate,
@@ -37,7 +36,6 @@ from .spectral import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DensityMatrix3",
     "EmbeddedQME",
     "FanoModel",
     "PoleSpectral",

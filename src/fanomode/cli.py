@@ -37,9 +37,7 @@ import numpy as np
 from . import __version__
 from .config import _FORMATS, initial_c1_from_config, load_config, model_from_config
 from .dynamics import (
-    DensityMatrix3,
     Trajectory,
-    _c0_from_c1,
     build_discretized,
     decay_rate,
     solve_amplitudes,
@@ -197,8 +195,7 @@ def _run_method(method: str, config: dict) -> Trajectory:
     if method == "amplitudes":
         return solve_amplitudes(embed_from_model(model), c1_0, t_max, h)
     if method == "qme":
-        rho_0 = DensityMatrix3.from_amplitudes(_c0_from_c1(c1_0), c1_0, 0.0)
-        return solve_qme(embed_from_model(model), rho_0, t_max, h)
+        return solve_qme(embed_from_model(model), c1_0, t_max, h)
     if method == "discretized":
         reservoir = build_discretized(
             pole_residue_from_model(model), solver["window"], solver["n_modes"]
@@ -304,7 +301,6 @@ def cmd_compare(config: dict) -> _Output:
 def cmd_lindblad_check(config: dict) -> _Output:
     model = model_from_config(config)
     qme = embed_from_model(model)
-    gm = kossakowski(qme)
     report = is_lindblad(qme)
     payload = {
         "gamma": qme.gamma,
@@ -320,7 +316,7 @@ def cmd_lindblad_check(config: dict) -> _Output:
         "verdict": "PASS" if report.passed else "FAIL",
     }
     summary = [
-        f"Kossakowski matrix: {gm.matrix.tolist()}",
+        f"Kossakowski matrix: {kossakowski(qme).tolist()}",
         f"eigenvalues: ({report.eigenvalues[0]:.17g}, {report.eigenvalues[1]:.17g})"
         f"  det: {report.det:.17g}",
         f"scalar condition (-Im z1) pi J0 - |nu|^2 = {report.scalar_condition:.17g}"

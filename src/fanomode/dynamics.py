@@ -82,41 +82,6 @@ def _jump_decrease(jump: np.ndarray) -> list[str]:
     return []
 
 
-class DensityMatrix3:
-    """3x3 density matrix over {|00>, |10>, |01>} (atom excitation second).
-
-    Validates hermiticity, unit trace (1e-10) and positivity (eigenvalues
-    >= -1e-10) on construction.
-    """
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix: np.ndarray):
-        m = np.array(matrix, dtype=complex)
-        if m.shape != (3, 3):
-            raise ParameterError(f"density matrix must be 3x3, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ParameterError("density matrix must be finite")
-        if np.max(np.abs(m - m.conj().T)) > 1e-10:
-            raise ParameterError("density matrix must be Hermitian")
-        if abs(np.trace(m).real - 1.0) > 1e-10:
-            raise ParameterError(f"density matrix trace must be 1, got {np.trace(m)}")
-        if np.min(np.linalg.eigvalsh(0.5 * (m + m.conj().T))) < -1e-10:
-            raise ParameterError("density matrix must be positive semidefinite")
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-    @classmethod
-    def from_amplitudes(
-        cls, c0: complex, c1: complex, b1: complex, pi_j: float = 0.0
-    ) -> "DensityMatrix3":
-        """|psi><psi| of (c0, c1, b1) plus the jump weight on the ground state."""
-        psi = np.array([c0, c1, b1], dtype=complex)
-        m = np.outer(psi, psi.conj())
-        m[GROUND, GROUND] += pi_j
-        return cls(m)
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """Uniform-grid solver output.
@@ -341,7 +306,7 @@ def _propagate(gen: np.ndarray, y0, times: np.ndarray) -> np.ndarray:
 
 def _c0_from_c1(c1_0: complex) -> float:
     p = abs(c1_0) ** 2
-    if p > 1.0 + 1e-12:
+    if not p <= 1.0 + 1e-12:  # NaN fails too
         raise ParameterError(f"|c1(0)| must be <= 1, got |c1(0)|^2 = {p}")
     return math.sqrt(max(0.0, 1.0 - p))
 
@@ -375,7 +340,7 @@ def solve_amplitudes(
         ],
         dtype=complex,
     )
-    gm_t = kossakowski(qme).matrix.T
+    gm_t = kossakowski(qme).T
     exact = _expm(h * np.block([[-a_mat.conj().T, gm_t], [np.zeros((2, 2)), a_mat]]))
     states = _propagate(h * a_mat, (c1_0, 0.0), times)
 
@@ -628,7 +593,7 @@ def _liouvillian(qme: EmbeddedQME) -> np.ndarray:
     ops = np.zeros((2, 3, 3), dtype=complex)
     ops[0, GROUND, ATOM_EXCITED] = 1.0
     ops[1, GROUND, CAVITY_EXCITED] = 1.0
-    gm = kossakowski(qme).matrix
+    gm = kossakowski(qme)
     eye = np.eye(3)
     k_eff = -1j * h_ac
     jumps = np.zeros((9, 9), dtype=complex)
@@ -640,7 +605,7 @@ def _liouvillian(qme: EmbeddedQME) -> np.ndarray:
 
 
 def solve_qme(
-    qme: EmbeddedQME, rho_0: "DensityMatrix3 | np.ndarray", t_max: float, h: float
+    qme: EmbeddedQME, c1_0: complex, t_max: float, h: float
 ) -> Trajectory:
     """Integrate the full master equation
 
@@ -648,22 +613,24 @@ def solve_qme(
                   + sum_{mn} G_mn (X_m rho X_n^dag - {X_n^dag X_m, rho} / 2)
 
     with X_1 the atom lowering operator and X_2 the pseudomode annihilation
-    operator.  The equation is linear and time-invariant, so it is
-    vectorized once into its 9x9 Liouvillian L and every sample is exactly
-    e^{t_k L} vec(rho_0), taken from the powers e^{jhL} of the generator in
-    blocks of 64 steps (:func:`_propagate`): ``h`` is only the sampling
-    step.  The generator is traceless in range, so the trace is preserved
-    to roundoff.
+    operator, from the pure state rho(0) = |psi><psi|, psi = (c0, c1(0), 0)
+    over {|00>, |10>, |01>} with c0 = sqrt(1 - |c1(0)|^2): the pseudomode
+    starts empty, as every solver's reservoir does.  The equation is linear
+    and time-invariant, so it is vectorized once into its 9x9 Liouvillian L
+    and every sample is exactly e^{t_k L} vec(rho(0)), taken from the powers
+    e^{jhL} of the generator in blocks of 64 steps (:func:`_propagate`):
+    ``h`` is only the sampling step.  The generator is traceless in range,
+    so the trace is preserved to roundoff.
     """
-    if not isinstance(rho_0, DensityMatrix3):
-        rho_0 = DensityMatrix3(rho_0)
     times = _time_grid(t_max, h)
-    states = _propagate(h * _liouvillian(qme), rho_0.matrix.reshape(9), times)
+    psi = np.array([_c0_from_c1(c1_0), c1_0, 0.0], dtype=complex)
+    rho0 = np.outer(psi, psi.conj())
+    states = _propagate(h * _liouvillian(qme), rho0.reshape(9), times)
     return Trajectory(
         times=times,
         method="qme",
         rho=states.reshape(-1, 3, 3),
-        metadata={"qme": qme, "rho_0": rho_0.matrix, "t_max": t_max, "h": h},
+        metadata={"qme": qme, "c1_0": complex(c1_0), "t_max": t_max, "h": h},
     )
 
 
@@ -1033,17 +1000,23 @@ def decay_rate(traj: Trajectory, fit_window: tuple[float, float]) -> float:
     """Least-squares decay rate of |c1|^2 over ``fit_window``.
 
     Fits -log|c1(t)|^2 with a straight line and returns the slope.  The
-    population must be strictly positive on the window; a non-monotone
-    population triggers a fit-quality warning (the fit still runs).
+    window (t_a, t_b) must lie in the run's span, times[0] <= t_a < t_b <=
+    times[-1], and the population must be strictly positive on it; a
+    non-monotone population triggers a fit-quality warning (the fit still
+    runs).
     """
     t_a, t_b = fit_window
-    if not t_b > t_a:
-        raise ParameterError(f"fit window must have t_b > t_a, got {fit_window}")
-    mask = (traj.times >= t_a) & (traj.times <= t_b)
+    times = traj.times
+    if not times[0] <= t_a < t_b <= times[-1]:  # NaN fails too
+        raise ParameterError(
+            f"fit window must have {times[0]:g} <= t_a < t_b <= {times[-1]:g} "
+            f"(the run's span), got {fit_window}"
+        )
+    mask = (times >= t_a) & (times <= t_b)
     if np.count_nonzero(mask) < 2:
         raise ParameterError(f"fit window {fit_window} selects fewer than 2 samples")
     population = traj.c1_abs2[mask]
-    if np.min(population) <= 0.0:
+    if not np.min(population) > 0.0:  # NaN fails too
         raise ParameterError("|c1|^2 must be strictly positive on the fit window")
     if np.any(np.diff(population) > 0.0):
         warnings.warn(

@@ -71,38 +71,6 @@ class EmbeddedQME:
 
 
 @dataclass(frozen=True)
-class KossakowskiMatrix:
-    """2x2 Hermitian coefficient matrix of the dissipative block.
-
-    Entries: [[gamma, conj(gamma_F)], [gamma_F, kappa]] in the jump-operator
-    ordering (atom lowering, pseudomode annihilation).
-    """
-
-    gamma: float
-    gamma_F: complex
-    kappa: float
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.array(
-            [[self.gamma, np.conj(self.gamma_F)], [self.gamma_F, self.kappa]],
-            dtype=complex,
-        )
-
-    @property
-    def det(self) -> float:
-        return self.gamma * self.kappa - abs(self.gamma_F) ** 2
-
-    @property
-    def trace(self) -> float:
-        return self.gamma + self.kappa
-
-    def eigenvalues(self) -> np.ndarray:
-        """Real eigenvalues in ascending order."""
-        return np.linalg.eigvalsh(self.matrix)
-
-
-@dataclass(frozen=True)
 class LindbladReport:
     """Positivity verdict for a generator, with the quantities behind it.
 
@@ -118,9 +86,6 @@ class LindbladReport:
     scalar_condition: float
     j0_repair_threshold: float
     tolerance: float
-
-    def __bool__(self) -> bool:
-        return self.passed
 
 
 def embed_from_model(model: FanoModel) -> EmbeddedQME:
@@ -147,9 +112,13 @@ def spectral_from_qme(qme: EmbeddedQME) -> PoleSpectral:
     return PoleSpectral(J0=qme.gamma / TWO_PI, z1=qme.z1, r1=complex(r1))
 
 
-def kossakowski(qme: EmbeddedQME) -> KossakowskiMatrix:
-    """Kossakowski matrix of the generator's dissipative block."""
-    return KossakowskiMatrix(gamma=qme.gamma, gamma_F=qme.gamma_F, kappa=qme.kappa)
+def kossakowski(qme: EmbeddedQME) -> np.ndarray:
+    """Kossakowski matrix of the generator's dissipative block: the 2x2
+    Hermitian [[gamma, conj(gamma_F)], [gamma_F, kappa]] in the jump-operator
+    ordering (atom lowering, pseudomode annihilation)."""
+    return np.array(
+        [[qme.gamma, np.conj(qme.gamma_F)], [qme.gamma_F, qme.kappa]], dtype=complex
+    )
 
 
 def is_lindblad(qme: EmbeddedQME) -> LindbladReport:
@@ -159,15 +128,15 @@ def is_lindblad(qme: EmbeddedQME) -> LindbladReport:
     maximal-interference boundary (det = 0) classifies as Lindblad despite
     roundoff.
     """
-    gm = kossakowski(qme)
-    eigs = gm.eigenvalues()
-    tol = 1e-12 * gm.trace
+    eigs = np.linalg.eigvalsh(kossakowski(qme))  # ascending
+    trace = qme.gamma + qme.kappa
+    tol = 1e-12 * trace
     nu_sq = abs(qme.nu) ** 2
     return LindbladReport(
         passed=bool(eigs[0] >= -tol),
         eigenvalues=(float(eigs[0]), float(eigs[1])),
-        det=gm.det,
-        trace=gm.trace,
+        det=qme.gamma * qme.kappa - abs(qme.gamma_F) ** 2,
+        trace=trace,
         scalar_condition=(qme.kappa / 2.0) * math.pi * qme.J0 - nu_sq,
         j0_repair_threshold=nu_sq / (math.pi * (qme.kappa / 2.0)),
         tolerance=tol,

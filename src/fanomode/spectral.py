@@ -243,7 +243,7 @@ def memory_kernel(spec: PoleSpectral, tau: float | np.ndarray) -> MemoryKernel:
     decays like exp(Im z1 * tau) = exp(-kappa tau / 2).  Requires tau >= 0.
     """
     t = np.asarray(tau, dtype=float)
-    if np.any(t < 0):
+    if not np.all(t >= 0):  # NaN fails too
         raise DomainError(f"tau must be >= 0, got {tau!r}")
     regular = _match_scalar(tau, -1j * TWO_PI * spec.r1 * np.exp(-1j * spec.z1 * t))
     return MemoryKernel(delta_weight=TWO_PI * spec.J0, regular=regular)

@@ -646,6 +646,10 @@ class TestConfig:
         ("evolve", "--set", "solver.t_max=1e15", "--set", "solver.h=1e-3"),
         ("spectrum", "--set", "spectrum.n_points=1000000000000000000"),
         ("fanodiag", "--set", "fanodiag.n_points=1000000000000000000"),
+        # a fit window past the run's t_max = 60: refused before any output,
+        # not fitted over [50, 60] alone
+        ("decay-rate", "--set", "decay_rate.fit_t_min=50",
+         "--set", "decay_rate.fit_t_max=70"),
     ])
     def test_oversized_run_is_usage_error(self, tmp_path, capsys, argv):
         # used to exit 1 with an OverflowError, ValueError or MemoryError

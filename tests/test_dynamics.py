@@ -9,14 +9,12 @@ and measured self-convergence studies whose tolerances are frozen below.
 from __future__ import annotations
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from fanomode import dynamics
 from fanomode.dynamics import (
-    DensityMatrix3,
     DiscretizedReservoir,
     build_discretized,
     decay_rate,
@@ -69,7 +67,7 @@ def qme_generator(qme: EmbeddedQME, rho: np.ndarray) -> np.ndarray:
     h_ac[1, 2], h_ac[2, 1] = qme.mu, np.conj(qme.mu)
     ops = np.zeros((2, 3, 3), dtype=complex)
     ops[0, 0, 1] = ops[1, 0, 2] = 1.0  # atom lowering, pseudomode annihilation
-    gm = kossakowski(qme).matrix
+    gm = kossakowski(qme)
     out = -1j * (h_ac @ rho - rho @ h_ac)
     for m_idx in range(2):
         for n_idx in range(2):
@@ -122,13 +120,18 @@ def sampled_kernel(name: str, rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def random_initial_states(rng: np.random.Generator):
-    """One coherent (c0, c1, 0) state with its c1(0), and one full-rank mixed state."""
+    """One initial amplitude c1(0), and one full-rank mixed density matrix."""
     c1_0 = complex(0.9 * rng.uniform() * np.exp(2j * np.pi * rng.uniform()))
-    c0 = math.sqrt(1.0 - abs(c1_0) ** 2)
-    coherent = DensityMatrix3.from_amplitudes(c0, c1_0, 0.0)
     w = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    mixed = DensityMatrix3(w @ w.conj().T / np.trace(w @ w.conj().T).real)
-    return c1_0, coherent, mixed
+    return c1_0, w @ w.conj().T / np.trace(w @ w.conj().T).real
+
+
+def propagate_qme(qme: EmbeddedQME, rho_0: np.ndarray, t_max: float, h: float):
+    """rho(t) from any initial rho_0 by the generator and sampler solve_qme
+    uses, which itself starts only from the pure state of c1(0)."""
+    times = dynamics._time_grid(t_max, h)
+    gen = h * dynamics._liouvillian(qme)
+    return dynamics._propagate(gen, rho_0.reshape(9), times).reshape(-1, 3, 3)
 
 
 class TestSolveAmplitudes:
@@ -183,7 +186,7 @@ class TestSolveAmplitudes:
         dc1 = (-1j * qme.omega_A - 0.5 * qme.gamma) * c1 - 1j * qme.g_tilde_minus * b1
         db1 = -1j * qme.z1 * b1 - 1j * np.conj(qme.g_tilde_plus) * c1
         loss = -2.0 * (np.conj(c1) * dc1).real - 2.0 * (np.conj(b1) * db1).real
-        gm = kossakowski(qme).matrix
+        gm = kossakowski(qme)
         amps = np.stack([c1, b1], axis=1)
         rate = np.einsum("mn,tm,tn->t", gm, amps, amps.conj()).real
         assert np.max(np.abs(rate - loss)) < 1e-10
@@ -212,8 +215,7 @@ class TestSolveAmplitudes:
         # 1 - |P y|^2: a rate that disagrees with the generator must show as
         # a drift of the norm identity
         qme = embed_from_model(PRESET)
-        gm = kossakowski(qme).matrix
-        shifted = SimpleNamespace(matrix=gm + np.diag([1e-6, 0.0]))
+        shifted = kossakowski(qme) + np.diag([1e-6, 0.0])
         monkeypatch.setattr(dynamics, "kossakowski", lambda _: shifted)
         traj = solve_amplitudes(qme, 1.0, 20.0, 1e-3)
         drift = traj.observables()[0]["norm_sum"] - 1.0
@@ -521,15 +523,12 @@ class TestSolveVolterra:
 
 class TestSolveQME:
     def test_ground_state_is_stationary(self):
-        rho_0 = DensityMatrix3.from_amplitudes(1.0, 0.0, 0.0)
-        traj = solve_qme(embed_from_model(PRESET), rho_0, 2.0, 1e-3)
+        traj = solve_qme(embed_from_model(PRESET), 0.0, 2.0, 1e-3)
         assert np.max(np.abs(traj.rho - traj.rho[0])) < 1e-14
 
     def test_matches_amplitudes(self):
         qme = embed_from_model(PRESET)
-        tq = solve_qme(
-            qme, DensityMatrix3.from_amplitudes(0.0, 1.0, 0.0), 20.0, 1e-3
-        )
+        tq = solve_qme(qme, 1.0, 20.0, 1e-3)
         ta = solve_amplitudes(qme, 1.0, 20.0, 1e-3)
         rho = tq.rho
         assert np.max(np.abs(rho[:, 1, 1].real - ta.c1_abs2)) < 1e-8
@@ -542,33 +541,30 @@ class TestSolveQME:
         qme = embed_from_model(PRESET)
         c1_0 = 0.6 + 0.48j
         c0 = math.sqrt(1.0 - abs(c1_0) ** 2)
-        rho_0 = DensityMatrix3.from_amplitudes(c0, c1_0, 0.0)
-        tq = solve_qme(qme, rho_0, 10.0, 1e-3)
+        tq = solve_qme(qme, c1_0, 10.0, 1e-3)
         ta = solve_amplitudes(qme, c1_0, 10.0, 1e-3)
         assert np.max(np.abs(tq.rho[:, 0, 1] - c0 * np.conj(ta.c1))) < 1e-8
 
     def test_trace_and_positivity(self):
         qme = embed_from_model(PRESET)
-        traj = solve_qme(
-            qme, DensityMatrix3.from_amplitudes(0.0, 1.0, 0.0), 20.0, 1e-3
-        )
+        traj = solve_qme(qme, 1.0, 20.0, 1e-3)
         trace = np.trace(traj.rho, axis1=1, axis2=2)
         assert np.max(np.abs(trace - 1.0)) < 1e-10
         assert np.min(np.linalg.eigvalsh(traj.rho)) > -1e-10
 
     def test_accepts_mixed_states(self):
+        # the generator and sampler solve_qme runs, from a mixed state
         qme = embed_from_model(PRESET)
         rho_0 = np.diag([0.3, 0.45, 0.25]).astype(complex)
-        traj = solve_qme(qme, rho_0, 5.0, 1e-3)
-        trace = np.trace(traj.rho, axis1=1, axis2=2)
+        rho = propagate_qme(qme, rho_0, 5.0, 1e-3)
+        trace = np.trace(rho, axis1=1, axis2=2)
         assert np.max(np.abs(trace - 1.0)) < 1e-10
 
     def test_long_time_limit_is_ground(self):
         # all dissipative eigenmodes are strictly lossy away from the
         # eta = 1 boundary; measured residual ~1e-11 at t = 100/kappa
         model = FanoModel(gamma=0.25, kappa=1.0, g_abs=0.5, eta=0.5)
-        rho_0 = DensityMatrix3.from_amplitudes(0.0, 1.0, 0.0)
-        traj = solve_qme(embed_from_model(model), rho_0, 100.0, 2e-3)
+        traj = solve_qme(embed_from_model(model), 1.0, 100.0, 2e-3)
         final = traj.rho[-1]
         assert final[1, 1].real + final[2, 2].real < 1e-6
         assert final[0, 0].real == pytest.approx(1.0, abs=1e-6)
@@ -591,8 +587,8 @@ class TestSolveQME:
         # acceptance criterion 4's bounds on random Lindblad models
         for _ in range(3):
             qme = embed_from_model(random_lindblad_model(rng, resonant=False))
-            c1_0, coherent, _ = random_initial_states(rng)
-            rho = solve_qme(qme, coherent, 5.0, 1e-3).rho
+            c1_0, _ = random_initial_states(rng)
+            rho = solve_qme(qme, c1_0, 5.0, 1e-3).rho
             ta = solve_amplitudes(qme, c1_0, 5.0, 1e-3)
             assert np.max(np.abs(rho[:, 1, 1].real - ta.c1_abs2)) < 1e-8
             assert np.max(np.abs(rho[:, 2, 2].real - np.abs(ta.b1) ** 2)) < 1e-8
@@ -607,35 +603,28 @@ class TestSolveQME:
         # step
         for _ in range(3):
             qme = embed_from_model(random_lindblad_model(rng, resonant=False))
-            _, coherent, mixed = random_initial_states(rng)
-            for rho_0 in (coherent, mixed):
-                fine = solve_qme(qme, rho_0, 20.0, 1e-3).rho
-                coarse = solve_qme(qme, rho_0, 20.0, h).rho
-                assert np.max(np.abs(coarse - fine[:: round(h / 1e-3)])) <= 1e-12
+            c1_0, mixed = random_initial_states(rng)
+            fine = solve_qme(qme, c1_0, 20.0, 1e-3).rho
+            coarse = solve_qme(qme, c1_0, 20.0, h).rho
+            assert np.max(np.abs(coarse - fine[:: round(h / 1e-3)])) <= 1e-12
+            fine = propagate_qme(qme, mixed, 20.0, 1e-3)
+            coarse = propagate_qme(qme, mixed, 20.0, h)
+            assert np.max(np.abs(coarse - fine[:: round(h / 1e-3)])) <= 1e-12
 
     def test_unstable_step_raises(self):
         # a generator that grows the state (at eta = 50 the largest real
         # eigenvalue is 2.9 for the QME) overflows it: StepSizeError, not inf
         qme = embed_from_model(FanoModel(gamma=0.25, kappa=1.0, g_abs=5.0, eta=50.0))
         with pytest.raises(StepSizeError, match="not finite"):
-            solve_qme(
-                qme, DensityMatrix3.from_amplitudes(0.0, 1.0, 0.0), 1800.0, 0.9
-            )
+            solve_qme(qme, 1.0, 1800.0, 0.9)
         with pytest.raises(StepSizeError, match="not finite"):
             solve_amplitudes(qme, 1.0, 1800.0, 0.9)
 
     def test_invalid_initial_state(self):
         qme = embed_from_model(PRESET)
-        with pytest.raises(ParameterError):
-            solve_qme(qme, np.diag([0.5, 0.6, 0.1]).astype(complex), 1.0, 1e-3)
-        not_hermitian = np.array(
-            [[0.5, 0.1, 0], [0.3, 0.5, 0], [0, 0, 0]], dtype=complex
-        )
-        with pytest.raises(ParameterError):
-            solve_qme(qme, not_hermitian, 1.0, 1e-3)
-        negative = np.diag([1.2, -0.2, 0.0]).astype(complex)
-        with pytest.raises(ParameterError):
-            solve_qme(qme, negative, 1.0, 1e-3)
+        for c1_0 in (1.1, np.nan):
+            with pytest.raises(ParameterError, match=r"\|c1\(0\)\| must be <= 1"):
+                solve_qme(qme, c1_0, 1.0, 1e-3)
 
 
 class TestDiscretizedReservoir:
@@ -958,9 +947,17 @@ class TestDecayRate:
             decay_rate(traj, (3.0, 1.0))
         with pytest.raises(ParameterError):
             decay_rate(traj, (4.9995, 4.9996))
+        # a window past the run is refused, not fitted on its part inside
+        with pytest.raises(ParameterError, match="run's span"):
+            decay_rate(traj, (4.0, 6.0))
+        with pytest.raises(ParameterError, match="run's span"):
+            decay_rate(traj, (np.nan, 4.0))
         zero = solve_amplitudes(embed_from_model(PRESET), 0.0, 5.0, 1e-3)
         with pytest.raises(ParameterError):
             decay_rate(zero, (1.0, 4.0))
+        traj.c1[2000] = np.nan  # a NaN population, not a NaN rate
+        with pytest.raises(ParameterError, match="strictly positive"):
+            decay_rate(traj, (1.0, 4.0))
 
 
 class TestTrajectory:
@@ -973,6 +970,23 @@ class TestTrajectory:
         )
         np.testing.assert_array_equal(traj.c1, again.c1)
 
+    def test_initial_amplitude_outside_the_unit_disc(self):
+        # a NaN c1(0) is refused up front, not run into NaN samples or a
+        # StepSizeError that blames the generator
+        spec = pole_residue_from_model(PRESET)
+        qme = embed_from_model(PRESET)
+        reservoir = build_discretized(spec, 40.0, 801)
+        solvers = (
+            lambda c1_0: solve_volterra(spec, 0.0, c1_0, 1.0, 1e-3),
+            lambda c1_0: solve_amplitudes(qme, c1_0, 1.0, 1e-3),
+            lambda c1_0: solve_qme(qme, c1_0, 1.0, 1e-3),
+            lambda c1_0: solve_discretized(reservoir, 0.0, c1_0, 1.0, 1e-3),
+        )
+        for solve in solvers:
+            for c1_0 in (complex(np.nan, 0.0), 1.1):
+                with pytest.raises(ParameterError, match=r"\|c1\(0\)\| must be <= 1"):
+                    solve(c1_0)
+
     def test_time_grid_strictly_increasing(self):
         traj = solve_amplitudes(embed_from_model(PRESET), 1.0, 1.0, 1e-3)
         assert np.all(np.diff(traj.times) > 0)
@@ -983,14 +997,11 @@ class TestTrajectory:
         with pytest.raises(ParameterError, match="multiple of h"):
             solve_amplitudes(qme, 1.0, 1.0, 0.3)
         with pytest.raises(ParameterError, match="multiple of h"):
-            solve_qme(
-                qme, DensityMatrix3.from_amplitudes(0.0, 1.0, 0.0), 1.0, 0.3
-            )
+            solve_qme(qme, 1.0, 1.0, 0.3)
         assert solve_amplitudes(qme, 1.0, 0.9, 0.3).times[-1] == pytest.approx(0.9)
 
     def test_qme_trajectory_has_no_c1(self):
-        rho_0 = DensityMatrix3.from_amplitudes(1.0, 0.0, 0.0)
-        traj = solve_qme(embed_from_model(PRESET), rho_0, 0.1, 1e-3)
+        traj = solve_qme(embed_from_model(PRESET), 0.0, 0.1, 1e-3)
         with pytest.raises(ParameterError):
             traj.c1_abs2
 
@@ -1003,8 +1014,7 @@ def run_method(method: str, model: FanoModel, t_max: float, h: float):
     if method == "amplitudes":
         return solve_amplitudes(embed_from_model(model), 1.0, t_max, h)
     if method == "qme":
-        rho_0 = DensityMatrix3.from_amplitudes(0.0, 1.0, 0.0)
-        return solve_qme(embed_from_model(model), rho_0, t_max, h)
+        return solve_qme(embed_from_model(model), 1.0, t_max, h)
     reservoir = build_discretized(pole_residue_from_model(model), 40.0, 801)
     return solve_discretized(reservoir, model.omega_A, 1.0, t_max, h)
 
@@ -1046,13 +1056,11 @@ class TestObservables:
         )
 
     def test_solve_qme_leaves_the_eigenvalues_to_observables(self, monkeypatch):
-        rho_0 = DensityMatrix3.from_amplitudes(0.0, 1.0, 0.0)
-
         def refuse(*args, **kwargs):
             raise AssertionError("eigvalsh called")
 
         monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-        traj = solve_qme(embed_from_model(PRESET), rho_0, 1.0, 1e-3)
+        traj = solve_qme(embed_from_model(PRESET), 1.0, 1.0, 1e-3)
         with pytest.raises(AssertionError, match="eigvalsh called"):
             traj.observables()
 
@@ -1122,16 +1130,3 @@ class TestObservables:
         monkeypatch.setattr(dynamics, stage, corrupted)
         assert run_method("discretized", PRESET, 1.0, 1e-3).observables()[1] == expected
 
-
-class TestDensityMatrix3:
-    def test_from_amplitudes(self):
-        rho = DensityMatrix3.from_amplitudes(0.6, 0.8j, 0.0)
-        assert rho.matrix[1, 1] == pytest.approx(0.64)
-        assert rho.matrix[0, 1] == pytest.approx(0.6 * np.conj(0.8j))
-        with_jump = DensityMatrix3.from_amplitudes(0.6, 0.6, 0.0, pi_j=0.28)
-        assert with_jump.matrix[0, 0] == pytest.approx(0.64)
-
-    def test_matrix_is_readonly(self):
-        rho = DensityMatrix3.from_amplitudes(1.0, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            rho.matrix[0, 0] = 0.5

@@ -69,10 +69,10 @@ class TestEmbedFromModel:
 
 class TestKossakowski:
     def test_diagonal_for_eta_zero(self):
-        gm = kossakowski(
+        matrix = kossakowski(
             embed_from_model(FanoModel(gamma=0.25, kappa=1.0, g_abs=0.5, eta=0.0))
         )
-        matrix = gm.matrix
+        assert matrix.shape == (2, 2) and matrix.dtype == complex
         assert matrix[0, 1] == 0.0 and matrix[1, 0] == 0.0
         assert matrix[0, 0] == 0.25 and matrix[1, 1] == 1.0
 
@@ -81,34 +81,36 @@ class TestKossakowski:
         # 2x2 determinant of the assembled matrix
         for _ in range(100):
             model = random_lindblad_model(rng, resonant=False)
-            gm = kossakowski(embed_from_model(model))
+            qme = embed_from_model(model)
+            matrix = kossakowski(qme)
             expected = model.gamma * model.kappa * (1.0 - model.eta)
             scale = max(abs(expected), model.gamma * model.kappa, 1e-30)
-            assert abs(gm.det - expected) < 1e-12 * scale
-            assert abs(det2(gm.matrix).real - expected) < 1e-12 * scale
-            assert abs(det2(gm.matrix).imag) < 1e-14 * scale
+            assert abs(is_lindblad(qme).det - expected) < 1e-12 * scale
+            assert abs(det2(matrix).real - expected) < 1e-12 * scale
+            assert abs(det2(matrix).imag) < 1e-14 * scale
 
     def test_boundary_and_invalid(self):
-        gm1 = kossakowski(
+        report1 = is_lindblad(
             embed_from_model(FanoModel(gamma=0.25, kappa=1.0, g_abs=0.5, eta=1.0))
         )
-        assert abs(gm1.det) < 1e-14 * gm1.trace**2
-        gm15 = kossakowski(
+        assert abs(report1.det) < 1e-14 * report1.trace**2
+        report15 = is_lindblad(
             embed_from_model(FanoModel(gamma=0.25, kappa=1.0, g_abs=0.5, eta=1.5))
         )
-        assert gm15.det < 0.0
-        assert gm15.det == pytest.approx(0.25 * (1.0 - 1.5), rel=1e-12)
+        assert report15.det < 0.0
+        assert report15.det == pytest.approx(0.25 * (1.0 - 1.5), rel=1e-12)
 
     def test_hermitian_and_eigenvalues(self):
         model = FanoModel(gamma=0.25, kappa=1.0, g_abs=0.5, eta=0.8,
                           theta_A=0.4, theta_C=2.0)
-        gm = kossakowski(embed_from_model(model))
-        matrix = gm.matrix
+        qme = embed_from_model(model)
+        matrix = kossakowski(qme)
         np.testing.assert_allclose(matrix, matrix.conj().T, atol=0)
-        eigs = gm.eigenvalues()
+        report = is_lindblad(qme)
+        eigs = report.eigenvalues
         assert eigs[0] <= eigs[1]
-        assert eigs.sum() == pytest.approx(gm.trace)
-        assert eigs[0] * eigs[1] == pytest.approx(gm.det, abs=1e-14)
+        assert sum(eigs) == pytest.approx(report.trace)
+        assert eigs[0] * eigs[1] == pytest.approx(report.det, abs=1e-14)
 
 
 class TestIsLindblad:
@@ -117,14 +119,14 @@ class TestIsLindblad:
             model = FanoModel(gamma=0.3, kappa=1.0, g_abs=0.7, eta=float(eta),
                               phi=0.5, theta_A=1.0, theta_C=0.2)
             report = is_lindblad(embed_from_model(model))
-            assert bool(report), f"eta={eta} misclassified"
+            assert report.passed, f"eta={eta} misclassified"
             assert report.scalar_condition >= -1e-13
 
     def test_boundary_eta_one(self):
         report = is_lindblad(
             embed_from_model(FanoModel(gamma=0.25, kappa=1.0, g_abs=0.5, eta=1.0))
         )
-        assert bool(report)
+        assert report.passed
         assert abs(report.det) < 1e-13
         assert report.eigenvalues[0] == pytest.approx(0.0, abs=1e-13)
 
@@ -132,7 +134,7 @@ class TestIsLindblad:
         report = is_lindblad(
             embed_from_model(FanoModel(gamma=0.25, kappa=1.0, g_abs=0.5, eta=1.2))
         )
-        assert not bool(report)
+        assert not report.passed
         assert report.eigenvalues[0] < 0.0
         assert report.det < 0.0
 
@@ -141,7 +143,7 @@ class TestIsLindblad:
         qme = EmbeddedQME(omega_A=0.0, omega_C=0.0, mu=0.3, gamma=0.0,
                           kappa=1.0, gamma_F=0.4)
         report = is_lindblad(qme)
-        assert not bool(report)
+        assert not report.passed
         assert report.scalar_condition < 0.0
 
     def test_scalar_condition_is_quarter_det(self, rng):
@@ -162,7 +164,7 @@ class TestIsLindblad:
         def passes(j0: float) -> bool:
             qme = EmbeddedQME(omega_A=0.0, omega_C=0.0, mu=0.4,
                               gamma=TWO_PI * j0, kappa=kappa, gamma_F=2.0 * nu)
-            return bool(is_lindblad(qme))
+            return is_lindblad(qme).passed
 
         lo, hi = 0.0, 2.0 * threshold
         assert not passes(lo) and passes(hi)

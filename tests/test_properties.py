@@ -18,7 +18,6 @@ import pytest
 
 from fanomode import cli, dynamics
 from fanomode.dynamics import (
-    DensityMatrix3,
     DiscretizedReservoir,
     build_discretized,
     solve_amplitudes,
@@ -26,7 +25,7 @@ from fanomode.dynamics import (
     solve_qme,
     solve_volterra,
 )
-from fanomode.embedding import embed_from_model, kossakowski, spectral_from_qme
+from fanomode.embedding import embed_from_model, is_lindblad, spectral_from_qme
 from fanomode.fanodiag import _lambda_identity
 from fanomode.spectral import (
     FanoModel,
@@ -80,10 +79,10 @@ def test_spectral_function_nonnegative(model, omega):
 @DETERMINISTIC
 @given(model=models(eta_max=2.0))
 def test_kossakowski_det_identity(model):
-    gm = kossakowski(embed_from_model(model))
+    det = is_lindblad(embed_from_model(model)).det
     expected = model.gamma * model.kappa * (1.0 - model.eta)
     scale = model.gamma * model.kappa * max(1.0, model.eta)
-    assert abs(gm.det - expected) <= 1e-12 * scale + UNDERFLOW
+    assert abs(det - expected) <= 1e-12 * scale + UNDERFLOW
 
 
 @DETERMINISTIC
@@ -117,9 +116,7 @@ def test_amplitudes_and_qme_agree_at_coarse_h(model, h):
     # former RK4 solvers, is loose.
     qme = embed_from_model(model)
     ta = solve_amplitudes(qme, 1.0, 10.0, h)
-    rho = solve_qme(
-        qme, DensityMatrix3.from_amplitudes(0.0, 1.0, 0.0), 10.0, h
-    ).rho
+    rho = solve_qme(qme, 1.0, 10.0, h).rho
     deviation = max(
         np.max(np.abs(rho[:, 1, 1].real - ta.c1_abs2)),
         np.max(np.abs(rho[:, 2, 2].real - np.abs(ta.b1) ** 2)),
@@ -299,9 +296,7 @@ def test_blocked_runs_keep_their_invariants(model, blocks, rest, h):
     n = 64 * blocks + rest
     qme = embed_from_model(model)
     amplitudes = solve_amplitudes(qme, 1.0, n * h, h)
-    rho = solve_qme(
-        qme, DensityMatrix3.from_amplitudes(0.0, 1.0, 0.0), n * h, h
-    ).rho
+    rho = solve_qme(qme, 1.0, n * h, h).rho
     assert len(amplitudes.times) == len(rho) == n + 1
     norm = amplitudes.observables()[0]["norm_sum"]
     assert np.max(np.abs(norm - 1.0)) < 1e-10

@@ -266,6 +266,11 @@ class TestMemoryKernel:
         assert kernel.regular.shape == taus.shape
         with pytest.raises(DomainError):
             memory_kernel(spec, -0.1)
+        # a NaN tau is refused, not turned into a NaN kernel
+        with pytest.raises(DomainError):
+            memory_kernel(spec, np.nan)
+        with pytest.raises(DomainError):
+            memory_kernel(spec, np.array([0.0, np.nan]))
         with pytest.raises(DomainError):
             kernel_by_quadrature(spec, -1.0, window=50.0, n_points=1001)
 

@@ -1,6 +1,6 @@
 """Command-line interface: deterministic plot-ready data files and reports.
 
-Subcommands: spectrum, kernel, evolve, compare, lindblad-check, fanodiag,
+Commands: spectrum, kernel, evolve, compare, lindblad-check, fanodiag,
 decay-rate.  Every run is controlled by one JSON config (see
 :mod:`fanomode.config`); flags override file values.  Output is CSV with a
 ``#``-prefixed metadata header (or a JSON mirror via ``--format json``),
@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import textwrap
 import warnings
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Sequence
@@ -279,6 +280,8 @@ def cmd_evolve(config: dict) -> _Output:
 
 def cmd_compare(config: dict) -> _Output:
     section = config["compare"]
+    if not section["tolerance"] >= 0:
+        raise ConfigError("compare.tolerance must be >= 0")
     traj_a = _run_method(section["method_a"], config)
     traj_b = _run_method(section["method_b"], config)
     abs_a, abs_b = traj_a.c1_abs, traj_b.c1_abs
@@ -412,24 +415,33 @@ _COMMANDS = {  # name -> (function, help text)
                    "2piJ(omega_A)"),
 }
 
+_EPILOG = "commands:\n" + "\n".join(
+    textwrap.fill(help_text, width=78, initial_indent=f"  {name:<16}",
+                  subsequent_indent=" " * 18)
+    for name, (_, help_text) in _COMMANDS.items()
+)
+
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="fanomode", description=__doc__.splitlines()[0])
+    """One parser: the command as a positional choice and the options every
+    command shares, with each command's help in the epilog."""
+    parser = _Parser(
+        prog="fanomode", description=__doc__.splitlines()[0], epilog=_EPILOG,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    parser.add_argument("command", choices=_COMMANDS, metavar="command",
+                        help="the command to run (listed below)")
     parser.add_argument("--version", action="version", version=f"fanomode {__version__}")
-    common = _Parser(add_help=False)
-    common.add_argument("--config", metavar="PATH", help="JSON run configuration")
-    common.add_argument("--out", metavar="PATH", help="output file (default: stdout)")
-    common.add_argument("--format", choices=_FORMATS, help="output format")
-    common.add_argument(
+    parser.add_argument("--config", metavar="PATH", help="JSON run configuration")
+    parser.add_argument("--out", metavar="PATH", help="output file (default: stdout)")
+    parser.add_argument("--format", choices=_FORMATS, help="output format")
+    parser.add_argument(
         "--set", action="append", default=[], metavar="KEY=VALUE", dest="overrides",
         help="override one config entry by dotted path (repeatable)",
     )
-    common.add_argument(
+    parser.add_argument(
         "--no-header", action="store_true", help="omit the metadata header"
     )
-    subparsers = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in _COMMANDS.items():
-        subparsers.add_parser(name, parents=[common], help=help_text)
     return parser
 
 

@@ -19,18 +19,19 @@ explicit reservoir modes) and are deterministic on a fixed time grid:
   frequency comb sampling J(omega); the brute-force oracle.  The atom's
   amplitude is the Chebyshev series of e^{-iHt} on the atom + comb star
   (Tal-Ezer & Kosloff), its K moments from K / 2 star products (O(N K)),
-  with K from the tail bound |J_k(x)| <= (x/2)^k / k! at x = a t_max, a
-  the half-width of an interval reaching at most the comb's half-width W
+  with K from Kapteyn's bound |J_k(x)| <= r_k^k at x = a t_max, a the
+  half-width of an interval reaching at most the comb's half-width W
   beyond the comb.  An outer eigenvalue of the star further out (a
   polariton of a strong coupling, an atom far from the comb) is split off
   and summed in closed form, so K < ~pi N whatever the coupling.  By
   Jacobi-Anger the series is a sum over K + 3 real-weighted nodes, its
-  weights from one FFT of the moments, evaluated with the split-off
-  eigenvalues by a two-level phase sum over the n_t samples
-  (O(K sqrt(n_t)) exponentials): exact at every sample.  The state stays
-  normalized, so the reservoir population is |c1(0)|^2 - |c1(t)|^2; each
-  run checks its moments against [-1, 1], psi_0(0) against 1 and |psi_0|
-  against 1.
+  weights from one FFT of the moments; the nodes are mirror pairs about
+  the interval's centre, so over the n_t samples it is a real two-level
+  sum of cos/sin pairs (O(K sqrt(n_t)) of them, :mod:`fanomode.chebyshev`),
+  and each split-off eigenvalue a two-level phase: exact at every sample.
+  The state stays normalized, so the reservoir population is
+  |c1(0)|^2 - |c1(t)|^2; each run checks its moments against [-1, 1],
+  psi_0(0) against 1 and |psi_0| against 1.
 
 Amplitudes, QME and the oracle are exact at every sample, so for them h is
 only the sampling step.  Fast phases at omega_A are removed internally
@@ -50,6 +51,7 @@ import warnings
 
 import numpy as np
 
+from .chebyshev import _chebyshev_nodes, _chebyshev_order, _paired_phase_sum
 from .embedding import EmbeddedQME, kossakowski
 from .errors import ParameterError, RecurrenceError, SpectralError, StepSizeError
 from .spectral import TWO_PI, PoleSpectral, evaluate_J, memory_kernel
@@ -679,10 +681,6 @@ def build_discretized(
     )
 
 
-# The Chebyshev series of e^{-iHt} is cut at the least even order K >= x
-# with (x/2)^K / K! <= _CHEB_TAIL, x = a t_max; then the terms past K, and
-# the aliases of the trapezoid sum on 2K + 4 nodes, add up to < 1e-16.
-_CHEB_TAIL = 1e-18
 # Newton steps to an eigenvalue of the star outside the comb; from the
 # start of :func:`_upper_edge` it converges in a handful.
 _NEWTON_STEPS = 100
@@ -691,34 +689,6 @@ _NEWTON_STEPS = 100
 # width): it is far below roundoff, and the rest no longer resolves
 # against the split-off pair in double precision.
 _INTERIOR_NEGLIGIBLE = 1e-20
-# Nodes per block of the phase sum: a block's two phase tables stay in
-# cache, and the sum's memory does not grow with K.
-_NODE_BLOCK = 256
-# (-i)^k, k mod 4, exactly.
-_MINUS_I_POWERS = np.array([1.0, -1j, -1.0, 1j])
-
-
-def _chebyshev_order(x: float) -> int:
-    """Least even K >= x with (x/2)^K / K! <= _CHEB_TAIL.
-
-    (x/2)^k / k! bounds |J_k(x)| and falls for k >= x/2, by more than half
-    per step once k >= x; past e x it is below 2^-k, so K <= max(e x, 64)
-    and a bisection on the log of the bound finds it in O(log x) steps.
-    An x that underflows to 0 needs mu_0 alone; K is at least 2.
-    """
-    log_half = math.log(0.5 * x) if x > 0.0 else -math.inf
-    log_tail = math.log(_CHEB_TAIL)
-
-    def above(k):
-        return k * log_half - math.lgamma(k + 1.0) > log_tail
-
-    low, high = max(math.ceil(x), 1), max(math.ceil(math.e * x), 64)
-    if not above(low):
-        high = low
-    while high - low > 1:  # above(low) and not above(high)
-        mid = (low + high) // 2
-        low, high = (mid, high) if above(mid) else (low, mid)
-    return high + high % 2
 
 
 def _upper_edge(
@@ -856,35 +826,6 @@ def _star_moments(
     return mu
 
 
-def _chebyshev_nodes(
-    mu: np.ndarray, centre: float, half_width: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes lambda_n and real weights w_n with
-    <0'|e^{-iHt}|0'> = sum_n w_n e^{-i lambda_n t} for |t| half_width <= x,
-    x the argument of :func:`_chebyshev_order`.
-
-    By Jacobi-Anger, J_k(z) is the mean of e^{i(z sin theta - k theta)} over
-    the circle, so the Chebyshev series of psi_0(t) (Tal-Ezer & Kosloff, J.
-    Chem. Phys. 81 (1984) 3967) is a mean of
-    e^{-i(centre - half_width sin theta) t} against the weight
-    sum_k (2 - delta_k0) (-i)^k mu_k e^{-ik theta}.  Its
-    trapezoid sum on L = 2K + 4 angles theta_n = 2 pi n / L is one FFT; it
-    errs only by the Bessel terms of order >= L - K > K.  The angles theta
-    and pi - theta share their node, so n runs over -L/4..L/4 and each pair
-    is folded into one real weight (the imaginary parts cancel).
-    """
-    order = len(mu) - 1
-    size = 2 * order + 4
-    series = mu * _MINUS_I_POWERS[np.arange(order + 1) % 4]
-    series[1:] *= 2.0
-    spectrum = np.fft.fft(series, size)
-    angles = np.arange(-size // 4, size // 4 + 1)
-    weights = spectrum[angles]
-    weights[1:-1] += spectrum[size // 2 - angles[1:-1]]
-    nodes = centre - half_width * np.sin((TWO_PI / size) * angles)
-    return nodes, weights.real / size
-
-
 def solve_discretized(
     res: DiscretizedReservoir, omega_A: float, c1_0: complex, t_max: float, h: float
 ) -> Trajectory:
@@ -920,12 +861,15 @@ def solve_discretized(
     eigenvalues it is evaluated at every sample, so ``h`` is only the
     sampling step.  With the sample index j = b' m + r, m = ceil(sqrt(n_t)),
 
-        psi_0(j h) = sum_n [w_n e^{-i lambda_n b' m h}] e^{-i lambda_n r h}
+        e^{-i lambda j h} = e^{-i lambda b' m h} e^{-i lambda r h},
 
-    is a (B x nodes) by (nodes x m) product, taken 256 nodes at a time:
-    O(K sqrt(n_t)) exponentials, O(K n_t) multiply-adds.  At a fixed comb
-    K grows like t_max, so the moments grow like t_max and the sum like
-    t_max^2.  Only the comb's samples of J enter, never the pole form or
+    each split-off eigenvalue is the outer product of its two phases, and
+    the series, its nodes folded into (K + 2) / 2 mirror pairs about b and
+    the centre node, is a real (2B x 2 pairs) by (2 pairs x m) product of
+    cos/sin tables per 128 pairs (:func:`_paired_phase_sum`):
+    O(K sqrt(n_t)) cosines and sines, O(K n_t) multiply-adds.  At a fixed
+    comb K grows like t_max, so the moments grow like t_max and the sum
+    like t_max^2.  Only the comb's samples of J enter, never the pole form or
     the kernel.  A comb with |g| = 0 leaves the atom in its free rotation,
     psi_0 = 1.  t_max past half the comb's recurrence time, where the
     finite comb stops mimicking the continuum, raises RecurrenceError.
@@ -953,30 +897,22 @@ def solve_discretized(
         psi = np.ones(len(times), dtype=complex)
     else:
         low, high, split, interior = _split_off(detunings, res.couplings, norm)
-        nodes = np.array([root for root, _, _ in split])
-        weights = np.array([w for _, _, w in split])
+        n_t = len(times)
+        m = math.isqrt(n_t - 1) + 1
+        coarse, fine = times[::m], times[:m]
+        # Row b', column r is psi_0(t) at t = T + r h, T = b' m h.
+        psi = np.zeros((len(coarse), m), dtype=complex)
+        for root, _, w in split:
+            psi += w * np.outer(np.exp(-1j * root * coarse), np.exp(-1j * root * fine))
         if interior:
             centre, half_width = 0.5 * (low + high), 0.5 * (high - low)
             order = _chebyshev_order(half_width * t_max)
             mu = _star_moments(
                 detunings, res.couplings, centre, half_width, order, split
             )
-            series_nodes, series_weights = _chebyshev_nodes(mu, centre, half_width)
-            nodes = np.concatenate([series_nodes, nodes])
-            weights = np.concatenate([series_weights, weights])
+            nodes, weights = _chebyshev_nodes(mu, centre, half_width)
             moment_excess = float(np.max(np.abs(mu)) - mu[0])
-
-        # Row b', column r of the product is psi_0((b' m + r) h), summed
-        # over the nodes _NODE_BLOCK at a time.
-        n_t = len(times)
-        m = math.isqrt(n_t - 1) + 1
-        coarse = times[::m]
-        psi = np.zeros((len(coarse), m), dtype=complex)
-        for block in range(0, len(nodes), _NODE_BLOCK):
-            rotation = -1j * nodes[block : block + _NODE_BLOCK]
-            starts = np.exp(np.outer(coarse, rotation))
-            starts *= weights[block : block + _NODE_BLOCK]
-            psi += starts @ np.exp(np.outer(rotation, times[:m]))
+            psi += _paired_phase_sum(nodes, weights, centre, coarse, fine)
         psi = psi.reshape(-1)[:n_t]
 
     return Trajectory(

@@ -650,6 +650,8 @@ class TestConfig:
         # not fitted over [50, 60] alone
         ("decay-rate", "--set", "decay_rate.fit_t_min=50",
          "--set", "decay_rate.fit_t_max=70"),
+        # a negative tolerance: refused, not judged as a residual over it
+        ("compare", "--set", "compare.tolerance=-1"),
     ])
     def test_oversized_run_is_usage_error(self, tmp_path, capsys, argv):
         # used to exit 1 with an OverflowError, ValueError or MemoryError
@@ -701,6 +703,13 @@ class TestConfig:
 
     def test_cli_usage_error_exit_code(self, capsys):
         assert run("no-such-command") == 1
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_command_help_names_every_command(self, capsys, command):
+        assert run(command, "--help") == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: fanomode ")
+        assert all(f"\n  {name} " in out for name in cli._COMMANDS)
 
 
 class TestImportCost:

@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from fanomode import dynamics
+from fanomode import chebyshev, dynamics
 from fanomode.dynamics import (
     DiscretizedReservoir,
     build_discretized,
@@ -784,8 +784,8 @@ class TestDiscretizedReservoir:
     )
     def test_two_level_sum_matches_direct_sum(self, t_max, h, n_t):
         # the weights from one FFT against their direct sums, and each
-        # phase rounded at eps |lambda| t; measured at most 2.2e-15 here,
-        # and 1.4e-15 over omega_A in {-1.3, 0, 2}
+        # phase rounded at eps |lambda| t; measured at most 2.6e-15 here,
+        # and 2.1e-15 over omega_A in {-1.3, 0, 2}
         model = FanoModel(gamma=0.25, kappa=1.0, g_abs=0.5, eta=1.0, omega_A=0.4)
         res = build_discretized(pole_residue_from_model(model), 40.0, 2001)
         c1_0 = 0.6 - 0.3j
@@ -849,6 +849,25 @@ class TestDiscretizedReservoir:
         assert traj.metadata["chebyshev_order"] <= dynamics._chebyshev_order(320.0)
         assert traj.observables()[1] == []
 
+    def test_order_is_the_least_even_one_kapteyn_bounds(self):
+        # |J_k(x)| <= r_k^k for k >= x (DLMF 10.14.5), and r_k falls with
+        # k, so r_K^K / (1 - r_K) bounds every term past K
+        def kapteyn_tail(x, k):
+            z = x / k
+            root = math.sqrt(1.0 - z * z)
+            r = z * math.exp(root) / (1.0 + root)
+            return math.inf if r >= 1.0 else r**k / (1.0 - r)
+
+        xs = [0.0, 1e-300, 0.3, 1.0, 2.0, 7.5, 64.0, 100.0, 210.0, 410.0,
+              1000.0, 12345.6, 1e6, *np.linspace(0.0, 2000.0, 2001)]
+        orders = [chebyshev._chebyshev_order(x) for x in sorted(xs)]
+        assert orders == sorted(orders)
+        for x, order in zip(sorted(xs), orders):
+            assert order % 2 == 0 and order >= max(x, 2.0)
+            assert kapteyn_tail(x, order) <= chebyshev._CHEB_TAIL
+            if order - 2 >= max(x, 2.0):
+                assert kapteyn_tail(x, order - 2) > chebyshev._CHEB_TAIL
+
     @pytest.mark.parametrize("g_abs", [1e13, 1e100])
     def test_negligible_interior_is_left_out(self, monkeypatch, g_abs):
         # past |g| ~ 1e10 W the atom's weight between the polaritons is
@@ -868,14 +887,43 @@ class TestDiscretizedReservoir:
 
     def test_high_order_matches_dense_star(self):
         # t_max = 30 is just inside half the recurrence time 31.4 of this
-        # comb; the series runs to K ~ 1700 moments
+        # comb; the series runs to K ~ 1400 moments, at least a t_max
         model = FanoModel(gamma=0.25, kappa=1.0, g_abs=0.5, eta=1.0, omega_A=0.4)
         res = build_discretized(pole_residue_from_model(model), 40.0, 801)
         traj = solve_discretized(res, model.omega_A, 0.6 - 0.3j, 30.0, 1e-2)
-        assert traj.metadata["chebyshev_order"] > 1500
+        detunings = res.omegas - model.omega_A
+        low, high, _, _ = dynamics._split_off(
+            detunings, res.couplings, math.sqrt(float(res.couplings @ res.couplings))
+        )
+        order = traj.metadata["chebyshev_order"]
+        assert order >= 0.5 * (high - low) * 30.0
+        assert order > 1300
         c1, reservoir = star_solution(res, model.omega_A, 0.6 - 0.3j, traj.times)
         assert np.max(np.abs(traj.c1 - c1)) <= 1e-12
         assert np.max(np.abs(traj.reservoir_population - reservoir)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "g_abs, omega_A, split_off",
+        [(0.5, 0.4, 0), (0.5, 5000.0, 1), (200.0, 0.4, 2)],
+        ids=["weak", "atom_far_above", "strong_coupling"],
+    )
+    def test_longer_series_changes_nothing(
+        self, monkeypatch, g_abs, omega_A, split_off
+    ):
+        # the terms past the order of Kapteyn's bound are below roundoff:
+        # 64 more moved c1 by at most 1.5e-15 (measured, 801 to 8001 modes)
+        model = FanoModel(gamma=0.25, kappa=1.0, g_abs=g_abs, eta=1.0, omega_A=omega_A)
+        res = build_discretized(pole_residue_from_model(model), 40.0, 801)
+        traj = solve_discretized(res, omega_A, 0.6 - 0.3j, 4.0, 1e-2)
+        assert traj.metadata["split_off"] == split_off
+        order = dynamics._chebyshev_order
+        monkeypatch.setattr(dynamics, "_chebyshev_order", lambda x: order(x) + 64)
+        longer = solve_discretized(res, omega_A, 0.6 - 0.3j, 4.0, 1e-2)
+        assert (longer.metadata["chebyshev_order"]
+                == traj.metadata["chebyshev_order"] + 64)
+        assert np.max(np.abs(longer.c1 - traj.c1)) <= 5e-15
+        assert (np.max(np.abs(longer.reservoir_population - traj.reservoir_population))
+                <= 5e-15)
 
     def test_bitwise_reproducible(self):
         res = build_discretized(pole_residue_from_model(PRESET), 40.0, 2001)

@@ -19,16 +19,16 @@ import math
 
 import numpy as np
 
-from .spectral import TWO_PI
+from .spectral import TWO_PI, _phase_table
 
 # The Chebyshev series of e^{-iHt} is cut at the least even order K >= x,
 # x = half_width t_max, whose Kapteyn tail r_K^K / (1 - r_K) is <= _CHEB_TAIL; then
 # the terms past K, and the aliases of the trapezoid sum on 2K + 4 nodes,
 # add up to < 1e-16.
 _CHEB_TAIL = 1e-18
-# Offset pairs per block of the phase sum: a block's two real phase tables
-# stay in cache, and the sum's memory does not grow with K.
-_PAIR_BLOCK = 128
+# Offset pairs per block of the phase sum: a block's buffer and tables stay
+# in cache, and the sum's memory does not grow with K.
+_PAIR_BLOCK = 256
 # (-i)^k, k mod 4, exactly.
 _MINUS_I_POWERS = np.array([1.0, -1j, -1.0, 1j])
 
@@ -97,35 +97,40 @@ def _paired_phase_sum(
     coarse: np.ndarray, fine: np.ndarray,
 ) -> np.ndarray:
     """sum_n w_n e^{-i lambda_n t} at t = T + r, T in ``coarse`` (rows), r
-    in ``fine`` (columns), for the mirror-paired ``nodes`` of
-    :func:`_chebyshev_nodes`, in real arithmetic.
+    in ``fine`` (columns), both uniform of steps m h and h, m = len(fine),
+    for the mirror-paired ``nodes`` of :func:`_chebyshev_nodes`, in real
+    arithmetic.
 
     With o_n = centre - lambda_n the pair lambda_{+-n} sums to
     e^{-i centre t} [s_n cos(o_n t) + i d_n sin(o_n t)], s_n = w_n + w_-n
     and d_n = w_n - w_-n; the centre node is the pair o_0 = 0, s_0 = w_0,
-    d_0 = 0.  By cos(o t) = C c - S s and sin(o t) = S c + C s, with C, S
-    the tables of o T and c, s those of o r, the real parts over the
-    imaginary parts are one real product
+    d_0 = 0.  With E = e^{i o T} and F = e^{-i o r}, the tables of
+    :func:`fanomode.spectral._phase_table`, the real parts over the
+    imaginary parts negated are one real product
 
-        [[C s_n, -S s_n], [S d_n, C d_n]] @ [c; s],
+        [E s_n; i E d_n] @ [Re F; Im F]
 
-    taken _PAIR_BLOCK pairs at a time: half the multiply-adds and the
-    trigonometric evaluations of the complex product over all nodes.
+    of the interleaved real and imaginary parts, taken _PAIR_BLOCK pairs at
+    a time into one preallocated buffer: half the multiply-adds of the
+    complex product over all nodes, and 2 (sqrt(rows) + sqrt(m))
+    exponentials per pair.
     """
     mid = len(nodes) // 2
     offsets = centre - nodes[mid:]
     sums = weights[mid:] + weights[mid::-1]
     sums[0] *= 0.5
-    diffs = weights[mid:] - weights[mid::-1]
-    parts = np.zeros((2 * len(coarse), len(fine)))
+    diffs = 1j * (weights[mid:] - weights[mid::-1])
+    rows, m, h = len(coarse), len(fine), fine[1]
+    parts = np.zeros((2 * rows, m))
+    buffer = np.empty(2 * rows * min(len(offsets), _PAIR_BLOCK), dtype=complex)
     for block in range(0, len(offsets), _PAIR_BLOCK):
         o, s, d = (x[block : block + _PAIR_BLOCK] for x in (offsets, sums, diffs))
-        phases = np.outer(coarse, o)
-        cos_t, sin_t = np.cos(phases), np.sin(phases)
-        phases = np.outer(o, fine)
-        parts += (np.block([[cos_t * s, -sin_t * s], [sin_t * d, cos_t * d]])
-                  @ np.vstack([np.cos(phases), np.sin(phases)]))
+        left = buffer[: 2 * rows * len(o)].reshape(2 * rows, len(o))
+        table = _phase_table(-o, m * h, rows)
+        np.multiply(table, s, out=left[:rows])
+        np.multiply(table, d, out=left[rows:])
+        parts += left.view(float) @ _phase_table(o, h, m).view(float).T
     real, imag = np.split(parts, 2)
-    return (real + 1j * imag) * np.outer(
+    return (real - 1j * imag) * np.outer(
         np.exp(-1j * centre * coarse), np.exp(-1j * centre * fine)
     )

@@ -20,14 +20,15 @@ explicit reservoir modes) and are deterministic on a fixed time grid:
   amplitude is the Chebyshev series of e^{-iHt} on the atom + comb star
   (Tal-Ezer & Kosloff), its K moments from K / 2 star products (O(N K)),
   with K from Kapteyn's bound |J_k(x)| <= r_k^k at x = a t_max, a the
-  half-width of an interval reaching at most the comb's half-width W
-  beyond the comb.  An outer eigenvalue of the star further out (a
+  half-width of the star's spectrum, found on its secular equation.  An
+  outer eigenvalue more than W / 2 beyond the comb (W its half-width; a
   polariton of a strong coupling, an atom far from the comb) is split off
   and summed in closed form, so K < ~pi N whatever the coupling.  By
   Jacobi-Anger the series is a sum over K + 3 real-weighted nodes, its
   weights from one FFT of the moments; the nodes are mirror pairs about
   the interval's centre, so over the n_t samples it is a real two-level
-  sum of cos/sin pairs (O(K sqrt(n_t)) of them, :mod:`fanomode.chebyshev`),
+  sum of cos/sin pairs (O(K n_t) multiply-adds on tables of O(K n_t^(1/4))
+  cosines and sines, :mod:`fanomode.chebyshev`),
   and each split-off eigenvalue a two-level phase: exact at every sample.
   The state stays normalized, so the reservoir population is
   |c1(0)|^2 - |c1(t)|^2; each run checks its moments against [-1, 1],
@@ -681,9 +682,12 @@ def build_discretized(
     )
 
 
-# Newton steps to an eigenvalue of the star outside the comb; from the
-# start of :func:`_upper_edge` it converges in a handful.
+# Steps to an outer eigenvalue of the star; from the start of
+# :func:`_upper_edge` it converges in a handful.
 _NEWTON_STEPS = 100
+# The series' interval reaches this fraction of its half-width beyond the
+# outer eigenvalues, which the steps end within roundoff of.
+_EDGE_MARGIN = 1e-9
 # With both outer eigenvalues split off, the atom's weight on the rest is
 # not summed once it is bounded by this (a coupling ~1e10 times the comb's
 # width): it is far below roundoff, and the rest no longer resolves
@@ -694,47 +698,59 @@ _INTERIOR_NEGLIGIBLE = 1e-20
 def _upper_edge(
     detunings: np.ndarray, couplings: np.ndarray, norm: float
 ) -> tuple[float, float | None]:
-    """Upper end of an interval that holds the star's spectrum, and the
-    star's top eigenvalue if it is split off from the series (else None).
+    """Top of the star's spectrum, or of the rest of it if its top
+    eigenvalue is split off from the series, and that eigenvalue (else None).
 
-    All eigenvalues but the top and the bottom one lie between the lowest
-    and the highest mode (they interlace the modes), and the top one is
-    the root above the modes of f(x) = x - sum_k g_k^2 / (x - Omega_k),
-    which rises and is concave there.  With W the comb's half-width, the
-    Weyl end max(0, Omega) + |g| serves while it lies within W of the top
-    mode.  Past that, a top eigenvalue within W / 2 of the top mode is
-    kept, the end at the top mode + W; one further out, a polariton of a
-    strong coupling or the level of an atom far from the comb, is split
-    off, and the end is the top mode, which by interlacing bounds the rest
-    of the spectrum.  It is found by Newton from below, where the iterates
-    rise monotonically to it: from the top mode + W / 2 or from
-    (bottom + sqrt(bottom^2 + 4 |g|^2)) / 2, where f <= 0 as every
-    g_k^2 / (x - Omega_k) >= g_k^2 / (x - bottom).
+    All eigenvalues but the top and the bottom one interlace the modes, and
+    a decoupled mode is one of its own.  The top one of the rest is the root
+    above the highest coupled mode c of f(x) = x - g_c^2 / (x - Omega_c) -
+    R(x), R = sum_{k != c} g_k^2 / (x - Omega_k) convex.  Each step keeps the
+    pole and takes R's tangent, which lies below R, so the model's root (a
+    quadratic's, relative to x - Omega_c) is <= f's: the steps rise to it,
+    no slower than Newton's, from where f <= 0, the larger of the top roots
+    of x^2 = Omega_c x + g_c^2 and x^2 = bottom x + |g|^2.  A root more than
+    W / 2 beyond the top mode (W the comb's half-width: a polariton of a
+    strong coupling, an atom far from the comb) is split off, and the top
+    is the top mode, which bounds the rest; one below it, which is then
+    decoupled, leaves the top at it.
     """
-    top, bottom = float(np.max(detunings)), float(np.min(detunings))
-    width = 0.5 * (top - bottom)
-    weyl = max(0.0, top) + norm
-    if weyl <= top + width:
-        return weyl, None
-    x = top + 0.5 * width
-    if x >= float((couplings / (x - detunings)) @ couplings):
-        return top + width, None
-    x = max(x, 0.5 * (bottom + math.hypot(bottom, 2.0 * norm)))
+    peak = int(np.argmax(detunings))
+    top, bottom = float(detunings[peak]), float(np.min(detunings))
+    if couplings[peak] == 0.0:
+        coupled = couplings != 0.0
+        detunings, couplings = detunings[coupled], couplings[coupled]
+        peak = int(np.argmax(detunings))
+    high, g_high = float(detunings[peak]), float(couplings[peak])
+    x = 0.5 * max(high + math.hypot(high, 2.0 * g_high),
+                  bottom + math.hypot(bottom, 2.0 * norm))
     for _ in range(_NEWTON_STEPS):
-        ratios = couplings / (x - detunings)
-        step = (float(ratios @ couplings) - x) / (1.0 + float(ratios @ ratios))
-        if not x + step > x:
+        gap = x - high
+        if not gap > 0.0:  # within roundoff of Omega_c
             break
-        x += step
-    return top, x
+        ratios = couplings / (x - detunings)
+        ratios[peak] = 0.0
+        slope = 1.0 + float(ratios @ ratios)
+        excess = (x - float(ratios @ couplings)) / gap
+        deficit = (g_high / gap) ** 2 - excess  # -f(x) / gap
+        # x + z gap, slope z^2 + b z = deficit; z <= 0 at the root (b > 0)
+        b = slope + excess
+        root = math.hypot(b, 2.0 * math.sqrt(slope * max(deficit, 0.0)))
+        z = 2.0 * deficit / (b + root) if b > 0.0 else 0.5 * (root - b) / slope
+        if not x + z * gap > x:
+            break
+        x += z * gap
+    if x > top + 0.25 * (top - bottom):
+        return top, x
+    return max(x, top), None
 
 
 def _split_off(
     detunings: np.ndarray, couplings: np.ndarray, norm: float
 ) -> tuple[float, float, list[tuple[float, np.ndarray, float]], bool]:
-    """The series' interval [low, high], the eigenvalues split off from it
-    as (lambda, u, w), and whether the atom's weight on the remaining ones
-    is summed.
+    """The series' interval [low, high], the star's spectrum widened by
+    _EDGE_MARGIN of its half-width, the eigenvalues split off from it as
+    (lambda, u, w), and whether the atom's weight on the remaining ones is
+    summed.
 
     The eigenvector of lambda is (1, u) sqrt(w) with u_k = g_k / (lambda -
     Omega_k) and w = 1 / (1 + |u|^2) its weight on the atom.  With both
@@ -755,12 +771,12 @@ def _split_off(
     interior = True
     if len(roots) == 2:
         h, l = roots
-        ends = (float(np.min(detunings)), float(np.max(detunings)))
-        p_min = min((h - x) * (x - l) for x in ends)
+        p_min = min((h - x) * (x - l) for x in (-low, high))  # the comb's ends
         spread = (detunings - (h + l)) * (couplings / p_min)
         bound = ((norm * norm + h * l) / p_min) ** 2 + float(spread @ spread)
         interior = not bound <= _INTERIOR_NEGLIGIBLE
-    return -low, high, split, interior
+    margin = _EDGE_MARGIN * 0.5 * (high + low)
+    return -low - margin, high + margin, split, interior
 
 
 def _star_moments(
@@ -837,16 +853,16 @@ def solve_discretized(
     from the Chebyshev moments of the star.  In the omega_A rotating frame
     the atom's amplitude is c1(t) = c1(0) psi_0(t) e^{-i omega_A t} with
     psi_0(t) = <0|e^{-iHt}|0>, H the real symmetric star of the atom and
-    the modes at detunings Omega_k = omega_k - omega_A.  Its spectrum lies
-    in the Weyl bound [min(0, Omega) - |g|, max(0, Omega) + |g|], and all of
-    it but the two outer eigenvalues within the modes' span.  The series
-    runs on an interval [b - a, b + a] that holds the spectrum and reaches
-    at most W, the comb's half-width, beyond the span: the Weyl bound
-    where it does, else the span widened by W, or not at all on a side
-    whose outer eigenvalue lies more than W / 2 out.  That eigenvalue (a
-    polariton of a strong coupling, or the level of an atom far from the
-    comb) is split off and summed in closed form, e^{-i lambda t} times its
-    weight on the atom (:func:`_split_off`).  So with H' = (H - b) / a
+    the modes at detunings Omega_k = omega_k - omega_A.  All of its spectrum
+    but the two outer eigenvalues lies within the modes' span, and those
+    are found on the secular equation (:func:`_upper_edge`).  The series
+    runs on the interval [b - a, b + a] between them, widened by
+    _EDGE_MARGIN of its half-width, except on a side whose outer eigenvalue
+    lies more than W / 2 (W the comb's half-width) beyond the span, where it
+    ends at the outermost mode.  That eigenvalue (a polariton of a strong
+    coupling, or the level of an atom far from the comb) is split off and
+    summed in closed form, e^{-i lambda t} times its weight on the atom
+    (:func:`_split_off`).  So with H' = (H - b) / a
 
         psi_0(t) = sum_split w e^{-i lambda t}
                    + e^{-ibt} sum_k (2 - delta_k0) (-i)^k J_k(at) mu_k,
@@ -854,7 +870,7 @@ def solve_discretized(
     mu_k = <0'|T_k(H')|0'> the moments of the atom's state with the split
     eigenvectors projected out, exact to double precision when cut at the
     K of :func:`_chebyshev_order` for x = a t_max (:func:`_star_moments`,
-    O(N K)).  As a <= 2W and t_max < pi / d_omega (the recurrence guard),
+    O(N K)).  As a <= ~3W / 2 and t_max < pi / d_omega (the recurrence guard),
     K < ~pi N whatever the coupling or the atom's detuning.  By
     Jacobi-Anger the series is a sum over K + 3 nodes lambda_n = b - a sin
     theta_n (:func:`_chebyshev_nodes`, one FFT), and with the split-off
@@ -865,9 +881,9 @@ def solve_discretized(
 
     each split-off eigenvalue is the outer product of its two phases, and
     the series, its nodes folded into (K + 2) / 2 mirror pairs about b and
-    the centre node, is a real (2B x 2 pairs) by (2 pairs x m) product of
-    cos/sin tables per 128 pairs (:func:`_paired_phase_sum`):
-    O(K sqrt(n_t)) cosines and sines, O(K n_t) multiply-adds.  At a fixed
+    the centre node, is a real (2B x 2 pairs) by (2 pairs x m) product per
+    256 pairs of two-level phase tables (:func:`_paired_phase_sum`):
+    O(K n_t^(1/4)) cosines and sines, O(K n_t) multiply-adds.  At a fixed
     comb K grows like t_max, so the moments grow like t_max and the sum
     like t_max^2.  Only the comb's samples of J enter, never the pole form or
     the kernel.  A comb with |g| = 0 leaves the atom in its free rotation,

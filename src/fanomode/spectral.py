@@ -261,9 +261,7 @@ def kernel_by_quadrature(
     :func:`memory_kernel`.  The slowly decaying 1/omega tail of f makes the
     truncation error fall off only like 1/(window * tau), which dominates the
     reported estimate at practical settings.  The sum reads only the samples
-    of J on the grid and is factorized over rows of about sqrt(n_points)
-    points: O(sqrt(n_points)) exponentials and O(n_points) multiply-adds per
-    tau.
+    of J on the grid (:func:`_kernel_quadrature`).
     """
     values, estimates = _kernel_quadrature(spec, np.array([tau]), window, n_points)
     return QuadratureResult(
@@ -273,6 +271,21 @@ def kernel_by_quadrature(
 
 # Taus per pass of the factorized quadrature sum, which bounds its memory.
 _QUADRATURE_CHUNK = 64
+
+
+def _phase_table(freqs: np.ndarray, step: float, n: int) -> np.ndarray:
+    """e^{-i f j step}, j < n (rows), f in ``freqs`` (columns): with q =
+    ceil(sqrt(n)), row a q + r is row a of a table of step q ``step`` times
+    row r of one of step ``step``, ~2 sqrt(n) exponentials per f.  Each entry
+    errs by eps |f j step| and a few eps."""
+    q = math.isqrt(n - 1) + 1
+    coarse, fine = (
+        np.exp(np.outer(s * np.arange(count), -1j * freqs))
+        for s, count in ((q * step, -(-n // q)), (step, q))
+    )
+    table = np.empty((len(coarse), q, len(freqs)), dtype=complex)
+    np.multiply(coarse[:, None], fine, out=table)
+    return table.reshape(-1, len(freqs))[:n]
 
 
 def _kernel_quadrature(
@@ -286,17 +299,19 @@ def _kernel_quadrature(
     m ~ sqrt(n_points) is even, it factorizes as
 
         sum_j w_j f_j e^{-i omega_j tau}
-            = sum_b e^{-i omega_{bm} tau} sum_r w_{bm+r} f_{bm+r} e^{-i r d tau}.
+            = e^{-i omega_0 tau} sum_b e^{-i b m d tau}
+              sum_r w_{bm+r} f_{bm+r} e^{-i r d tau}.
 
-    The inner sums of all rows are one real matrix product against the
-    interleaved cos(r d tau) and -sin(r d tau), so a tau costs
-    O(sqrt(n_points)) exponentials and O(n_points) multiply-adds.  Each phase
-    is rounded at eps (|omega_{bm}| + r d) tau, as the direct sum's
-    omega_j tau is at eps |omega_j| tau.  As m is even, the
-    half-resolution subgrid of the discretization estimate is the even
-    columns; the central half-window slice of the truncation estimate is the
-    rows inside it plus its two partial edge rows.  Taus are taken 64 at a
-    time, so memory does not grow with their number.
+    Both phase tables come from :func:`_phase_table` (each entry off by eps
+    (|omega_0| + j d) tau and a few eps, as the direct sum's omega_j tau is
+    by eps |omega_j| tau), and the inner sums of all rows are real matrix
+    products against the interleaved cos and -sin parts, one for the even
+    and one for the odd columns (m is even).  The even one alone is the
+    half-resolution sum of the discretization estimate, less half its last
+    point when n_points is even; the central half-window slice of the
+    truncation estimate is the rows inside it plus its two partial edge
+    rows.  Taus are taken 64 at a time, so memory does not grow with their
+    number.  A grid or phase that overflows raises ParameterError.
     """
     _check_finite(tau=taus, window=window)
     if np.any(taus < 0):
@@ -305,44 +320,49 @@ def _kernel_quadrature(
         raise ParameterError(f"window must be > 0, got {window}")
     if n_points < 2:
         raise ParameterError(f"n_points must be >= 2, got {n_points}")
+    lo, hi = spec.z1.real - window, spec.z1.real + window
+    if not math.isfinite((hi - lo + max(-lo, hi)) * float(np.max(taus, initial=1.0))):
+        raise ParameterError(f"a quadrature grid over {spec.z1.real:.6g} +- "
+                             f"{window:.6g}, or its phases, overflow floating point")
 
     m = 2 * math.ceil(math.sqrt(n_points) / 2)
     rows = -(-n_points // m)
-    lo, hi = spec.z1.real - window, spec.z1.real + window
     grid = np.linspace(lo, hi, n_points)
     f = evaluate_J(spec, grid) - spec.J0
-    # Trapezoid weights times f, in zero-padded rows of m; each sum's step,
-    # grid[1] - grid[0] or its analogue on the slice, is applied last.
-    weights = np.zeros(rows * m)
-    weights[:n_points] = f
-    weights[[0, n_points - 1]] *= 0.5
-    weights = weights.reshape(rows, m)
-    row_omegas = grid[::m].copy()
+    # Trapezoid weights times f by the parity of j, in zero-padded rows of
+    # m / 2; each sum's step, grid[1] - grid[0] or its analogue on the
+    # subgrid, is applied last.
+    even, odd = np.zeros((2, rows, m // 2))
+    even.flat[: (n_points + 1) // 2] = f[::2]
+    odd.flat[: n_points // 2] = f[1::2]
+    even.flat[0] *= 0.5
+    (even, odd)[(n_points - 1) % 2].flat[(n_points - 1) // 2] *= 0.5
     h = grid[1] - grid[0]
     if n_points >= 5:
-        # Even j, with j = n_points - 2 ending the subgrid when n_points is even.
-        half = weights[:, ::2].copy()
-        if n_points % 2 == 0:
-            half.flat[n_points // 2 - 1] *= 0.5
         # j = first..last: the rows inside whole, the edge rows masked.
         quarter = (n_points - 1) // 4
         first, last = quarter, n_points - 1 - quarter
         inside = slice(first // m + 1, last // m)
         edge = np.array(sorted({first // m, last // m}))
         j = edge[:, None] * m + np.arange(m)
-        central_edge = np.where((j < first) | (j > last), 0.0, weights[edge])
+        central_edge = np.stack((even[edge], odd[edge]), axis=2).reshape(j.shape)
+        central_edge[(j < first) | (j > last)] = 0.0
         central_edge[(j == first) | (j == last)] *= 0.5
         h_half, h_central = grid[2] - grid[0], grid[first + 1] - grid[first]
     del grid, f  # only the weights stay alive through the tau loop
     # Phases from linspace's own step: grid[1] - grid[0] carries the rounding
-    # of grid[1], which r up to m would multiply.
-    phase_steps = (hi - lo) / (n_points - 1) * np.arange(m)
+    # of grid[1], which j up to n_points would multiply.
+    d = (hi - lo) / (n_points - 1)
 
     def sums(tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        inner = np.exp(np.outer(phase_steps, -1j * tau))
-        outer = np.exp(np.outer(row_omegas, -1j * tau))
-        terms = _row_sums(weights, inner)
+        inner = _phase_table(tau, d, m)
+        outer = _phase_table(tau, m * d, rows)
+        outer *= np.exp(-1j * lo * tau)
+        terms = _row_sums(odd, inner[1::2])
         terms *= outer
+        even_terms = _row_sums(even, inner[::2])
+        even_terms *= outer
+        terms += even_terms
         value = h * terms.sum(axis=0)
         if n_points < 5:
             # Neither estimate has a subgrid to compare with.
@@ -351,9 +371,10 @@ def _kernel_quadrature(
         central = terms[inside].sum(axis=0)
         central += (outer[edge] * _row_sums(central_edge, inner)).sum(axis=0)
         # Discretization estimate: compare with the half-resolution subgrid.
-        terms = _row_sums(half, inner[::2])
-        terms *= outer
-        coarse = terms.sum(axis=0)
+        coarse = even_terms.sum(axis=0)
+        if n_points % 2 == 0:  # j = n_points - 2 ends the even subgrid
+            b, r = divmod(n_points - 2, m)
+            coarse -= 0.5 * even[b, r // 2] * outer[b] * inner[r]
         return value, (np.abs(value - h_half * coarse)
                        + np.abs(value - h_central * central))
 

@@ -680,19 +680,27 @@ class TestConfig:
         ("spectrum", "--set", "spectrum.epsilon_min=-1e308",
          "--set", "spectrum.epsilon_max=1e308"),
         ("fanodiag", "--set", "fanodiag.half_width=1e308"),
+        ("kernel", "--set", "kernel.quadrature_check=true",
+         "--set", "kernel.quadrature_window=1e308"),
+        ("kernel", "--set", "kernel.quadrature_check=true",
+         "--set", "kernel.quadrature_window=1e306", "--set", "kernel.tau_max=1e3"),
+        ("kernel", "--set", "kernel.quadrature_check=true",
+         "--set", "model.omega_C=1e308", "--set", "kernel.quadrature_window=1e308"),
     ])
     def test_overflowing_input_is_usage_error(self, tmp_path, capsys, argv):
         # squaring g_abs or |q| as a Python float used to end in an
         # OverflowError traceback; a comb whose frequencies repeat (at
         # omega_C = 1e17) or overflow (a window of 1e308) in a
         # ZeroDivisionError or ValueError one; a spectrum or fanodiag grid
-        # whose span overflows in nan rows and exit 2
+        # whose span overflows, or a quadrature grid whose span or phases
+        # omega tau do, in nan rows and exit 2
         out = tmp_path / "out.csv"
         assert run(*argv, "--out", str(out)) == 1
         err = capsys.readouterr().err
         assert err.startswith("fanomode: error: ")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+        assert not out.exists()
 
     def test_defaults_are_not_mutated(self):
         load_config(None, ["model.gamma=0.9"])

@@ -30,6 +30,7 @@ from fanomode.fanodiag import _lambda_identity
 from fanomode.spectral import (
     FanoModel,
     PoleSpectral,
+    _phase_table,
     evaluate_J,
     memory_kernel,
     pole_residue_from_model,
@@ -135,6 +136,30 @@ def test_volterra_and_amplitudes_agree(model):
     assert np.max(np.abs(np.abs(volterra.c1) - np.abs(amplitudes.c1))) < 1e-6
 
 
+@DETERMINISTIC
+@given(
+    n=st.integers(1, 100_000),
+    span=st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+    scale=st.floats(-5.0, 5.0).map(lambda e: 10.0**e),
+    ratios=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=4),
+)
+# one row, a coarse table of one row, and a perfect square
+@example(n=1, span=1e3, scale=1.0, ratios=[1.0, -0.25])
+@example(n=2, span=1e3, scale=1e-5, ratios=[-1.0, 0.0, 0.5])
+@example(n=10_000, span=1e3, scale=1e5, ratios=[1.0, -1.0, 0.3])
+def test_phase_table_is_the_direct_exponential(n, span, scale, ratios):
+    # |f step j| up to 1e3 rad over frequencies of 1e-5..1e5; each entry
+    # errs by its phases' rounding and a few eps of products, measured at
+    # most 2.3 eps (1 + |phase|)
+    freqs = scale * np.array(ratios)
+    step = span / (n * scale)
+    phases = np.outer(step * np.arange(n), freqs)
+    table = _phase_table(freqs, step, n)
+    assert table.shape == phases.shape
+    error = np.abs(table - np.exp(-1j * phases))
+    assert np.all(error <= 4.0 * EPS * (1.0 + np.abs(phases)))
+
+
 @settings(DETERMINISTIC, max_examples=20)
 @given(model=models(), t_max=st.sampled_from([0.5, 2.0, 5.0, 7.5]))
 def test_comb_chain_matches_dense_star(model, t_max):
@@ -152,8 +177,8 @@ def log_uniform(low: float, high: float):
     return st.floats(low, high).map(lambda e: 10.0**e)
 
 
-# A strong coupling with the atom inside the comb: the Weyl end lies
-# farther than W out, so the outer eigenvalue decides the interval's end.
+# A strong coupling with the atom inside the comb: the outer eigenvalues
+# lie far beyond the comb.
 _STRONG = FanoModel(gamma=0.25, kappa=1.0, g_abs=40.0, eta=1.0)
 
 
@@ -210,6 +235,56 @@ def test_comb_matches_dense_star_over_whole_ranges(model, window, steps, decoupl
     bound = 50.0 * EPS * max(norm, abs(model.omega_A), window) * t_max
     assert np.max(np.abs(traj.c1 - c1)) <= bound
     assert np.max(np.abs(traj.reservoir_population - reservoir)) <= bound
+
+
+@DETERMINISTIC
+@given(
+    model=models(
+        g_abs=log_uniform(-1.0, 4.0),
+        omega_A=st.tuples(st.sampled_from((-1.0, 1.0)), log_uniform(-1.0, 4.0)).map(
+            math.prod
+        ),
+    ),
+    window=st.sampled_from([20.0, 40.0]),
+    decoupled=st.sampled_from([None, 0, -1]),
+)
+# a decoupled top and bottom mode, whose level ends the interval when the
+# root above the coupled modes lies below it; the atom at either window edge
+@example(model=dataclasses.replace(_STRONG, g_abs=0.1, omega_A=0.3), window=20.0,
+         decoupled=-1)
+@example(model=dataclasses.replace(_STRONG, g_abs=0.1, omega_A=0.3), window=20.0,
+         decoupled=0)
+@example(model=dataclasses.replace(_STRONG, g_abs=0.5, omega_A=40.0), window=40.0,
+         decoupled=None)
+@example(model=dataclasses.replace(_STRONG, g_abs=0.5, omega_A=-40.0), window=40.0,
+         decoupled=None)
+def test_interval_is_the_hull_of_the_unsplit_spectrum(model, window, decoupled):
+    # every eigenvalue of the dense star that is not split off lies in the
+    # series' interval, whose unsplit ends overshoot the outermost of them
+    # by the margin and the dense eigvalsh's own roundoff; a split end is
+    # the outermost mode
+    res = build_discretized(pole_residue_from_model(model), window, 201)
+    couplings = res.couplings.copy()
+    if decoupled is not None:
+        couplings[decoupled] = 0.0
+    detunings = res.omegas - model.omega_A
+    norm = math.sqrt(float(couplings @ couplings))
+    low, high, split, _ = dynamics._split_off(detunings, couplings, norm)
+    n = len(detunings)
+    ham = np.zeros((n + 1, n + 1))
+    ham[0, 1:] = ham[1:, 0] = couplings
+    ham[np.arange(1, n + 1), np.arange(1, n + 1)] = detunings
+    spectrum = np.linalg.eigvalsh(ham)
+    margin = dynamics._EDGE_MARGIN * 0.5 * (high - low)
+    roundoff = 50.0 * EPS * max(norm, abs(model.omega_A), window)
+    above = any(root > high for root, _, _ in split)
+    below = any(root < low for root, _, _ in split)
+    assert above + below == len(split)
+    unsplit = spectrum[int(below) : len(spectrum) - int(above)]
+    assert low <= unsplit[0] and unsplit[-1] <= high
+    for end, outer, mode, is_split in ((high, unsplit[-1], detunings[-1], above),
+                                       (-low, -unsplit[0], -detunings[0], below)):
+        assert 0.0 < end - (mode if is_split else outer) <= margin + roundoff
 
 
 @settings(DETERMINISTIC, max_examples=50)

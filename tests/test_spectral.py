@@ -349,7 +349,7 @@ class TestFactorizedQuadrature:
         # Each phase omega tau is rounded at eps |omega| tau in either sum,
         # so the bound scales with the largest phase and the integrand's
         # absolute sum.  Measured: at most 0.71 of this scale in the values
-        # and 1.5 in the estimates; in absolute terms at most 3.2e-15 at
+        # and 1.5 in the estimates; in absolute terms at most 6.0e-15 at
         # n_points >= 16, and 5.4e-14 at n_points = 3, where the one grid
         # point near the pole carries a value of 2.4.
         taus = np.array(self.TAUS[taus])

@@ -93,18 +93,16 @@ def _chebyshev_nodes(
 
 
 def _paired_phase_sum(
-    nodes: np.ndarray, weights: np.ndarray, centre: float,
-    coarse: np.ndarray, fine: np.ndarray,
+    nodes: np.ndarray, weights: np.ndarray, centre: float, h: float, n: int
 ) -> np.ndarray:
-    """sum_n w_n e^{-i lambda_n t} at t = T + r, T in ``coarse`` (rows), r
-    in ``fine`` (columns), both uniform of steps m h and h, m = len(fine),
-    for the mirror-paired ``nodes`` of :func:`_chebyshev_nodes`, in real
-    arithmetic.
+    """sum_n w_n e^{-i lambda_n t} at t = j h, j < n, for the mirror-paired
+    ``nodes`` of :func:`_chebyshev_nodes`, in real arithmetic, over the
+    two-level index j = b m + r, m = ceil(sqrt(n)).
 
     With o_n = centre - lambda_n the pair lambda_{+-n} sums to
     e^{-i centre t} [s_n cos(o_n t) + i d_n sin(o_n t)], s_n = w_n + w_-n
     and d_n = w_n - w_-n; the centre node is the pair o_0 = 0, s_0 = w_0,
-    d_0 = 0.  With E = e^{i o T} and F = e^{-i o r}, the tables of
+    d_0 = 0.  With E = e^{i o b m h} and F = e^{-i o r h}, the tables of
     :func:`fanomode.spectral._phase_table`, the real parts over the
     imaginary parts negated are one real product
 
@@ -120,7 +118,8 @@ def _paired_phase_sum(
     sums = weights[mid:] + weights[mid::-1]
     sums[0] *= 0.5
     diffs = 1j * (weights[mid:] - weights[mid::-1])
-    rows, m, h = len(coarse), len(fine), fine[1]
+    m = math.isqrt(n - 1) + 1
+    rows = -(-n // m)
     parts = np.zeros((2 * rows, m))
     buffer = np.empty(2 * rows * min(len(offsets), _PAIR_BLOCK), dtype=complex)
     for block in range(0, len(offsets), _PAIR_BLOCK):
@@ -131,6 +130,5 @@ def _paired_phase_sum(
         np.multiply(table, d, out=left[rows:])
         parts += left.view(float) @ _phase_table(o, h, m).view(float).T
     real, imag = np.split(parts, 2)
-    return (real - 1j * imag) * np.outer(
-        np.exp(-1j * centre * coarse), np.exp(-1j * centre * fine)
-    )
+    carrier = _phase_table(np.array([centre]), h, n)[:, 0]
+    return (real - 1j * imag).reshape(-1)[:n] * carrier

@@ -55,7 +55,7 @@ import numpy as np
 from .chebyshev import _chebyshev_nodes, _chebyshev_order, _paired_phase_sum
 from .embedding import EmbeddedQME, kossakowski
 from .errors import ParameterError, RecurrenceError, SpectralError, StepSizeError
-from .spectral import TWO_PI, PoleSpectral, evaluate_J, memory_kernel
+from .spectral import TWO_PI, PoleSpectral, _phase_table, evaluate_J, memory_kernel
 
 # Basis ordering of the truncated atom + pseudomode space.
 GROUND, ATOM_EXCITED, CAVITY_EXCITED = 0, 1, 2
@@ -714,12 +714,8 @@ def _upper_edge(
     is the top mode, which bounds the rest; one below it, which is then
     decoupled, leaves the top at it.
     """
-    peak = int(np.argmax(detunings))
-    top, bottom = float(detunings[peak]), float(np.min(detunings))
-    if couplings[peak] == 0.0:
-        coupled = couplings != 0.0
-        detunings, couplings = detunings[coupled], couplings[coupled]
-        peak = int(np.argmax(detunings))
+    top, bottom = float(np.max(detunings)), float(np.min(detunings))
+    peak = int(np.argmax(np.where(couplings != 0.0, detunings, -np.inf)))
     high, g_high = float(detunings[peak]), float(couplings[peak])
     x = 0.5 * max(high + math.hypot(high, 2.0 * g_high),
                   bottom + math.hypot(bottom, 2.0 * norm))
@@ -877,13 +873,14 @@ def solve_discretized(
     eigenvalues it is evaluated at every sample, so ``h`` is only the
     sampling step.  With the sample index j = b' m + r, m = ceil(sqrt(n_t)),
 
-        e^{-i lambda j h} = e^{-i lambda b' m h} e^{-i lambda r h},
+        e^{-i lambda j h} = e^{-i lambda b' m h} e^{-i lambda r h}:
 
-    each split-off eigenvalue is the outer product of its two phases, and
-    the series, its nodes folded into (K + 2) / 2 mirror pairs about b and
-    the centre node, is a real (2B x 2 pairs) by (2 pairs x m) product per
-    256 pairs of two-level phase tables (:func:`_paired_phase_sum`):
-    O(K n_t^(1/4)) cosines and sines, O(K n_t) multiply-adds.  At a fixed
+    each split-off eigenvalue is a two-level phase table
+    (:func:`fanomode.spectral._phase_table`), and the series, its nodes
+    folded into (K + 2) / 2 mirror pairs about b and the centre node, is a
+    real (2B x 2 pairs) by (2 pairs x m) product per 256 pairs of such
+    tables (:func:`_paired_phase_sum`): O(K n_t^(1/4)) cosines and sines,
+    O(K n_t) multiply-adds.  At a fixed
     comb K grows like t_max, so the moments grow like t_max and the sum
     like t_max^2.  Only the comb's samples of J enter, never the pole form or
     the kernel.  A comb with |g| = 0 leaves the atom in its free rotation,
@@ -913,13 +910,9 @@ def solve_discretized(
         psi = np.ones(len(times), dtype=complex)
     else:
         low, high, split, interior = _split_off(detunings, res.couplings, norm)
-        n_t = len(times)
-        m = math.isqrt(n_t - 1) + 1
-        coarse, fine = times[::m], times[:m]
-        # Row b', column r is psi_0(t) at t = T + r h, T = b' m h.
-        psi = np.zeros((len(coarse), m), dtype=complex)
+        psi = np.zeros(len(times), dtype=complex)
         for root, _, w in split:
-            psi += w * np.outer(np.exp(-1j * root * coarse), np.exp(-1j * root * fine))
+            psi += w * _phase_table(np.array([root]), h, len(times))[:, 0]
         if interior:
             centre, half_width = 0.5 * (low + high), 0.5 * (high - low)
             order = _chebyshev_order(half_width * t_max)
@@ -928,8 +921,7 @@ def solve_discretized(
             )
             nodes, weights = _chebyshev_nodes(mu, centre, half_width)
             moment_excess = float(np.max(np.abs(mu)) - mu[0])
-            psi += _paired_phase_sum(nodes, weights, centre, coarse, fine)
-        psi = psi.reshape(-1)[:n_t]
+            psi += _paired_phase_sum(nodes, weights, centre, h, len(times))
 
     return Trajectory(
         times=times,

@@ -279,13 +279,9 @@ def _phase_table(freqs: np.ndarray, step: float, n: int) -> np.ndarray:
     row r of one of step ``step``, ~2 sqrt(n) exponentials per f.  Each entry
     errs by eps |f j step| and a few eps."""
     q = math.isqrt(n - 1) + 1
-    coarse, fine = (
-        np.exp(np.outer(s * np.arange(count), -1j * freqs))
-        for s, count in ((q * step, -(-n // q)), (step, q))
-    )
-    table = np.empty((len(coarse), q, len(freqs)), dtype=complex)
-    np.multiply(coarse[:, None], fine, out=table)
-    return table.reshape(-1, len(freqs))[:n]
+    coarse, fine = (np.exp(np.outer(s * np.arange(k), -1j * freqs))
+                    for s, k in ((q * step, -(-n // q)), (step, q)))
+    return (coarse[:, None] * fine).reshape(-1, len(freqs))[:n]
 
 
 def _kernel_quadrature(
@@ -324,7 +320,6 @@ def _kernel_quadrature(
     if not math.isfinite((hi - lo + max(-lo, hi)) * float(np.max(taus, initial=1.0))):
         raise ParameterError(f"a quadrature grid over {spec.z1.real:.6g} +- "
                              f"{window:.6g}, or its phases, overflow floating point")
-
     m = 2 * math.ceil(math.sqrt(n_points) / 2)
     rows = -(-n_points // m)
     grid = np.linspace(lo, hi, n_points)
@@ -332,11 +327,9 @@ def _kernel_quadrature(
     # Trapezoid weights times f by the parity of j, in zero-padded rows of
     # m / 2; each sum's step, grid[1] - grid[0] or its analogue on the
     # subgrid, is applied last.
+    f[[0, -1]] *= 0.5
     even, odd = np.zeros((2, rows, m // 2))
-    even.flat[: (n_points + 1) // 2] = f[::2]
-    odd.flat[: n_points // 2] = f[1::2]
-    even.flat[0] *= 0.5
-    (even, odd)[(n_points - 1) % 2].flat[(n_points - 1) // 2] *= 0.5
+    even.flat[: (n_points + 1) // 2], odd.flat[: n_points // 2] = f[::2], f[1::2]
     h = grid[1] - grid[0]
     if n_points >= 5:
         # j = first..last: the rows inside whole, the edge rows masked.

@@ -249,11 +249,15 @@ def test_comb_matches_dense_star_over_whole_ranges(model, window, steps, decoupl
     decoupled=st.sampled_from([None, 0, -1]),
 )
 # a decoupled top and bottom mode, whose level ends the interval when the
-# root above the coupled modes lies below it; the atom at either window edge
+# root past the coupled modes lies within it, and a polariton ~0.5 beyond a
+# decoupled top mode, reached from the coupled modes; the atom at either
+# window edge
 @example(model=dataclasses.replace(_STRONG, g_abs=0.1, omega_A=0.3), window=20.0,
          decoupled=-1)
 @example(model=dataclasses.replace(_STRONG, g_abs=0.1, omega_A=0.3), window=20.0,
          decoupled=0)
+@example(model=dataclasses.replace(_STRONG, g_abs=20.0, omega_A=0.3), window=20.0,
+         decoupled=-1)
 @example(model=dataclasses.replace(_STRONG, g_abs=0.5, omega_A=40.0), window=40.0,
          decoupled=None)
 @example(model=dataclasses.replace(_STRONG, g_abs=0.5, omega_A=-40.0), window=40.0,

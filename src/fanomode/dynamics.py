@@ -682,11 +682,11 @@ def build_discretized(
     )
 
 
-# Steps to an outer eigenvalue of the star; from the start of
+# Newton steps to an outer eigenvalue of the star; from the start of
 # :func:`_upper_edge` it converges in a handful.
 _NEWTON_STEPS = 100
 # The series' interval reaches this fraction of its half-width beyond the
-# outer eigenvalues, which the steps end within roundoff of.
+# outer eigenvalues, which Newton ends within roundoff of.
 _EDGE_MARGIN = 1e-9
 # With both outer eigenvalues split off, the atom's weight on the rest is
 # not summed once it is bounded by this (a coupling ~1e10 times the comb's
@@ -703,16 +703,15 @@ def _upper_edge(
 
     All eigenvalues but the top and the bottom one interlace the modes, and
     a decoupled mode is one of its own.  The top one of the rest is the root
-    above the highest coupled mode c of f(x) = x - g_c^2 / (x - Omega_c) -
-    R(x), R = sum_{k != c} g_k^2 / (x - Omega_k) convex.  Each step keeps the
-    pole and takes R's tangent, which lies below R, so the model's root (a
-    quadratic's, relative to x - Omega_c) is <= f's: the steps rise to it,
-    no slower than Newton's, from where f <= 0, the larger of the top roots
-    of x^2 = Omega_c x + g_c^2 and x^2 = bottom x + |g|^2.  A root more than
-    W / 2 beyond the top mode (W the comb's half-width: a polariton of a
-    strong coupling, an atom far from the comb) is split off, and the top
-    is the top mode, which bounds the rest; one below it, which is then
-    decoupled, leaves the top at it.
+    above the highest coupled mode c of f(x) = x - sum_k g_k^2 / (x -
+    Omega_k), which rises and is concave there, found by Newton from below,
+    where the iterates rise monotonically to it: from the larger of the top
+    roots of x^2 = Omega_c x + g_c^2 and x^2 = bottom x + |g|^2, where f <=
+    0, as the sum is at least g_c^2 / (x - Omega_c) and |g|^2 / (x - bottom).
+    A root more than W / 2 beyond the top mode (W the comb's half-width: a
+    polariton of a strong coupling, an atom far from the comb) is split
+    off, and the top is the top mode, which bounds the rest; one below it,
+    which is then decoupled, leaves the top at it.
     """
     top, bottom = float(np.max(detunings)), float(np.min(detunings))
     peak = int(np.argmax(np.where(couplings != 0.0, detunings, -np.inf)))
@@ -720,21 +719,11 @@ def _upper_edge(
     x = 0.5 * max(high + math.hypot(high, 2.0 * g_high),
                   bottom + math.hypot(bottom, 2.0 * norm))
     for _ in range(_NEWTON_STEPS):
-        gap = x - high
-        if not gap > 0.0:  # within roundoff of Omega_c
-            break
         ratios = couplings / (x - detunings)
-        ratios[peak] = 0.0
-        slope = 1.0 + float(ratios @ ratios)
-        excess = (x - float(ratios @ couplings)) / gap
-        deficit = (g_high / gap) ** 2 - excess  # -f(x) / gap
-        # x + z gap, slope z^2 + b z = deficit; z <= 0 at the root (b > 0)
-        b = slope + excess
-        root = math.hypot(b, 2.0 * math.sqrt(slope * max(deficit, 0.0)))
-        z = 2.0 * deficit / (b + root) if b > 0.0 else 0.5 * (root - b) / slope
-        if not x + z * gap > x:
+        step = (float(ratios @ couplings) - x) / (1.0 + float(ratios @ ratios))
+        if not x + step > x:
             break
-        x += z * gap
+        x += step
     if x > top + 0.25 * (top - bottom):
         return top, x
     return max(x, top), None

@@ -732,10 +732,10 @@ def _upper_edge(
 def _split_off(
     detunings: np.ndarray, couplings: np.ndarray, norm: float
 ) -> tuple[float, float, list[tuple[float, np.ndarray, float]], bool]:
-    """The series' interval [low, high], the star's spectrum widened by
-    _EDGE_MARGIN of its half-width, the eigenvalues split off from it as
-    (lambda, u, w), and whether the atom's weight on the remaining ones is
-    summed.
+    """The series' interval [low, high], the hull of the eigenvalues not
+    split off widened by _EDGE_MARGIN of its half-width, the eigenvalues
+    split off from it as (lambda, u, w), and whether the atom's weight on
+    the remaining ones is summed.
 
     The eigenvector of lambda is (1, u) sqrt(w) with u_k = g_k / (lambda -
     Omega_k) and w = 1 / (1 + |u|^2) its weight on the atom.  With both

@@ -274,10 +274,13 @@ _QUADRATURE_CHUNK = 64
 
 
 def _phase_table(freqs: np.ndarray, step: float, n: int) -> np.ndarray:
-    """e^{-i f j step}, j < n (rows), f in ``freqs`` (columns): with q =
-    ceil(sqrt(n)), row a q + r is row a of a table of step q ``step`` times
-    row r of one of step ``step``, ~2 sqrt(n) exponentials per f.  Each entry
-    errs by eps |f j step| and a few eps."""
+    """e^{-i f j step}, j < n (rows), for each f of ``freqs`` (columns).
+
+    With q = ceil(sqrt(n)), row a q + r is row a of a table of step
+    q ``step`` times row r of one of step ``step`` (angle addition): ~2
+    sqrt(n) exponentials per f.  Each entry errs by eps |f j step| and a
+    few eps.
+    """
     q = math.isqrt(n - 1) + 1
     coarse, fine = (np.exp(np.outer(s * np.arange(k), -1j * freqs))
                     for s, k in ((q * step, -(-n // q)), (step, q)))

@@ -719,6 +719,8 @@ def _upper_edge(
     x = 0.5 * max(high + math.hypot(high, 2.0 * g_high),
                   bottom + math.hypot(bottom, 2.0 * norm))
     for _ in range(_NEWTON_STEPS):
+        if not x > high:  # g_c^2 below roundoff: the root is Omega_c
+            break
         ratios = couplings / (x - detunings)
         step = (float(ratios @ couplings) - x) / (1.0 + float(ratios @ ratios))
         if not x + step > x:

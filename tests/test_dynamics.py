@@ -9,6 +9,7 @@ and measured self-convergence studies whose tolerances are frozen below.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -803,6 +804,21 @@ class TestDiscretizedReservoir:
             traj.c1, (0.6 + 0.3j) * np.exp(-0.7j * traj.times), rtol=1e-15
         )
         assert np.all(traj.reservoir_population == 0.0)
+
+    def test_couplings_with_subnormal_squares_run_cleanly(self):
+        # at g_abs = 1e-160 the couplings' squares are subnormal, and the
+        # two-site start of the outer eigenvalue rounds onto the top mode,
+        # where the secular sum would divide by zero: no warning, and the
+        # atom rotates freely (measured 5.6e-16)
+        model = FanoModel(gamma=0.0, kappa=1.0, g_abs=1e-160, eta=0.0, omega_A=0.7)
+        res = build_discretized(pole_residue_from_model(model), 40.0, 401)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = solve_discretized(res, 0.7, 0.6 + 0.3j, 1.0, 1e-2)
+        assert traj.observables()[1] == []
+        free = (0.6 + 0.3j) * np.exp(-0.7j * traj.times)
+        assert np.max(np.abs(traj.c1 - free)) <= 2e-15
+        assert np.max(traj.reservoir_population) <= 2e-15
 
     @pytest.mark.parametrize("side", [-1.0, 1.0])
     def test_atom_at_window_edge_matches_dense_star(self, side):

@@ -47,16 +47,7 @@ from .dynamics import (
     solve_volterra,
 )
 from .embedding import embed_from_model, is_lindblad, kossakowski
-from .errors import (
-    ConfigError,
-    DomainError,
-    FanomodeError,
-    ParameterError,
-    RecurrenceError,
-    SpectralError,
-    StepSizeError,
-    UnsupportedRegimeError,
-)
+from .errors import ConfigError, FanomodeError, PropertyViolation
 from .fanodiag import _lambda_identity
 from .spectral import (
     TWO_PI,
@@ -70,18 +61,12 @@ from .spectral import (
 
 EXIT_OK = 0
 EXIT_USAGE = 1
-EXIT_PROPERTY = 2
-EXIT_SOLVER = 3
 
 _UNITS_NOTE = (
     "frequencies and rates share the configured model's unit system "
     "(presets: kappa = 1)"
 )
 _ROW_BLOCK = 1024  # table rows formatted and written per chunk
-
-
-class PropertyViolation(FanomodeError):
-    """A run finished but violated a property it was expected to satisfy."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -210,12 +195,8 @@ def _run_method(method: str, config: dict) -> Trajectory:
 
 def cmd_spectrum(config: dict) -> _Output:
     section = config["spectrum"]
-    if section["n_points"] < 2:
-        raise ConfigError("spectrum.n_points must be >= 2")
     if not section["epsilon_max"] > section["epsilon_min"]:
         raise ConfigError("spectrum.epsilon_max must exceed epsilon_min")
-    if not section["curves"]:
-        raise ConfigError("spectrum.curves must not be empty")
     eps = np.linspace(
         section["epsilon_min"], section["epsilon_max"], section["n_points"]
     )
@@ -241,10 +222,6 @@ def cmd_spectrum(config: dict) -> _Output:
 
 def cmd_kernel(config: dict) -> _Output:
     section = config["kernel"]
-    if section["n_points"] < 2:
-        raise ConfigError("kernel.n_points must be >= 2")
-    if section["tau_max"] <= 0:
-        raise ConfigError("kernel.tau_max must be > 0")
     model = model_from_config(config)
     spec = pole_residue_from_model(model)
     taus = np.linspace(0.0, section["tau_max"], section["n_points"])
@@ -256,10 +233,6 @@ def cmd_kernel(config: dict) -> _Output:
         "pole": f"{spec.z1.real:.17g}{spec.z1.imag:+.17g}j",
     }
     if section["quadrature_check"]:
-        if section["quadrature_points"] < 2:
-            raise ConfigError("kernel.quadrature_points must be >= 2")
-        if section["quadrature_window"] <= 0:
-            raise ConfigError("kernel.quadrature_window must be > 0")
         values, estimates = _kernel_quadrature(
             spec, taus, section["quadrature_window"], section["quadrature_points"]
         )
@@ -280,8 +253,6 @@ def cmd_evolve(config: dict) -> _Output:
 
 def cmd_compare(config: dict) -> _Output:
     section = config["compare"]
-    if not section["tolerance"] >= 0:
-        raise ConfigError("compare.tolerance must be >= 0")
     traj_a = _run_method(section["method_a"], config)
     traj_b = _run_method(section["method_b"], config)
     abs_a, abs_b = traj_a.c1_abs, traj_b.c1_abs
@@ -332,10 +303,6 @@ def cmd_lindblad_check(config: dict) -> _Output:
 
 def cmd_fanodiag(config: dict) -> _Output:
     section = config["fanodiag"]
-    if section["n_points"] < 2:
-        raise ConfigError("fanodiag.n_points must be >= 2")
-    if section["half_width"] <= 0:
-        raise ConfigError("fanodiag.half_width must be > 0")
     model = model_from_config(config)
     grid = np.linspace(
         model.omega_C - section["half_width"],
@@ -475,15 +442,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         if output.violations:
             raise PropertyViolation("; ".join(output.violations))
         return EXIT_OK
-    except PropertyViolation as exc:
-        print(f"fanomode: property violation: {exc}", file=sys.stderr)
-        return EXIT_PROPERTY
-    except (StepSizeError, RecurrenceError, SpectralError) as exc:
-        print(f"fanomode: solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except (ConfigError, ParameterError, DomainError, UnsupportedRegimeError) as exc:
-        print(f"fanomode: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except FanomodeError as exc:  # each class carries its exit code and label
+        print(f"fanomode: {exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except BrokenPipeError:
         # downstream consumer (e.g. `head`) closed the stream; not an error
         try:

@@ -85,6 +85,27 @@ DEFAULT_CONFIG: dict[str, Any] = {
     },
 }
 
+# The values a single key may take, as (relation, bound); load_config refuses
+# any other.  Checks of two keys stay with the command that reads them.
+BOUNDS: dict[str, tuple[str, Any]] = {
+    "spectrum.n_points": (">=", 2),
+    "spectrum.curves": ("of length >=", 1),
+    "kernel.n_points": (">=", 2),
+    "kernel.tau_max": (">", 0.0),
+    "kernel.quadrature_points": (">=", 2),
+    "kernel.quadrature_window": (">", 0.0),
+    "fanodiag.n_points": (">=", 2),
+    "fanodiag.half_width": (">", 0.0),
+    "compare.tolerance": (">=", 0.0),
+    "output.format": ("one of", _FORMATS),
+}
+_RELATIONS = {  # relation -> (test of a value against the bound, bound as read)
+    ">": (lambda value, bound: value > bound, str),
+    ">=": (lambda value, bound: value >= bound, str),
+    "of length >=": (lambda value, bound: len(value) >= bound, str),
+    "one of": (lambda value, bound: value in bound, ", ".join),
+}
+
 
 def _merge_strict(base: dict, incoming: dict, path: str) -> None:
     for key, value in incoming.items():
@@ -100,9 +121,7 @@ def _merge_strict(base: dict, incoming: dict, path: str) -> None:
 
 
 def _check_types(template: Any, value: Any, path: str) -> Any:
-    if isinstance(template, dict):
-        if not isinstance(value, dict):
-            raise ConfigError(f"{path!r} must be a table of keys")
+    if isinstance(template, dict):  # _merge_strict and apply_override keep it one
         return {k: _check_types(template[k], value[k], f"{path}.{k}") for k in template}
     if isinstance(template, bool):
         if not isinstance(value, bool):
@@ -190,11 +209,12 @@ def load_config(path: str | None = None, overrides: list[str] | None = None) -> 
             f"unsupported schema_version {config['schema_version']!r} "
             f"(this build reads version {SCHEMA_VERSION})"
         )
-    if config["output"]["format"] not in _FORMATS:
-        raise ConfigError(
-            f"'config.output.format' must be one of {', '.join(_FORMATS)}, "
-            f"got {config['output']['format']!r}"
-        )
+    for key, (relation, bound) in BOUNDS.items():
+        section, name = key.split(".")
+        test, shown = _RELATIONS[relation]
+        if not test(config[section][name], bound):
+            raise ConfigError(f"'config.{key}' must be {relation} {shown(bound)}, "
+                              f"got {config[section][name]!r}")
     return config
 
 

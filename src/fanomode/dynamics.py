@@ -375,6 +375,13 @@ def solve_amplitudes(
 # start supplies u[0.._START - 1]; every later sample is stepped.
 _GREGORY_EDGE = (3.0 / 8.0, 7.0 / 6.0, 23.0 / 24.0)
 _START = 5
+# Largest h |z1 - omega_A| Volterra runs at: its kernel samples must resolve
+# the oscillation and decay of e^{-i (z1 - omega_A) tau}.  Against
+# solve_amplitudes (T = 10; kappa 0.1-100, |omega_C - omega_A| 0.01-300, g up
+# to the kernel-size guard, h 1e-3-0.1) the worst error was 7e-5 at 0.1,
+# 2.3e-4 at 0.2 and 6.2e-4 at 0.3, and 0.04 where only kappa was unresolved
+# (kappa = 100, h = 0.1).
+_RESOLUTION = 0.1
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> complex:
@@ -560,10 +567,21 @@ def solve_volterra(
     kernel's samples alone, never from its one-pole form: a fourth-order
     Gregory history sum, blocked by FFT (O(n log^2 n) for n steps), implicit
     fourth-order Adams-Moulton steps taken 64 at a time, and a Taylor start
-    from the samples.  Global error O(h^4).
+    from the samples.  Global error O(h^4).  A step at which the samples
+    would not resolve the kernel, h |z1 - omega_A| > _RESOLUTION, raises
+    StepSizeError before the run.
     """
     times = _time_grid(t_max, h)
     c0 = _c0_from_c1(c1_0)
+    # The one read of the pole besides sampling the kernel, and it only
+    # decides whether the run starts: aliased samples are those of a valid,
+    # slower kernel, so no test on the samples can see them.
+    resolution = h * abs(spec.z1 - omega_A)
+    if resolution > _RESOLUTION:
+        raise StepSizeError(
+            f"h * |z1 - omega_A| = {resolution:.3g} > {_RESOLUTION}: the kernel's "
+            "oscillation and decay are not resolved; reduce h"
+        )
     kernel = memory_kernel(
         PoleSpectral(J0=spec.J0, z1=spec.z1 - omega_A, r1=spec.r1),
         h * np.arange(len(times) + _BLOCK - _START),
@@ -637,6 +655,11 @@ def solve_qme(
     )
 
 
+def _resolved(values: np.ndarray) -> bool:
+    """Whether ``values`` are finite and strictly increasing in floating point."""
+    return bool(np.all(np.isfinite(values)) and np.all(np.diff(values) > 0.0))
+
+
 def build_discretized(
     spec: PoleSpectral, window: float, n_modes: int
 ) -> DiscretizedReservoir:
@@ -656,7 +679,7 @@ def build_discretized(
             f"window must cover >= 20 pole widths ({20 * spec.kappa:.3g}), got {window}"
         )
     omegas = np.linspace(spec.z1.real - window, spec.z1.real + window, n_modes)
-    if not (np.all(np.isfinite(omegas)) and np.all(np.diff(omegas) > 0.0)):
+    if not _resolved(omegas):
         raise ParameterError(
             f"a comb of {n_modes} modes over {spec.z1.real:.6g} +- {window:.6g} "
             "does not resolve into finite, distinct frequencies"
@@ -895,6 +918,11 @@ def solve_discretized(
     c0 = _c0_from_c1(c1_0)
 
     detunings = res.omegas - omega_A
+    if not _resolved(detunings):
+        raise ParameterError(
+            f"the comb's detunings from omega_A = {omega_A:.6g} do not resolve "
+            "into finite, distinct values"
+        )
     norm = math.sqrt(float(res.couplings @ res.couplings))
     order, split, moment_excess = 0, [], 0.0
     if norm == 0.0:

@@ -46,8 +46,10 @@ class EmbeddedQME:
         )
         if self.gamma < 0:
             raise ParameterError(f"gamma must be >= 0, got {self.gamma}")
-        if self.kappa <= 0:
-            raise ParameterError(f"kappa must be > 0, got {self.kappa}")
+        if not self.kappa / 2.0 > 0:  # the pole's width, -Im z1 = kappa / 2
+            raise ParameterError(
+                f"kappa must be > 0, and kappa / 2 must not underflow, got {self.kappa}"
+            )
 
     @property
     def nu(self) -> complex:

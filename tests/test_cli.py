@@ -17,7 +17,7 @@ import fanomode
 from fanomode import __version__, cli
 from fanomode.cli import main
 from fanomode.config import DEFAULT_CONFIG, load_config
-from fanomode.errors import ConfigError
+from fanomode.errors import ConfigError, FanomodeError
 
 from conftest import render_reference
 
@@ -287,6 +287,29 @@ class TestEvolve:
                    *model) == 0
         want = load_rows(fine)[:: round(float(h) / 1e-3)]
         assert np.max(np.abs(load_rows(coarse) - want)) <= 1e-12
+
+    @pytest.mark.parametrize("argv", [
+        # the kernel oscillates at omega_C - omega_A = 50: h = 0.3 aliases it
+        # (|c1|^2 peaked at 1.16 and the run exited 0), and ...
+        ("evolve", "--set", "solver.method=volterra", "--set", "model.omega_C=50",
+         "--set", "solver.h=0.3", "--set", "solver.t_max=60"),
+        # ... it decays at kappa / 2 = 50 within one step of h = 0.1 (c1 erred
+        # by 0.04 against amplitudes)
+        ("evolve", "--set", "solver.method=volterra", "--set", "model.kappa=100",
+         "--set", "model.eta=0", "--set", "solver.h=0.1", "--set", "solver.t_max=10"),
+        # an atom so far from the cavity that the comb (method_b) failed with
+        # a traceback: Volterra (method_a) now refuses it first
+        ("compare", "--set", "compare.method_b=discretized",
+         "--set", "model.omega_A=1e19"),
+    ])
+    def test_unresolved_volterra_kernel_is_solver_failure(self, tmp_path, capsys,
+                                                          argv):
+        out = tmp_path / "c1.csv"
+        assert run(*argv, "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("fanomode: solver failure: h * |z1 - omega_A| = ")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_t_max_not_multiple_of_h_rejected(self, capsys):
         # t_max = 1, h = 0.3 used to end silently at t = 0.9
@@ -652,6 +675,8 @@ class TestConfig:
          "--set", "decay_rate.fit_t_max=70"),
         # a negative tolerance: refused, not judged as a residual over it
         ("compare", "--set", "compare.tolerance=-1"),
+        # out of its bounds under a command that does not read it
+        ("evolve", "--set", "kernel.tau_max=0"),
     ])
     def test_oversized_run_is_usage_error(self, tmp_path, capsys, argv):
         # used to exit 1 with an OverflowError, ValueError or MemoryError
@@ -686,14 +711,20 @@ class TestConfig:
          "--set", "kernel.quadrature_window=1e306", "--set", "kernel.tau_max=1e3"),
         ("kernel", "--set", "kernel.quadrature_check=true",
          "--set", "model.omega_C=1e308", "--set", "kernel.quadrature_window=1e308"),
+        ("lindblad-check", "--set", "model.kappa=5e-324"),
+        ("evolve", "--set", "solver.method=discretized", "--set", "model.omega_A=1e19"),
+        ("compare", "--set", "compare.method_a=amplitudes",
+         "--set", "compare.method_b=discretized", "--set", "model.omega_A=1e19"),
     ])
     def test_overflowing_input_is_usage_error(self, tmp_path, capsys, argv):
         # squaring g_abs or |q| as a Python float used to end in an
         # OverflowError traceback; a comb whose frequencies repeat (at
         # omega_C = 1e17) or overflow (a window of 1e308) in a
-        # ZeroDivisionError or ValueError one; a spectrum or fanodiag grid
-        # whose span overflows, or a quadrature grid whose span or phases
-        # omega tau do, in nan rows and exit 2
+        # ZeroDivisionError or ValueError one, and so did a kappa whose half
+        # underflows to 0 and a comb whose detunings from omega_A = 1e19 all
+        # round to one value; a spectrum or fanodiag grid whose span
+        # overflows, or a quadrature grid whose span or phases omega tau do,
+        # in nan rows and exit 2
         out = tmp_path / "out.csv"
         assert run(*argv, "--out", str(out)) == 1
         err = capsys.readouterr().err
@@ -702,9 +733,40 @@ class TestConfig:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("document, overrides, match", [
+        ({"schema_version": 1, "model": 5}, [], "'model' must be a table of keys"),
+        ([], [], "must hold a JSON object"),
+        (None, ["solver.method=5"], "must be a string"),
+        (None, ["spectrum.curves=5"], "must be a list"),
+        (None, ["spectrum.curves=[5]"], "must be a table of keys"),
+        (None, ['spectrum.curves=[{"q": 1}]'], r"unknown key\(s\) \['q'\]"),
+        (None, ["model.gamma"], "not of the form key=value"),
+        (None, ["nosuch.gamma=1"], "unknown config key"),
+        (None, ["model=1"], "is a table"),
+    ])
+    def test_malformed_config_rejected(self, tmp_path, document, overrides, match):
+        path = None
+        if document is not None:
+            path = tmp_path / "run.json"
+            path.write_text(json.dumps(document))
+        with pytest.raises(ConfigError, match=match):
+            load_config(path and str(path), overrides)
+
     def test_defaults_are_not_mutated(self):
         load_config(None, ["model.gamma=0.9"])
         assert DEFAULT_CONFIG["model"]["gamma"] == 0.25
+
+    @pytest.mark.parametrize("code, label", [(1, "error"), (3, "solver failure")])
+    def test_error_exits_by_its_class(self, capsys, monkeypatch, code, label):
+        # a subclass main never names exits by its own code and label
+        failure = type("Failure", (FanomodeError,), {"exit_code": code, "label": label})
+
+        def fail(config):
+            raise failure("by design")
+
+        monkeypatch.setitem(cli._COMMANDS, "spectrum", (fail, "fails"))
+        assert run("spectrum") == code
+        assert capsys.readouterr().err == f"fanomode: {label}: by design\n"
 
     def test_cli_bad_config_path(self, capsys):
         assert run("spectrum", "--config", "/nonexistent/run.json") == 1

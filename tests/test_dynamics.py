@@ -688,6 +688,14 @@ class TestDiscretizedReservoir:
         with np.errstate(all="ignore"), pytest.raises(ParameterError, match="not finite"):
             build_discretized(spec, window, n_modes)
 
+    @pytest.mark.parametrize("omega_A", [1e19, -1e300])
+    def test_collapsed_detunings_are_refused(self, omega_A):
+        # the comb's frequencies are distinct, their detunings from omega_A
+        # all round to one value (the star's half-width was 0)
+        res = build_discretized(pole_residue_from_model(PRESET), 40.0, 101)
+        with pytest.raises(ParameterError, match="detunings"):
+            solve_discretized(res, omega_A, 1.0, 1.0, 1e-2)
+
     def test_recurrence_guard(self):
         spec = pole_residue_from_model(PRESET)
         res = build_discretized(spec, 40.0, 101)  # recurrence ~ 7.9/kappa

@@ -40,6 +40,10 @@ class TestEmbeddedQME:
         with pytest.raises(ParameterError):
             EmbeddedQME(omega_A=0.0, omega_C=0.0, mu=0.0, gamma=0.1,
                         kappa=0.0, gamma_F=0.0)
+        # kappa / 2 underflows to the pole width 0 (is_lindblad divided by it)
+        with pytest.raises(ParameterError, match="underflow"):
+            EmbeddedQME(omega_A=0.0, omega_C=0.0, mu=0.0, gamma=0.1,
+                        kappa=5e-324, gamma_F=0.0)
 
 
 class TestEmbedFromModel:

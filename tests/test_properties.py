@@ -10,13 +10,16 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import io
+import json
 import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
 
 from fanomode import cli, dynamics
+from fanomode.config import BOUNDS, DEFAULT_CONFIG
 from fanomode.dynamics import (
     DiscretizedReservoir,
     build_discretized,
@@ -26,6 +29,7 @@ from fanomode.dynamics import (
     solve_volterra,
 )
 from fanomode.embedding import embed_from_model, is_lindblad, spectral_from_qme
+from fanomode.errors import StepSizeError
 from fanomode.fanodiag import _lambda_identity
 from fanomode.spectral import (
     FanoModel,
@@ -39,7 +43,7 @@ from fanomode.spectral import (
 from conftest import star_solution, volterra_per_step
 
 pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 DETERMINISTIC = settings(
     derandomize=True, database=None, deadline=None, max_examples=60
@@ -352,6 +356,48 @@ def test_volterra_start_is_the_exponential(model, h, u_bound, du_bound):
     assert np.max(np.abs(derivs - states @ gen[0])) <= du_bound
 
 
+def _at_resolution(h: float, kappa: float, g_abs: float, ratio: float) -> FanoModel:
+    """A model whose Volterra run at step ``h`` has h |z1 - omega_A| =
+    ``ratio`` times the resolution bound (omega_C = 0, omega_A < 0)."""
+    frequency = ratio * dynamics._RESOLUTION / h
+    return FanoModel(gamma=0.05, kappa=kappa, g_abs=g_abs, eta=0.5,
+                     omega_A=-math.sqrt(frequency**2 - 0.25 * kappa**2))
+
+
+@settings(DETERMINISTIC, max_examples=40)
+@given(
+    model=models(
+        kappa=st.one_of(st.just(1.0), log_uniform(-1.0, 2.0)),
+        gamma=log_uniform(-2.0, 0.5),
+        g_abs=log_uniform(-1.3, 0.7),
+        omega_A=st.tuples(st.sampled_from((-1.0, 1.0)), log_uniform(-2.0, 2.5)).map(
+            math.prod
+        ),
+    ),
+    h=st.sampled_from([1e-3, 1e-2, 2.5e-2, 0.1]),
+)
+# either side of the resolution bound, where the admitted error peaks: a
+# coupling near the kernel-size guard, at h = 0.1 and h = 1e-2
+@example(model=_at_resolution(0.1, 1.0, 0.9, 1.0 - 1e-9), h=0.1)
+@example(model=_at_resolution(0.1, 1.0, 0.9, 1.0 + 1e-9), h=0.1)
+@example(model=_at_resolution(1e-2, 1.0, 2.9, 1.0 - 1e-9), h=1e-2)
+@example(model=_at_resolution(1e-2, 1.0, 2.9, 1.0 + 1e-9), h=1e-2)
+def test_admitted_volterra_runs_agree_with_amplitudes(model, h):
+    # kappa 0.1-100, |omega_C - omega_A| 0.01-300, g 0.05-5 and h 1e-3-0.1;
+    # a run either guard admits agrees with amplitudes within 2e-4, 2.5x the
+    # worst error measured at the resolution bound (7e-5 at T = 10)
+    spec = pole_residue_from_model(model)
+    resolution = h * abs(spec.z1 - model.omega_A)
+    try:
+        volterra = solve_volterra(spec, model.omega_A, 1.0, 10.0, h)
+    except StepSizeError as exc:
+        assert resolution > dynamics._RESOLUTION or "max|kernel|" in str(exc)
+        return
+    assert resolution <= dynamics._RESOLUTION
+    amplitudes = solve_amplitudes(embed_from_model(model), 1.0, 10.0, h)
+    assert np.max(np.abs(volterra.c1 - amplitudes.c1)) <= 2e-4
+
+
 @DETERMINISTIC
 @given(model=models())
 def test_volterra_block_steps_match_per_step(model):
@@ -383,3 +429,112 @@ def test_blocked_runs_keep_their_invariants(model, blocks, rest, h):
     assert np.max(np.abs(rho[:, 1, 1].real - amplitudes.c1_abs2)) < 1e-8
     assert np.max(np.abs(rho[:, 2, 2].real - np.abs(amplitudes.b1) ** 2)) < 1e-8
     assert np.max(np.abs(rho[:, 1, 2] - amplitudes.c1 * np.conj(amplitudes.b1))) < 1e-8
+
+
+# The exit-code contract over the whole config space: every command and
+# every numeric key.  A key bounded in config.BOUNDS draws on both sides of
+# its bound, any other from the extremes of PROBE, on top of SMALL_RUN.
+PROBE = (0.0, 5e-324, 1e-300, 1e-8, 1e-4, 1.0, 1e4, 1e8, 1e150, 1e300, -1e300,
+         -1.0, -1e3)
+SMALL_RUN = {
+    "solver.t_max": 1.0, "solver.h": 0.01, "solver.n_modes": 200,
+    "spectrum.n_points": 51, "kernel.n_points": 51,
+    "kernel.quadrature_points": 1001, "fanodiag.n_points": 51,
+    "decay_rate.t_max": 6.0, "decay_rate.h": 0.01,
+    "decay_rate.fit_t_min": 1.0, "decay_rate.fit_t_max": 5.0,
+}
+# what each run computes, drawn for every run
+METHODS = {
+    "solver.method": ("amplitudes", "volterra", "qme", "discretized"),
+    "compare.method_b": ("amplitudes", "volterra", "qme", "discretized"),
+    "kernel.quadrature_check": (False, True),
+}
+# the bounded keys that are not numbers, on both sides of their bounds
+NON_NUMERIC = {"spectrum.curves": ([], [{}]), "output.format": ("csv", "json", "xml")}
+DEFAULTS = {
+    f"{section}.{key}": value
+    for section, table in DEFAULT_CONFIG.items() if isinstance(table, dict)
+    for key, value in table.items()
+}
+NUMERIC_KEYS = sorted(
+    key for key, value in DEFAULTS.items()
+    if isinstance(value, (int, float)) and not isinstance(value, bool)
+)
+# A valid run larger than this is slow, not a question of the contract;
+# one of 1e15 samples or more (8 PB) fails at once on any host.
+SAMPLE_BUDGET = 20_000
+SIZE_KEYS = ("solver.n_modes", "spectrum.n_points", "kernel.n_points",
+             "kernel.quadrature_points", "fanodiag.n_points")
+
+
+def config_values(key: str):
+    if key in NON_NUMERIC:
+        return st.sampled_from(NON_NUMERIC[key])
+    relation, bound = BOUNDS.get(key, (None, None))
+    if relation in (">", ">="):
+        sides = [bound - 1, bound, bound + 1]
+        if isinstance(bound, float):
+            sides += [math.nextafter(bound, -math.inf), math.nextafter(bound, math.inf)]
+        return st.sampled_from(sides)
+    values = list(PROBE)
+    if isinstance(DEFAULTS[key], int):
+        values += [int(v) for v in PROBE if v.is_integer()]
+    return st.sampled_from(values)
+
+
+def run_samples(settings_: dict) -> list[float]:
+    """The sample counts the run's arrays take from its settings."""
+    counts = [abs(settings_[key]) for key in SIZE_KEYS]
+    for section in ("solver", "decay_rate"):
+        t_max, h = settings_[f"{section}.t_max"], settings_[f"{section}.h"]
+        counts.append(abs(t_max / h) if h else 0.0)
+    return counts
+
+
+@settings(DETERMINISTIC, max_examples=300)
+@given(
+    command=st.sampled_from(list(cli._COMMANDS)),
+    methods=st.fixed_dictionaries(
+        {key: st.sampled_from(values) for key, values in METHODS.items()}
+    ).map(lambda drawn: list(drawn.items())),
+    overrides=st.lists(
+        st.sampled_from(NUMERIC_KEYS + list(NON_NUMERIC)).flatmap(
+            lambda key: st.tuples(st.just(key), config_values(key))
+        ),
+        min_size=1, max_size=3, unique_by=lambda item: item[0],
+    ),
+)
+# three inputs that ended in a ZeroDivisionError traceback: a kappa whose
+# half underflows, and a comb whose detunings from omega_A all round to one
+@example(command="lindblad-check", methods=[], overrides=[("model.kappa", 5e-324)])
+@example(command="evolve", methods=[("solver.method", "discretized")],
+         overrides=[("model.omega_A", 1e19)])
+@example(command="compare", methods=[("compare.method_b", "discretized")],
+         overrides=[("model.omega_A", 1e19)])
+def test_cli_keeps_the_exit_code_contract_everywhere(command, methods, overrides):
+    # exits 0-3 and nothing escapes; a failure prints one stderr line, a
+    # usage error writes no file, and a table that passes is finite
+    settings_ = {**SMALL_RUN, **dict(overrides)}
+    assume(all(n <= SAMPLE_BUDGET or n >= 1e15 for n in run_samples(settings_)))
+    fmt = dict(overrides).get("output.format", "csv")
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        argv = [command, "--out", out]
+        for key, value in [*SMALL_RUN.items(), *methods, *overrides]:
+            argv += ["--set", f"{key}={json.dumps(value)}"]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert code in (0, 1, 2, 3)
+        if code:
+            assert err.getvalue().startswith("fanomode: ")
+            assert err.getvalue().count("\n") == 1
+        if code == 1:
+            assert not os.path.exists(out)
+        if code == 0 and command not in ("lindblad-check", "decay-rate"):
+            if fmt == "json":
+                with open(out, encoding="utf-8") as fh:
+                    rows = np.array(json.load(fh)["rows"], dtype=float)
+            else:
+                rows = np.loadtxt(out, delimiter=",", comments="#", ndmin=2)
+            assert np.all(np.isfinite(rows))

@@ -52,6 +52,7 @@ from .fanodiag import _lambda_identity
 from .spectral import (
     TWO_PI,
     ReducedForm,
+    _grid,
     _kernel_quadrature,
     evaluate_J,
     evaluate_reduced_J,
@@ -195,16 +196,8 @@ def _run_method(method: str, config: dict) -> Trajectory:
 
 def cmd_spectrum(config: dict) -> _Output:
     section = config["spectrum"]
-    if not section["epsilon_max"] > section["epsilon_min"]:
-        raise ConfigError("spectrum.epsilon_max must exceed epsilon_min")
-    eps = np.linspace(
-        section["epsilon_min"], section["epsilon_max"], section["n_points"]
-    )
-    if not np.all(np.isfinite(eps)):
-        raise ConfigError(
-            "spectrum.epsilon_min and spectrum.epsilon_max span a grid that "
-            "overflows floating point"
-        )
+    eps = _grid(section["epsilon_min"], section["epsilon_max"], section["n_points"],
+                "spectrum.epsilon_min and spectrum.epsilon_max")
     columns = ["epsilon"]
     data = [eps]
     meta: dict[str, Any] = {}
@@ -224,7 +217,7 @@ def cmd_kernel(config: dict) -> _Output:
     section = config["kernel"]
     model = model_from_config(config)
     spec = pole_residue_from_model(model)
-    taus = np.linspace(0.0, section["tau_max"], section["n_points"])
+    taus = _grid(0.0, section["tau_max"], section["n_points"], "kernel.tau_max")
     kernel = memory_kernel(spec, taus)
     columns = ["tau", "re_regular", "im_regular", "abs_regular"]
     data = [taus, kernel.regular.real, kernel.regular.imag, np.abs(kernel.regular)]
@@ -304,16 +297,9 @@ def cmd_lindblad_check(config: dict) -> _Output:
 def cmd_fanodiag(config: dict) -> _Output:
     section = config["fanodiag"]
     model = model_from_config(config)
-    grid = np.linspace(
-        model.omega_C - section["half_width"],
-        model.omega_C + section["half_width"],
-        section["n_points"],
-    )
-    if not np.all(np.isfinite(grid)):
-        raise ConfigError(
-            "model.omega_C +- fanodiag.half_width spans a grid that overflows "
-            "floating point"
-        )
+    grid = _grid(model.omega_C - section["half_width"],
+                 model.omega_C + section["half_width"], section["n_points"],
+                 "model.omega_C +- fanodiag.half_width")
     lam_sq, j_vals, diff, max_rel_error = _lambda_identity(model, grid, section["psi"])
     columns = ["omega", "twopi_lambda_sq", "twopi_J", "abs_diff"]
     rows = np.column_stack([grid, lam_sq, j_vals, diff])

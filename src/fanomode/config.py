@@ -2,14 +2,15 @@
 
 A run is fully described by one JSON document (schema version 1).  Unknown
 keys are rejected so that typos cannot silently fall back to defaults, and
-command-line ``--set section.key=value`` overrides are applied on top of the
-file.  All frequencies and rates are plain numbers in whatever unit system
+command-line ``--set section.key=value`` overrides are merged on top of the
+file by the same rule.  All frequencies and rates are plain numbers in whatever unit system
 the model uses; the shipped defaults put kappa = 1.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import json
 import sys
 from typing import Any
@@ -86,7 +87,8 @@ DEFAULT_CONFIG: dict[str, Any] = {
 }
 
 # The values a single key may take, as (relation, bound); load_config refuses
-# any other.  Checks of two keys stay with the command that reads them.
+# any other.  A grid that two keys span is checked where it is built
+# (spectral._grid).
 BOUNDS: dict[str, tuple[str, Any]] = {
     "spectrum.n_points": (">=", 2),
     "spectrum.curves": ("of length >=", 1),
@@ -107,21 +109,24 @@ _RELATIONS = {  # relation -> (test of a value against the bound, bound as read)
 }
 
 
-def _merge_strict(base: dict, incoming: dict, path: str) -> None:
+def _merge_strict(base: dict, incoming: Any, path: str) -> None:
+    """Merge the table ``incoming`` into ``base`` in place, for a config file,
+    an override and a curve alike: it may hold only the keys of ``base``,
+    and an entry that is a table in ``base`` must be one in it too."""
+    if not isinstance(incoming, dict):
+        raise ConfigError(f"{path!r} must be a table of keys")
     for key, value in incoming.items():
         location = f"{path}.{key}" if path else key
         if key not in base:
             raise ConfigError(f"unknown config key {location!r}")
         if isinstance(base[key], dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"{location!r} must be a table of keys")
             _merge_strict(base[key], value, location)
         else:
             base[key] = value
 
 
 def _check_types(template: Any, value: Any, path: str) -> Any:
-    if isinstance(template, dict):  # _merge_strict and apply_override keep it one
+    if isinstance(template, dict):  # _merge_strict keeps it one
         return {k: _check_types(template[k], value[k], f"{path}.{k}") for k in template}
     if isinstance(template, bool):
         if not isinstance(value, bool):
@@ -148,15 +153,9 @@ def _check_types(template: Any, value: Any, path: str) -> Any:
             raise ConfigError(f"{path!r} must be a list")
         out = []
         for i, item in enumerate(value):
-            entry_path = f"{path}[{i}]"
-            if not isinstance(item, dict):
-                raise ConfigError(f"{entry_path!r} must be a table of keys")
-            unknown = set(item) - set(_CURVE_TEMPLATE)
-            if unknown:
-                raise ConfigError(f"unknown key(s) {sorted(unknown)} in {entry_path!r}")
-            merged = dict(_CURVE_TEMPLATE)
-            merged.update(item)
-            out.append(_check_types(_CURVE_TEMPLATE, merged, entry_path))
+            entry = dict(_CURVE_TEMPLATE)
+            _merge_strict(entry, item, f"{path}[{i}]")
+            out.append(_check_types(_CURVE_TEMPLATE, entry, f"{path}[{i}]"))
         return out
     raise ConfigError(f"unhandled config entry {path!r}")  # pragma: no cover
 
@@ -171,18 +170,10 @@ def apply_override(config: dict, assignment: str) -> None:
         value = json.loads(raw)
     except ValueError:  # not JSON, or an integer too long to convert
         value = raw
-    node = config
-    parts = key.split(".")
-    for part in parts[:-1]:
-        if not isinstance(node, dict) or part not in node:
-            raise ConfigError(f"unknown config key {key!r}")
-        node = node[part]
-    leaf = parts[-1]
-    if not isinstance(node, dict) or leaf not in node:
-        raise ConfigError(f"unknown config key {key!r}")
-    if isinstance(node[leaf], dict):
-        raise ConfigError(f"{key!r} is a table; set its keys individually")
-    node[leaf] = value
+    # "a.b=v" merges as {"a": {"b": v}}, like the same entry in a file
+    entry = functools.reduce(lambda inner, part: {part: inner},
+                             reversed(key.split(".")), value)
+    _merge_strict(config, entry, "")
 
 
 def load_config(path: str | None = None, overrides: list[str] | None = None) -> dict:

@@ -34,6 +34,27 @@ def _check_finite(**values) -> None:
             raise ParameterError(f"{name} must be finite, got {value!r}")
 
 
+def _resolved(values: np.ndarray) -> bool:
+    """Whether ``values`` are finite and strictly increasing in floating point."""
+    return bool(np.all(np.isfinite(values)) and np.all(np.diff(values) > 0.0))
+
+
+def _grid(low: float, high: float, n: int, what: str) -> np.ndarray:
+    """``np.linspace(low, high, n)``, the one builder of every sampled grid.
+
+    A grid of fewer than 2 points, or one whose points are not finite and
+    strictly increasing in floating point (an empty or reversed span, a span
+    that overflows, points that round onto each other), raises
+    ParameterError naming ``what``, the settings that span it.
+    """
+    if n < 2 or not _resolved(grid := np.linspace(low, high, n)):
+        raise ParameterError(
+            f"the grid set by {what}, {n} points from {low:.6g} to {high:.6g}, "
+            "must have at least 2, finite and strictly increasing in floating point"
+        )
+    return grid
+
+
 def _match_scalar(arg, out):
     """``out`` as a Python float or complex when ``arg`` is a scalar or a
     0-d array, else ``out`` unchanged."""
@@ -310,22 +331,19 @@ def _kernel_quadrature(
     point when n_points is even; the central half-window slice of the
     truncation estimate is the rows inside it plus its two partial edge
     rows.  Taus are taken 64 at a time, so memory does not grow with their
-    number.  A grid or phase that overflows raises ParameterError.
+    number.  A grid that does not resolve (:func:`_grid`) or phases that
+    overflow raise ParameterError.
     """
     _check_finite(tau=taus, window=window)
     if np.any(taus < 0):
         raise DomainError(f"tau must be >= 0, got {float(np.min(taus))!r}")
-    if window <= 0:
-        raise ParameterError(f"window must be > 0, got {window}")
-    if n_points < 2:
-        raise ParameterError(f"n_points must be >= 2, got {n_points}")
     lo, hi = spec.z1.real - window, spec.z1.real + window
+    grid = _grid(lo, hi, n_points, "the quadrature's window and n_points")
     if not math.isfinite((hi - lo + max(-lo, hi)) * float(np.max(taus, initial=1.0))):
-        raise ParameterError(f"a quadrature grid over {spec.z1.real:.6g} +- "
-                             f"{window:.6g}, or its phases, overflow floating point")
+        raise ParameterError(f"the phases omega tau over {spec.z1.real:.6g} +- "
+                             f"{window:.6g} overflow floating point")
     m = 2 * math.ceil(math.sqrt(n_points) / 2)
     rows = -(-n_points // m)
-    grid = np.linspace(lo, hi, n_points)
     f = evaluate_J(spec, grid) - spec.J0
     # Trapezoid weights times f by the parity of j, in zero-padded rows of
     # m / 2; each sum's step, grid[1] - grid[0] or its analogue on the

@@ -582,6 +582,8 @@ class TestConfig:
         assert loaded["model"]["gamma"] == 0.5
         assert loaded["model"]["eta"] == 0.25
         assert loaded["model"]["kappa"] == 1.0  # default preserved
+        # a table as an override merges like the same table in the file
+        assert load_config(None, ['model={"gamma": 0.5}', "model.eta=0.25"]) == loaded
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.json"
@@ -677,6 +679,8 @@ class TestConfig:
         ("compare", "--set", "compare.tolerance=-1"),
         # out of its bounds under a command that does not read it
         ("evolve", "--set", "kernel.tau_max=0"),
+        # a negative curve eta, refused by the reduced form
+        ("spectrum", "--set", 'spectrum.curves=[{"eta": -1}]'),
     ])
     def test_oversized_run_is_usage_error(self, tmp_path, capsys, argv):
         # used to exit 1 with an OverflowError, ValueError or MemoryError
@@ -715,6 +719,11 @@ class TestConfig:
         ("evolve", "--set", "solver.method=discretized", "--set", "model.omega_A=1e19"),
         ("compare", "--set", "compare.method_a=amplitudes",
          "--set", "compare.method_b=discretized", "--set", "model.omega_A=1e19"),
+        ("kernel", "--set", "kernel.quadrature_check=true",
+         "--set", "model.omega_C=1e17", "--set", "kernel.quadrature_window=1",
+         "--set", "kernel.n_points=3", "--set", "kernel.quadrature_points=1001"),
+        ("fanodiag", "--set", "model.omega_C=1e17", "--set", "fanodiag.half_width=1"),
+        ("kernel", "--set", "kernel.tau_max=5e-324", "--set", "kernel.n_points=5"),
     ])
     def test_overflowing_input_is_usage_error(self, tmp_path, capsys, argv):
         # squaring g_abs or |q| as a Python float used to end in an
@@ -724,7 +733,9 @@ class TestConfig:
         # underflows to 0 and a comb whose detunings from omega_A = 1e19 all
         # round to one value; a spectrum or fanodiag grid whose span
         # overflows, or a quadrature grid whose span or phases omega tau do,
-        # in nan rows and exit 2
+        # in nan rows and exit 2; a quadrature or fanodiag grid of width 2
+        # at omega_C = 1e17, and five taus up to the least subnormal, whose
+        # points repeat, in exit 0
         out = tmp_path / "out.csv"
         assert run(*argv, "--out", str(out)) == 1
         err = capsys.readouterr().err
@@ -739,10 +750,11 @@ class TestConfig:
         (None, ["solver.method=5"], "must be a string"),
         (None, ["spectrum.curves=5"], "must be a list"),
         (None, ["spectrum.curves=[5]"], "must be a table of keys"),
-        (None, ['spectrum.curves=[{"q": 1}]'], r"unknown key\(s\) \['q'\]"),
+        (None, ['spectrum.curves=[{"q": 1}]'],
+         r"unknown config key 'config\.spectrum\.curves\[0\]\.q'"),
         (None, ["model.gamma"], "not of the form key=value"),
         (None, ["nosuch.gamma=1"], "unknown config key"),
-        (None, ["model=1"], "is a table"),
+        (None, ["model=1"], "'model' must be a table of keys"),
     ])
     def test_malformed_config_rejected(self, tmp_path, document, overrides, match):
         path = None

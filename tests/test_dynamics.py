@@ -909,6 +909,27 @@ class TestDiscretizedReservoir:
             assert summed.metadata["chebyshev_order"] > 0
             assert np.max(np.abs(summed.c1 - traj.c1)) <= 1e-15
 
+    @pytest.mark.parametrize("g_abs, omega_A, window, n_modes",
+                             [(1e20, -1e6, 40.0, 801), (1e80, 0.4, 80.0, 4001)])
+    def test_summing_a_negligible_interior_overflows(
+        self, monkeypatch, g_abs, omega_A, window, n_modes
+    ):
+        # why the interior is left out: summed, the star moments of these
+        # combs overflow and the run reports NaN violations
+        model = FanoModel(gamma=0.25, kappa=1.0, g_abs=g_abs, eta=1.0, omega_A=omega_A)
+        res = build_discretized(pole_residue_from_model(model), window, n_modes)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = solve_discretized(res, omega_A, 1.0, 1.0, 1e-2)
+            assert traj.observables()[1] == []
+        assert traj.metadata["chebyshev_order"] == 0
+        monkeypatch.setattr(dynamics, "_INTERIOR_NEGLIGIBLE", 0.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            summed = solve_discretized(res, omega_A, 1.0, 1.0, 1e-2)
+            assert summed.observables()[1] != []
+        assert any("overflow" in str(warning.message) for warning in caught)
+
     def test_high_order_matches_dense_star(self):
         # t_max = 30 is just inside half the recurrence time 31.4 of this
         # comb; the series runs to K ~ 1400 moments, at least a t_max

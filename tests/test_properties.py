@@ -511,9 +511,20 @@ def run_samples(settings_: dict) -> list[float]:
          overrides=[("model.omega_A", 1e19)])
 @example(command="compare", methods=[("compare.method_b", "discretized")],
          overrides=[("model.omega_A", 1e19)])
+# three grids that collapsed onto repeated points and exited 0: a quadrature
+# grid and a fanodiag grid of width 2 at omega_C = 1e17, and five taus
+# up to the least subnormal
+@example(command="kernel", methods=[("kernel.quadrature_check", True)],
+         overrides=[("model.omega_C", 1e17), ("kernel.quadrature_window", 1.0),
+                    ("kernel.n_points", 3)])
+@example(command="fanodiag", methods=[],
+         overrides=[("model.omega_C", 1e17), ("fanodiag.half_width", 1.0)])
+@example(command="kernel", methods=[],
+         overrides=[("kernel.tau_max", 5e-324), ("kernel.n_points", 5)])
 def test_cli_keeps_the_exit_code_contract_everywhere(command, methods, overrides):
     # exits 0-3 and nothing escapes; a failure prints one stderr line, a
-    # usage error writes no file, and a table that passes is finite
+    # usage error writes no file, and a table that passes is finite, its
+    # first column (the grid it is sampled on) strictly increasing
     settings_ = {**SMALL_RUN, **dict(overrides)}
     assume(all(n <= SAMPLE_BUDGET or n >= 1e15 for n in run_samples(settings_)))
     fmt = dict(overrides).get("output.format", "csv")
@@ -538,3 +549,4 @@ def test_cli_keeps_the_exit_code_contract_everywhere(command, methods, overrides
             else:
                 rows = np.loadtxt(out, delimiter=",", comments="#", ndmin=2)
             assert np.all(np.isfinite(rows))
+            assert np.all(np.diff(rows[:, 0]) > 0.0)

@@ -182,6 +182,12 @@ class TestEvaluateJ:
 
 
 class TestReducedForm:
+    def test_validation(self):
+        with pytest.raises(ParameterError, match="gamma"):
+            ReducedForm(gamma=-1.0, q=0j, eta=0.0)
+        with pytest.raises(ParameterError, match="eta"):
+            ReducedForm(gamma=1.0, q=0j, eta=-1.0)
+
     def test_symmetric_antiresonance_dip(self):
         rf = ReducedForm(gamma=0.25, q=0.0, eta=1.0)
         assert evaluate_reduced_J(rf, 0.0) == 0.0

@@ -36,7 +36,7 @@ from typing import Any, Iterable, Iterator, Sequence
 import numpy as np
 
 from . import __version__
-from .config import _FORMATS, initial_c1_from_config, load_config, model_from_config
+from .config import _FORMATS, load_config, model_from_config
 from .dynamics import (
     Trajectory,
     build_discretized,
@@ -47,7 +47,7 @@ from .dynamics import (
     solve_volterra,
 )
 from .embedding import embed_from_model, is_lindblad, kossakowski
-from .errors import ConfigError, FanomodeError, PropertyViolation
+from .errors import FanomodeError, PropertyViolation
 from .fanodiag import _lambda_identity
 from .spectral import (
     TWO_PI,
@@ -170,11 +170,13 @@ def _render(
             yield template % tuple(block.ravel().tolist())
 
 
-def _run_method(method: str, config: dict) -> Trajectory:
+def _run_method(method: str, config: dict, section: str = "solver") -> Trajectory:
+    """Run ``method`` (one of config.BOUNDS's names) on the config's model;
+    ``section`` names the table holding ``t_max`` and ``h``."""
     model = model_from_config(config)
     solver = config["solver"]
-    c1_0 = initial_c1_from_config(config)
-    h, t_max = solver["h"], solver["t_max"]
+    c1_0 = complex(solver["c1_re"], solver["c1_im"])
+    h, t_max = config[section]["h"], config[section]["t_max"]
     if method == "volterra":
         return solve_volterra(
             pole_residue_from_model(model), model.omega_A, c1_0, t_max, h
@@ -183,15 +185,10 @@ def _run_method(method: str, config: dict) -> Trajectory:
         return solve_amplitudes(embed_from_model(model), c1_0, t_max, h)
     if method == "qme":
         return solve_qme(embed_from_model(model), c1_0, t_max, h)
-    if method == "discretized":
-        reservoir = build_discretized(
-            pole_residue_from_model(model), solver["window"], solver["n_modes"]
-        )
-        return solve_discretized(reservoir, model.omega_A, c1_0, t_max, h)
-    raise ConfigError(
-        f"unknown solver method {method!r} "
-        "(expected volterra, amplitudes, qme, or discretized)"
+    reservoir = build_discretized(
+        pole_residue_from_model(model), solver["window"], solver["n_modes"]
     )
+    return solve_discretized(reservoir, model.omega_A, c1_0, t_max, h)
 
 
 def cmd_spectrum(config: dict) -> _Output:
@@ -323,10 +320,7 @@ def cmd_decay_rate(config: dict) -> _Output:
         notes.append("gamma is not << kappa; outside the golden-rule regime")
     if predicted > 0.1 * model.kappa:
         notes.append("2piJ(omega_A) is not << kappa; outside the golden-rule regime")
-    traj = solve_amplitudes(
-        embed_from_model(model), initial_c1_from_config(config),
-        section["t_max"], section["h"],
-    )
+    traj = _run_method("amplitudes", config, "decay_rate")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         fitted = decay_rate(traj, (section["fit_t_min"], section["fit_t_max"]))

@@ -21,6 +21,7 @@ from .spectral import FanoModel
 SCHEMA_VERSION = 1
 
 _FORMATS = ("csv", "json")
+_METHODS = ("volterra", "amplitudes", "qme", "discretized")
 
 _CURVE_TEMPLATE = {"eta": 1.0, "q_abs": 2.0, "delta_phi": 0.0}
 
@@ -98,6 +99,9 @@ BOUNDS: dict[str, tuple[str, Any]] = {
     "kernel.quadrature_window": (">", 0.0),
     "fanodiag.n_points": (">=", 2),
     "fanodiag.half_width": (">", 0.0),
+    "solver.method": ("one of", _METHODS),
+    "compare.method_a": ("one of", _METHODS),
+    "compare.method_b": ("one of", _METHODS),
     "compare.tolerance": (">=", 0.0),
     "output.format": ("one of", _FORMATS),
 }
@@ -211,7 +215,3 @@ def load_config(path: str | None = None, overrides: list[str] | None = None) -> 
 
 def model_from_config(config: dict) -> FanoModel:
     return FanoModel(**config["model"])
-
-
-def initial_c1_from_config(config: dict) -> complex:
-    return complex(config["solver"]["c1_re"], config["solver"]["c1_im"])

@@ -111,16 +111,16 @@ class Trajectory:
 
     @property
     def c1_abs2(self) -> np.ndarray:
+        """|c1(t)|^2; the master equation stores it as rho_11."""
         if self.c1 is None:
-            raise ParameterError(f"method {self.method!r} stores no c1 amplitude")
+            return self.rho[:, ATOM_EXCITED, ATOM_EXCITED].real
         return np.abs(self.c1) ** 2
 
     @property
     def c1_abs(self) -> np.ndarray:
-        """|c1(t)|; the master equation stores it as sqrt(rho_11)."""
-        if self.c1 is not None:
-            return np.abs(self.c1)
-        return np.sqrt(self.rho[:, ATOM_EXCITED, ATOM_EXCITED].real)
+        if self.c1 is None:
+            return np.sqrt(self.c1_abs2)
+        return np.abs(self.c1)
 
     def observables(self) -> tuple[dict[str, np.ndarray], list[str]]:
         """The run's columns by name, ``t`` first, and the invariants it breaks:
@@ -205,7 +205,7 @@ def _time_grid(t_max: float, h: float) -> np.ndarray:
         raise ParameterError(f"t_max must be >= h, got t_max={t_max}, h={h}")
     if not t_max / h <= sys.maxsize:  # no array has that many samples
         raise ParameterError(f"too many steps: t_max / h = {t_max / h:.3g}")
-    n = max(1, round(t_max / h))
+    n = round(t_max / h)
     if abs(n * h - t_max) > 1e-9 * t_max:
         raise ParameterError(f"t_max must be a multiple of h, got t_max={t_max}, h={h}")
     return h * np.arange(n + 1)
@@ -956,7 +956,8 @@ def solve_discretized(
 
 
 def decay_rate(traj: Trajectory, fit_window: tuple[float, float]) -> float:
-    """Least-squares decay rate of |c1|^2 over ``fit_window``.
+    """Least-squares decay rate of |c1|^2 over ``fit_window``, for a
+    trajectory of any method.
 
     Fits -log|c1(t)|^2 with a straight line and returns the slope.  The
     window (t_a, t_b) must lie in the run's span, times[0] <= t_a < t_b <=

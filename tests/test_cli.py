@@ -266,6 +266,23 @@ class TestEvolve:
     def test_unknown_method(self, capsys):
         assert run("evolve", "--set", "solver.method=magic") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", "--set", "solver.method=magic"),
+        ("kernel", "--set", "solver.method=qme2"),
+        ("lindblad-check", "--set", "compare.method_b=x"),
+        ("decay-rate", "--set", "compare.method_a=nope"),
+    ])
+    def test_unknown_method_is_refused_by_every_command(self, tmp_path, capsys, argv):
+        # each of these ran and exited 0: the command reads no method
+        out = tmp_path / "out"
+        assert run(*argv, "--out", str(out)) == 1
+        key, _, value = argv[-1].partition("=")
+        assert capsys.readouterr().err == (
+            f"fanomode: error: 'config.{key}' must be one of volterra, "
+            f"amplitudes, qme, discretized, got {value!r}\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("method", ["amplitudes", "qme"])
     def test_overflow_is_solver_failure(self, tmp_path, capsys, method):
         # used to write NaN rows and exit 0 (amplitudes), or to die with an
@@ -357,6 +374,23 @@ class TestCompare:
                    "--set", "solver.t_max=1.0")
         assert code == 2
         assert "residual nan exceeds" in capsys.readouterr().err
+
+    def test_solvers_are_looked_up_on_the_cli_module(self, monkeypatch):
+        # a wrapper set on the module sees every run, as the benchmark's
+        # capture of the criterion-4 trajectories needs
+        seen = []
+        for name in ("solve_qme", "solve_amplitudes"):
+            def record(*args, name=name, solve=getattr(cli, name)):
+                seen.append(name)
+                return solve(*args)
+            monkeypatch.setattr(cli, name, record)
+        assert run("compare", "--set", "compare.method_a=qme",
+                   "--set", "solver.t_max=0.5") == 0
+        assert seen == ["solve_qme", "solve_amplitudes"]
+        assert run("decay-rate", "--set", "decay_rate.t_max=6",
+                   "--set", "decay_rate.fit_t_min=1",
+                   "--set", "decay_rate.fit_t_max=5") == 0
+        assert seen[2:] == ["solve_amplitudes"]
 
 
 class TestLindbladCheck:

@@ -1034,6 +1034,18 @@ class TestDecayRate:
             fitted = decay_rate(traj, (5.0, 40.0))
         assert abs(fitted) < model.gamma / 10.0
 
+    @pytest.mark.parametrize("model, t_max, window", [
+        (FanoModel(gamma=0.01, kappa=1.0, g_abs=0.05, eta=1.0, omega_A=1.0),
+         60.0, (5.0, 40.0)),
+        (FanoModel(gamma=0.25, kappa=1.0, g_abs=0.0, eta=0.0), 20.0, (1.0, 15.0)),
+    ])
+    def test_master_equation_fits_the_amplitudes_rate(self, model, t_max, window):
+        # the QME's |c1|^2 is rho_11; it used to raise for want of a c1
+        qme = embed_from_model(model)
+        want = decay_rate(solve_amplitudes(qme, 1.0, t_max, 1e-3), window)
+        got = decay_rate(solve_qme(qme, 1.0, t_max, 1e-3), window)
+        assert got == pytest.approx(want, abs=1e-12)
+
     def test_window_errors(self):
         traj = solve_amplitudes(embed_from_model(PRESET), 1.0, 5.0, 1e-3)
         with pytest.raises(ParameterError):
@@ -1093,10 +1105,13 @@ class TestTrajectory:
             solve_qme(qme, 1.0, 1.0, 0.3)
         assert solve_amplitudes(qme, 1.0, 0.9, 0.3).times[-1] == pytest.approx(0.9)
 
-    def test_qme_trajectory_has_no_c1(self):
-        traj = solve_qme(embed_from_model(PRESET), 0.0, 0.1, 1e-3)
-        with pytest.raises(ParameterError):
-            traj.c1_abs2
+    def test_qme_trajectory_reads_c1_from_rho_11(self):
+        # it stores no c1; |c1|^2 is rho_11 and |c1| its square root
+        traj = solve_qme(embed_from_model(PRESET), 0.8, 0.1, 1e-3)
+        assert traj.c1 is None
+        np.testing.assert_array_equal(traj.c1_abs2, traj.rho[:, 1, 1].real)
+        np.testing.assert_array_equal(traj.c1_abs, np.sqrt(traj.rho[:, 1, 1].real))
+        assert traj.c1_abs2[0] == pytest.approx(0.64, abs=1e-15)
 
 
 def run_method(method: str, model: FanoModel, t_max: float, h: float):

@@ -443,10 +443,12 @@ SMALL_RUN = {
     "decay_rate.t_max": 6.0, "decay_rate.h": 0.01,
     "decay_rate.fit_t_min": 1.0, "decay_rate.fit_t_max": 5.0,
 }
-# what each run computes, drawn for every run
+# what each run computes, drawn for every run; a method name outside
+# config.BOUNDS exits 1 under every command, whether or not it reads it
+SOLVERS = ("amplitudes", "volterra", "qme", "discretized")
+METHOD_KEYS = ("solver.method", "compare.method_a", "compare.method_b")
 METHODS = {
-    "solver.method": ("amplitudes", "volterra", "qme", "discretized"),
-    "compare.method_b": ("amplitudes", "volterra", "qme", "discretized"),
+    **{key: SOLVERS + ("magic",) for key in METHOD_KEYS},
     "kernel.quadrature_check": (False, True),
 }
 # the bounded keys that are not numbers, on both sides of their bounds
@@ -521,6 +523,11 @@ def run_samples(settings_: dict) -> list[float]:
          overrides=[("model.omega_C", 1e17), ("fanodiag.half_width", 1.0)])
 @example(command="kernel", methods=[],
          overrides=[("kernel.tau_max", 5e-324), ("kernel.n_points", 5)])
+# two method names that the command does not read, which exited 0
+@example(command="spectrum", methods=[("solver.method", "magic")],
+         overrides=[("spectrum.n_points", 51)])
+@example(command="lindblad-check", methods=[("compare.method_b", "x")],
+         overrides=[("model.kappa", 1.0)])
 def test_cli_keeps_the_exit_code_contract_everywhere(command, methods, overrides):
     # exits 0-3 and nothing escapes; a failure prints one stderr line, a
     # usage error writes no file, and a table that passes is finite, its
@@ -537,6 +544,8 @@ def test_cli_keeps_the_exit_code_contract_everywhere(command, methods, overrides
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = cli.main(argv)
         assert code in (0, 1, 2, 3)
+        if any(key in METHOD_KEYS and value not in SOLVERS for key, value in methods):
+            assert code == 1
         if code:
             assert err.getvalue().startswith("fanomode: ")
             assert err.getvalue().count("\n") == 1

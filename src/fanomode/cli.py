@@ -7,7 +7,12 @@ decay-rate.  Every run is controlled by one JSON config (see
 printed with 17 significant digits so values round-trip exactly, and carries
 no wall-clock content: identical configs give byte-identical files.  A
 table is rendered and written in blocks of rows, one format call per block
-in either format, so its text is never held whole.
+in either format, so its text is never held whole.  On Linux, when this
+process may run on two CPUs, a table of at least ``_SPLIT_MIN_VALUES``
+values (rows x columns) is formatted by two processes: a forked child
+formats the later half of its blocks into an unnamed temporary file, which
+is read back one block at a time.  The bytes and the chunks are the same
+either way.
 
 Each ``cmd_*`` is a function of the config alone: it returns a table or a
 key/value report, the summary lines it prints and the property violations it
@@ -26,12 +31,17 @@ Exit codes: 0 success, 1 usage or invalid input, 2 property violation,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
+import signal
 import sys
+import tempfile
 import textwrap
 import warnings
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Sequence
+from functools import lru_cache
+from typing import IO, Any, Generator, Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -68,6 +78,14 @@ _UNITS_NOTE = (
     "(presets: kappa = 1)"
 )
 _ROW_BLOCK = 1024  # table rows formatted and written per chunk
+# Least table size, rows x columns, formatted by two processes.  On a 2-vCPU
+# Xeon host a fresh `fanomode evolve` process (CSV to a file, 30 000-90 000
+# values, 550 alternating pairs each with BLAS at one thread and at the
+# library's default) gains ~0.2 ms per 1000 values from the split and pays
+# 11-13 ms for it: the fork's page-table copy, copy-on-write faults in both
+# processes, the child's exit, and the parent's faults again at interpreter
+# exit.  Its time from main() to being reaped breaks even at 58 000-65 000.
+_SPLIT_MIN_VALUES = 60_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,13 +97,16 @@ def _format_number(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _write_chunks(path: str, chunks: Iterable[str]) -> None:
-    """Write ``chunks`` as they come to ``path``, opened once, or to stdout."""
-    if path:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(chunks)
-    else:
-        sys.stdout.writelines(chunks)
+def _write_chunks(path: str, chunks: Generator[str, None, None]) -> None:
+    """Write ``chunks`` as they come to ``path``, opened once, or to stdout,
+    and close the generator however the writing ends (a closed pipe, an
+    interrupt), so that it stops its work before the exception propagates."""
+    with contextlib.closing(chunks):
+        if path:
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.writelines(chunks)
+        else:
+            sys.stdout.writelines(chunks)
 
 
 @dataclass
@@ -105,6 +126,91 @@ class _Output:
     violations: list[str] = field(default_factory=list)
 
 
+@lru_cache(maxsize=4)
+def _csv_template(n_rows: int, n_columns: int) -> str:
+    row = ",".join(["%.17g"] * n_columns)
+    return "\n".join([row] * n_rows) + "\n"
+
+
+def _format_block(block: np.ndarray, fmt: str, first: bool) -> str:
+    """One block of table rows as text, by one format call: a CSV block
+    template of ``%.17g`` fields filled by one ``%`` (the bytes of
+    ``f"{x:.17g}"``), or one ``json.dumps`` of its rows for the document's
+    ``rows`` member, after a comma unless the block is the ``first``."""
+    if fmt == "json":
+        return ("" if first else ",") + json.dumps(
+            block.tolist(), separators=(",", ":"))[1:-1]
+    return _csv_template(*block.shape) % tuple(block.ravel().tolist())
+
+
+def _two_cpus() -> bool:
+    return sys.platform == "linux" and len(os.sched_getaffinity(0)) >= 2
+
+
+def _spool_blocks(spool: IO[bytes], texts: Iterable[str]) -> NoReturn:
+    """In a forked child: write each text to ``spool`` after its byte length,
+    then end the process at once, with status 1 if anything failed, running
+    no exit handler and flushing none of the parent's buffers."""
+    status = 1
+    try:
+        for text in texts:
+            data = text.encode()
+            spool.write(len(data).to_bytes(8, "little"))
+            spool.write(data)
+        spool.flush()
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _table_body(rows: np.ndarray, fmt: str) -> Iterator[str]:
+    """The table's rows as formatted blocks of ``_ROW_BLOCK`` rows, in order,
+    one chunk per block.
+
+    On Linux, where this process may run on two CPUs, a table of at least
+    ``_SPLIT_MIN_VALUES`` values in two or more blocks is formatted by two
+    processes: a forked child formats the later half of the blocks into an
+    unnamed spool file while this process formats and yields the earlier
+    half, reaps the child and yields the spooled blocks one at a time.
+    Without a spool or a child, or when the child fails, every block is
+    formatted here.  A consumer that stops early kills and reaps the child.
+    """
+    starts = range(0, len(rows), _ROW_BLOCK)
+    half = len(starts) // 2
+
+    def block(start: int) -> str:
+        return _format_block(rows[start : start + _ROW_BLOCK], fmt, start == 0)
+
+    spool, pid = None, None
+    if half and rows.size >= _SPLIT_MIN_VALUES and _two_cpus():
+        try:
+            spool = tempfile.TemporaryFile()
+            pid = os.fork()
+        except OSError:
+            pass  # formatted here alone
+        if pid == 0:
+            _spool_blocks(spool, map(block, starts[half:]))
+    try:
+        yield from map(block, starts if pid is None else starts[:half])
+        if pid is None:
+            return
+        status = os.waitpid(pid, 0)[1]
+        pid = None
+        if status:
+            yield from map(block, starts[half:])
+            return
+        spool.seek(0)
+        for _ in starts[half:]:
+            yield spool.read(int.from_bytes(spool.read(8), "little")).decode()
+    finally:
+        if pid is not None:  # stopped before the child was known reaped
+            with contextlib.suppress(OSError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        if spool is not None:
+            spool.close()
+
+
 def _render(
     command: str, config: dict, output: _Output, fmt: str, header: bool
 ) -> Iterator[str]:
@@ -112,17 +218,12 @@ def _render(
 
     The header names the tool, the command and the config; a table's header
     also carries the units note, its meta and its column names.  Table rows
-    are yielded in blocks of ``_ROW_BLOCK`` rows, so the whole table is never
-    held as text.  A CSV block is one ``%`` call on a block template of
-    ``%.17g`` fields (the bytes of ``f"{x:.17g}"``); a JSON block is one
-    ``json.dumps`` of its rows, spliced into the document's ``rows`` member.
-    A key/value report is one chunk.
+    come from :func:`_table_body`, one chunk per block of ``_ROW_BLOCK``
+    rows, so the whole table is never held as text; in JSON they are
+    spliced into the document's ``rows`` member.  A key/value report is one
+    chunk.
     """
     table = output.report is None
-    if table:
-        rows = output.rows
-        blocks = (rows[start : start + _ROW_BLOCK]
-                  for start in range(0, len(rows), _ROW_BLOCK))
     if fmt == "json":
         compact = {"separators": (",", ":")}
         doc = {"columns": output.columns} if table else dict(output.report)
@@ -140,8 +241,7 @@ def _render(
         after = json.dumps({k: v for k, v in doc.items() if k > "rows"},
                            sort_keys=True, **compact)[1:-1]
         yield "{" + before + ',"rows":['
-        for i, block in enumerate(blocks):
-            yield ("," if i else "") + json.dumps(block.tolist(), **compact)[1:-1]
+        yield from _table_body(output.rows, fmt)
         yield "]" + ("," + after if after else "") + "}\n"
         return
     lines = []
@@ -162,12 +262,7 @@ def _render(
     if lines:
         yield "\n".join(lines) + "\n"
     if table:
-        row = ",".join(["%.17g"] * rows.shape[1])
-        template = None
-        for block in blocks:  # only the last block can be short
-            if template is None or len(block) < _ROW_BLOCK:
-                template = "\n".join([row] * len(block)) + "\n"
-            yield template % tuple(block.ravel().tolist())
+        yield from _table_body(output.rows, fmt)
 
 
 def _run_method(method: str, config: dict, section: str = "solver") -> Trajectory:

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -861,6 +865,34 @@ def random_table(n_rows: int) -> cli._Output:
     return cli._Output(["a", "b", "c"], rows)
 
 
+@pytest.fixture
+def children(monkeypatch):
+    """The formatting children forked during the test, by pid; the test must
+    leave none behind, reaped or running."""
+    pids = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    yield pids
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def both_paths(monkeypatch):
+    """Set up a table body formatted in one process, then one split between
+    two at any size of two blocks or more, yielding each path's name."""
+    monkeypatch.setattr(cli, "_SPLIT_MIN_VALUES", 0)
+    for path in ("serial", "split") if hasattr(os, "fork") else ("serial",):
+        monkeypatch.setattr(cli, "_two_cpus", lambda split=path == "split": split)
+        yield path
+
+
 class TestRendering:
     SMALL = {
         "spectrum": ["spectrum.n_points=40"],
@@ -902,15 +934,20 @@ class TestRendering:
         config = load_config(None, [])
         self.assert_renders_as_reference("spectrum", config, edge_table())
 
-    @pytest.mark.parametrize("n_rows", [1, cli._ROW_BLOCK, cli._ROW_BLOCK + 1])
-    def test_block_boundaries_byte_identical(self, n_rows):
+    @pytest.mark.parametrize("n_rows", [1, cli._ROW_BLOCK, cli._ROW_BLOCK + 1,
+                                        3 * cli._ROW_BLOCK])
+    def test_block_boundaries_byte_identical(self, n_rows, monkeypatch, children):
         output = random_table(n_rows)
-        self.assert_renders_as_reference("spectrum", load_config(None, []), output)
-        chunks = list(cli._render("spectrum", {}, output, "csv", False))
-        assert [chunk.count("\n") for chunk in chunks] == [
-            min(cli._ROW_BLOCK, n_rows - start)
-            for start in range(0, n_rows, cli._ROW_BLOCK)
-        ]
+        for path in both_paths(monkeypatch):
+            forked = len(children)
+            self.assert_renders_as_reference("spectrum", load_config(None, []), output)
+            chunks = list(cli._render("spectrum", {}, output, "csv", False))
+            assert [chunk.count("\n") for chunk in chunks] == [
+                min(cli._ROW_BLOCK, n_rows - start)
+                for start in range(0, n_rows, cli._ROW_BLOCK)
+            ]
+            assert len(children) - forked == (
+                5 if path == "split" and n_rows > cli._ROW_BLOCK else 0)
 
     @staticmethod
     def assert_round_trips(text, rows):
@@ -999,27 +1036,191 @@ class TestRendering:
         self.assert_renders_as_reference(command, config, output)
 
     @pytest.mark.parametrize("n_rows", [1, cli._ROW_BLOCK, 2 * cli._ROW_BLOCK + 1])
-    def test_json_rows_arrive_in_blocks(self, n_rows):
+    def test_json_rows_arrive_in_blocks(self, n_rows, monkeypatch, children):
         output = random_table(n_rows)
-        chunks = list(cli._render("spectrum", {}, output, "json", True))
-        row_chunks = chunks[1:-1]
-        assert len(row_chunks) == math.ceil(n_rows / cli._ROW_BLOCK)
-        assert [len(json.loads("[" + chunk.lstrip(",") + "]"))
-                for chunk in row_chunks] == [
-            min(cli._ROW_BLOCK, n_rows - start)
-            for start in range(0, n_rows, cli._ROW_BLOCK)
-        ]
+        for _ in both_paths(monkeypatch):
+            chunks = list(cli._render("spectrum", {}, output, "json", True))
+            row_chunks = chunks[1:-1]
+            assert len(row_chunks) == math.ceil(n_rows / cli._ROW_BLOCK)
+            assert [len(json.loads("[" + chunk.lstrip(",") + "]"))
+                    for chunk in row_chunks] == [
+                min(cli._ROW_BLOCK, n_rows - start)
+                for start in range(0, n_rows, cli._ROW_BLOCK)
+            ]
 
-    def test_json_table_is_never_held_whole(self):
+    def test_json_table_is_never_held_whole(self, monkeypatch, children):
         # 20 001 x 5 rows as one list and one string peaked near 10 MB;
-        # in row blocks the measured peak is ~0.9 MB
+        # in row blocks the measured peak is ~0.9 MB, and the blocks read
+        # back one at a time from a formatting child hold no more
         rows = np.random.default_rng(7).standard_normal((20_001, 5))
         output = cli._Output([f"c{i}" for i in range(5)], rows, {"kind": "mem"})
-        tracemalloc.start()
+        for _ in both_paths(monkeypatch):
+            tracemalloc.start()
+            try:
+                for _ in cli._render("evolve", {}, output, "json", True):
+                    pass
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2_000_000
+
+
+def table_with_edges_in_later_half(n_blocks: int) -> cli._Output:
+    """A 16-column table of ``n_blocks`` row blocks, the last one short, with
+    the IEEE edge rows where the later half of the blocks starts, inside it
+    and on its last row."""
+    n_rows = (n_blocks - 1) * cli._ROW_BLOCK + 700
+    rows = np.random.default_rng(n_blocks).standard_normal((n_rows, len(EDGE_VALUES)))
+    later = n_blocks // 2 * cli._ROW_BLOCK
+    edges = edge_table().rows
+    rows[later : later + 3] = edges
+    rows[later + 600 : later + 603] = edges
+    rows[-3:] = edges
+    return cli._Output([f"c{i}" for i in range(len(EDGE_VALUES))], rows, {"kind": "edge"})
+
+
+class TestTwoProcessRendering:
+    """A table body formatted by a forked child for its later half renders
+    the same bytes in the same chunks, and every way it can end leaves no
+    child behind (the ``children`` fixture checks)."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch, children):
+        if not hasattr(os, "fork"):
+            pytest.skip("no os.fork on this platform")
+        monkeypatch.setattr(cli, "_two_cpus", lambda: True)
+
+    @pytest.mark.parametrize("n_blocks", [2, 3, 4, 5])
+    def test_edge_values_in_the_childs_half_byte_identical(self, n_blocks, monkeypatch,
+                                                           children):
+        monkeypatch.setattr(cli, "_SPLIT_MIN_VALUES", 0)
+        output = table_with_edges_in_later_half(n_blocks)
+        TestRendering.assert_renders_as_reference("spectrum", load_config(None, []),
+                                                  output)
+        assert len(children) == 4  # csv and json, with and without the header
+
+    @pytest.mark.parametrize("above", [False, True], ids=["below", "at"])
+    def test_tables_either_side_of_the_threshold(self, above, children):
+        n_columns = 5
+        n_rows = math.ceil(cli._SPLIT_MIN_VALUES / n_columns) - (0 if above else 1)
+        rows = np.random.default_rng(n_rows).standard_normal((n_rows, n_columns))
+        rows[-3:] = edge_table().rows[:, :n_columns]
+        output = cli._Output([f"c{i}" for i in range(n_columns)], rows)
+        assert (rows.size >= cli._SPLIT_MIN_VALUES) == above
+        TestRendering.assert_renders_as_reference("evolve", load_config(None, []),
+                                                  output)
+        assert len(children) == (4 if above else 0)
+
+    def test_failing_child_is_replaced_by_the_parent(self, monkeypatch, children):
+        monkeypatch.setattr(cli, "_SPLIT_MIN_VALUES", 0)
+        parent = os.getpid()
+        format_block = cli._format_block
+        in_parent = []
+
+        def fails_in_child(block, fmt, first):
+            if os.getpid() != parent:
+                raise RuntimeError("formatting child failed")
+            in_parent.append(len(block))
+            return format_block(block, fmt, first)
+
+        monkeypatch.setattr(cli, "_format_block", fails_in_child)
+        TestRendering.assert_renders_as_reference(
+            "spectrum", load_config(None, []), table_with_edges_in_later_half(5))
+        assert len(children) == 4
+        assert len(in_parent) == 4 * 5  # every block, the child's half too
+
+    def test_unusable_spool_directory_formats_alone(self, tmp_path, monkeypatch,
+                                                    children):
+        monkeypatch.setattr(cli, "_SPLIT_MIN_VALUES", 0)
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+        TestRendering.assert_renders_as_reference(
+            "spectrum", load_config(None, []), table_with_edges_in_later_half(4))
+        assert children == []
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_consumer_closing_mid_table_reaps_the_child(self, fmt, monkeypatch,
+                                                        children):
+        monkeypatch.setattr(cli, "_SPLIT_MIN_VALUES", 0)
+        chunks = cli._render("spectrum", {}, random_table(4 * cli._ROW_BLOCK), fmt,
+                             True)
+        next(chunks), next(chunks)  # the header and the first block
+        assert len(children) == 1
+        chunks.close()
+
+    def test_closed_stdout_reaps_the_child(self, monkeypatch, children):
+        # the default evolve table, split at its real size
+        class ClosedAfterTwoChunks(io.StringIO):
+            def writelines(self, chunks):
+                for i, chunk in enumerate(chunks):
+                    if i == 2:
+                        raise BrokenPipeError(32, "Broken pipe")
+                    self.write(chunk)
+
+            def close(self):
+                # main closes stdout while it handles the BrokenPipeError:
+                # the child is gone before the exception left the writer
+                with pytest.raises(ChildProcessError):
+                    os.waitpid(-1, os.WNOHANG)
+                super().close()
+
+        monkeypatch.setattr(sys, "stdout", ClosedAfterTwoChunks())
+        assert run("evolve") == 0
+        assert len(children) == 1
+
+    def test_interrupt_while_formatting_reaps_the_child(self, monkeypatch, children):
+        monkeypatch.setattr(cli, "_SPLIT_MIN_VALUES", 0)
+        parent = os.getpid()
+        format_block = cli._format_block
+
+        def interrupted(block, fmt, first):
+            if os.getpid() == parent and not first:
+                raise KeyboardInterrupt
+            return format_block(block, fmt, first)
+
+        monkeypatch.setattr(cli, "_format_block", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            "".join(cli._render("spectrum", {}, random_table(4 * cli._ROW_BLOCK),
+                                "csv", True))
+        assert len(children) == 1
+
+    def test_interrupt_while_waiting_kills_the_child(self, monkeypatch, children):
+        monkeypatch.setattr(cli, "_SPLIT_MIN_VALUES", 0)
+        parent = os.getpid()
+        format_block = cli._format_block
+
+        def slow_in_child(block, fmt, first):
+            if os.getpid() != parent:
+                time.sleep(60)
+            return format_block(block, fmt, first)
+
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "_format_block", slow_in_child)
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        started = time.monotonic()
         try:
-            for _ in cli._render("evolve", {}, output, "json", True):
-                pass
-            peak = tracemalloc.get_traced_memory()[1]
+            signal.setitimer(signal.ITIMER_REAL, 0.3)
+            with pytest.raises(KeyboardInterrupt):
+                "".join(cli._render("spectrum", {}, random_table(2 * cli._ROW_BLOCK),
+                                    "csv", True))
         finally:
-            tracemalloc.stop()
-        assert peak < 2_000_000
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.monotonic() - started < 30
+        assert len(children) == 1
+
+
+def test_fork_beside_idle_blas_threads():
+    # With the BLAS thread count left to the library, the solver's BLAS
+    # threads sit idle when the default evolve table's formatting forks.
+    src = str(Path(fanomode.__file__).resolve().parents[1])
+    free = {key: value for key, value in os.environ.items()
+            if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    free["PYTHONPATH"] = src
+    pinned = dict(free, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    runs = [subprocess.run([sys.executable, "-m", "fanomode.cli", "evolve"], env=env,
+                           capture_output=True, timeout=120)
+            for env in (free, pinned)]
+    assert [(r.returncode, r.stderr) for r in runs] == [(0, b""), (0, b"")]
+    assert runs[0].stdout == runs[1].stdout

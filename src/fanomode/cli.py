@@ -25,7 +25,7 @@ file is written.  A table or report holding a non-finite number is a
 violation; numpy's floating-point warnings are silenced in its favour.
 
 Exit codes: 0 success, 1 usage or invalid input, 2 property violation,
-3 solver failure.
+3 solver failure, 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from .dynamics import (
 )
 from .embedding import embed_from_model, is_lindblad, kossakowski
 from .errors import FanomodeError, PropertyViolation
-from .fanodiag import _lambda_identity
+from .fanodiag import verify_lambda_identity
 from .spectral import (
     TWO_PI,
     ReducedForm,
@@ -72,6 +72,7 @@ from .spectral import (
 
 EXIT_OK = 0
 EXIT_USAGE = 1
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 
 _UNITS_NOTE = (
     "frequencies and rates share the configured model's unit system "
@@ -392,7 +393,8 @@ def cmd_fanodiag(config: dict) -> _Output:
     grid = _grid(model.omega_C - section["half_width"],
                  model.omega_C + section["half_width"], section["n_points"],
                  "model.omega_C +- fanodiag.half_width")
-    lam_sq, j_vals, diff, max_rel_error = _lambda_identity(model, grid, section["psi"])
+    lam_sq, j_vals, diff, max_rel_error = verify_lambda_identity(
+        model, grid, section["psi"])
     columns = ["omega", "twopi_lambda_sq", "twopi_J", "abs_diff"]
     rows = np.column_stack([grid, lam_sq, j_vals, diff])
     meta = {"max_rel_error": _format_number(max_rel_error)}
@@ -536,6 +538,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OverflowError:
         print("fanomode: error: an input overflows floating point", file=sys.stderr)
         return EXIT_USAGE
+    except KeyboardInterrupt:  # a forked formatter is reaped on the way out
+        print("fanomode: error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 def entrypoint() -> None:

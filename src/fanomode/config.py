@@ -16,7 +16,7 @@ import sys
 from typing import Any
 
 from .errors import ConfigError
-from .spectral import FanoModel
+from .spectral import FanoModel, _require
 
 SCHEMA_VERSION = 1
 
@@ -88,8 +88,8 @@ DEFAULT_CONFIG: dict[str, Any] = {
 }
 
 # The values a single key may take, as (relation, bound); load_config refuses
-# any other.  A grid that two keys span is checked where it is built
-# (spectral._grid).
+# any other.  The model's are FanoModel.BOUNDS.  A grid that two keys span is
+# checked where it is built (spectral._grid).
 BOUNDS: dict[str, tuple[str, Any]] = {
     "spectrum.n_points": (">=", 2),
     "spectrum.curves": ("of length >=", 1),
@@ -104,12 +104,7 @@ BOUNDS: dict[str, tuple[str, Any]] = {
     "compare.method_b": ("one of", _METHODS),
     "compare.tolerance": (">=", 0.0),
     "output.format": ("one of", _FORMATS),
-}
-_RELATIONS = {  # relation -> (test of a value against the bound, bound as read)
-    ">": (lambda value, bound: value > bound, str),
-    ">=": (lambda value, bound: value >= bound, str),
-    "of length >=": (lambda value, bound: len(value) >= bound, str),
-    "one of": (lambda value, bound: value in bound, ", ".join),
+    **{f"model.{name}": bound for name, bound in FanoModel.BOUNDS.items()},
 }
 
 
@@ -206,10 +201,8 @@ def load_config(path: str | None = None, overrides: list[str] | None = None) -> 
         )
     for key, (relation, bound) in BOUNDS.items():
         section, name = key.split(".")
-        test, shown = _RELATIONS[relation]
-        if not test(config[section][name], bound):
-            raise ConfigError(f"'config.{key}' must be {relation} {shown(bound)}, "
-                              f"got {config[section][name]!r}")
+        _require(f"'config.{key}'", config[section][name], relation, bound,
+                 ConfigError)
     return config
 
 

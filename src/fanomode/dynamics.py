@@ -56,7 +56,8 @@ from .chebyshev import _chebyshev_nodes, _chebyshev_order, _paired_phase_sum
 from .embedding import EmbeddedQME, kossakowski
 from .errors import ParameterError, RecurrenceError, SpectralError, StepSizeError
 from .spectral import (
-    TWO_PI, PoleSpectral, _grid, _phase_table, _resolved, evaluate_J, memory_kernel,
+    TWO_PI, PoleSpectral, _grid, _phase_table, _require, _resolved, evaluate_J,
+    memory_kernel,
 )
 
 # Basis ordering of the truncated atom + pseudomode space.
@@ -280,7 +281,7 @@ def _propagate(gen: np.ndarray, y0, times: np.ndarray) -> np.ndarray:
     then y_{Bk + j} = P_j z_k, filled 32 blocks at a time by adding the d
     products P_j[:, c] z_k[c] in the order c = 0..d - 1.  All sums have a
     fixed order, unlike BLAS, so runs are bit-for-bit reproducible.  A
-    sample that is not finite raises StepSizeError naming its time.
+    sample that is not finite raises StepSizeError (:func:`_check_states`).
     """
     n, d = len(times) - 1, len(gen)
     # Only the powers the run reaches: j <= n.
@@ -300,13 +301,19 @@ def _propagate(gen: np.ndarray, y0, times: np.ndarray) -> np.ndarray:
             for c in range(1, d):
                 block += cols[c] * z[:, c, None]
     states = states.reshape(-1, d)[: n + 1]
-    finite = np.isfinite(states).all(axis=1)
-    if not finite.all():
+    _check_states(states, times)
+    return states
+
+
+def _check_states(states: np.ndarray, times: np.ndarray) -> None:
+    """Raise StepSizeError naming the first of ``times`` whose state, that
+    row of ``states``, is not finite."""
+    if not np.isfinite(states).all():
+        finite = np.isfinite(states.reshape(len(times), -1)).all(axis=1)
         raise StepSizeError(
             f"state is not finite from t = {times[np.argmin(finite)]:.6g}: the "
             "model's generator grows the state past the floating-point range"
         )
-    return states
 
 
 def _c0_from_c1(c1_0: complex) -> float:
@@ -571,7 +578,8 @@ def solve_volterra(
     fourth-order Adams-Moulton steps taken 64 at a time, and a Taylor start
     from the samples.  Global error O(h^4).  A step at which the samples
     would not resolve the kernel, h |z1 - omega_A| > _RESOLUTION, raises
-    StepSizeError before the run.
+    StepSizeError before the run, and a sample that overflows raises it
+    after (:func:`_check_states`).
     """
     times = _time_grid(t_max, h)
     c0 = _c0_from_c1(c1_0)
@@ -588,7 +596,9 @@ def solve_volterra(
         PoleSpectral(J0=spec.J0, z1=spec.z1 - omega_A, r1=spec.r1),
         h * np.arange(len(times) + _BLOCK - _START),
     )
-    u = _volterra_core(kernel.regular, kernel.delta_weight / 2.0, c1_0, h)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        u = _volterra_core(kernel.regular, kernel.delta_weight / 2.0, c1_0, h)
+    _check_states(u, times)
     return Trajectory(
         times=times,
         method="volterra",
@@ -669,8 +679,7 @@ def build_discretized(
     couplings.  A genuinely negative J sample raises :class:`SpectralError`;
     roundoff-level negatives at a spectral zero are clamped to 0.
     """
-    if n_modes < 100:
-        raise ParameterError(f"n_modes must be >= 100, got {n_modes}")
+    _require("n_modes", n_modes, ">=", 100)
     if window < 20.0 * spec.kappa:
         raise ParameterError(
             f"window must cover >= 20 pole widths ({20 * spec.kappa:.3g}), got {window}"

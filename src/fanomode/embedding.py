@@ -20,11 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .spectral import TWO_PI, FanoModel, PoleSpectral, _check_finite
+from .spectral import TWO_PI, FanoModel, PoleSpectral, _Record
 
 
 @dataclass(frozen=True)
-class EmbeddedQME:
+class EmbeddedQME(_Record):
     """Generator data of the atom + pseudomode quantum master equation.
 
     Coherent part: omega_A, omega_C (= Re z1) and the coupling mu.
@@ -39,13 +39,10 @@ class EmbeddedQME:
     kappa: float
     gamma_F: complex
 
+    BOUNDS = {"gamma": (">=", 0)}
+
     def __post_init__(self):
-        _check_finite(
-            omega_A=self.omega_A, omega_C=self.omega_C, mu=self.mu,
-            gamma=self.gamma, kappa=self.kappa, gamma_F=self.gamma_F,
-        )
-        if self.gamma < 0:
-            raise ParameterError(f"gamma must be >= 0, got {self.gamma}")
+        super().__post_init__()
         if not self.kappa / 2.0 > 0:  # the pole's width, -Im z1 = kappa / 2
             raise ParameterError(
                 f"kappa must be > 0, and kappa / 2 must not underflow, got {self.kappa}"

@@ -11,11 +11,7 @@ class FanomodeError(Exception):
 
 
 class ParameterError(FanomodeError, ValueError):
-    """A model, generator, or solver parameter is out of its allowed range."""
-
-
-class DomainError(FanomodeError, ValueError):
-    """A function argument lies outside the mathematical domain (e.g. tau < 0)."""
+    """A parameter or function argument is out of its allowed range or regime."""
 
 
 class SpectralError(FanomodeError, ValueError):
@@ -34,10 +30,6 @@ class RecurrenceError(FanomodeError, ValueError):
     """A discretized-reservoir run was requested beyond its recurrence horizon."""
 
     exit_code, label = 3, "solver failure"
-
-
-class UnsupportedRegimeError(FanomodeError, ValueError):
-    """The operation is only defined in a parameter regime the input is not in."""
 
 
 class ConfigError(FanomodeError, ValueError):

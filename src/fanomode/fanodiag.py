@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .errors import UnsupportedRegimeError
+from .errors import ParameterError
 from .spectral import (
     TWO_PI,
     FanoModel,
@@ -65,13 +65,18 @@ def fano_lambda(
     return _match_scalar(omega, out)
 
 
-def _lambda_identity(
+def verify_lambda_identity(
     model: FanoModel, omega_grid: np.ndarray, psi: float = 0.0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """2 pi |Lambda|^2, 2 pi J, their absolute difference on ``omega_grid``,
-    and the max relative error; raises unless eta = 1."""
+    """2 pi |Lambda|^2 and the eta = 1 spectral function 2 pi J on
+    ``omega_grid``, their absolute difference, and its max relative value.
+
+    Both sides vanish at the anti-resonance, so the deviation is normalized
+    by the grid maximum of 2 pi J rather than pointwise.  Only defined for
+    eta = 1; other models raise :class:`ParameterError`.
+    """
     if model.eta != 1.0:
-        raise UnsupportedRegimeError(
+        raise ParameterError(
             f"the coupling identity holds only for eta = 1, got eta = {model.eta}"
         )
     grid = np.asarray(omega_grid, dtype=float)
@@ -80,13 +85,3 @@ def _lambda_identity(
     diff = np.abs(lam_sq - j_vals)
     scale = max(float(np.max(np.abs(j_vals))), 1e-300)
     return lam_sq, j_vals, diff, float(np.max(diff) / scale)
-
-
-def verify_lambda_identity(model: FanoModel, omega_grid: np.ndarray) -> float:
-    """Max relative deviation of 2 pi |Lambda|^2 from the eta = 1 spectral function.
-
-    Both sides vanish at the anti-resonance, so the deviation is normalized
-    by the grid maximum of 2 pi J rather than pointwise.  Only defined for
-    eta = 1; other models raise :class:`UnsupportedRegimeError`.
-    """
-    return _lambda_identity(model, omega_grid)[-1]

@@ -18,20 +18,46 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, fields
+from typing import Any, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, ParameterError
+from .errors import ParameterError
 
 TWO_PI = 2.0 * math.pi
+
+_RELATIONS = {  # relation -> (test of a value against the bound, bound as read)
+    ">": (lambda value, bound: value > bound, str),
+    ">=": (lambda value, bound: value >= bound, str),
+    "of length >=": (lambda value, bound: len(value) >= bound, str),
+    "one of": (lambda value, bound: value in bound, ", ".join),
+}
+
+
+def _require(name: str, value: Any, relation: str, bound: Any,
+             error: type[Exception] = ParameterError) -> None:
+    """Raise ``error`` "<name> must be <relation> <bound>, got <value>"
+    unless ``value`` stands in ``relation`` to ``bound``; NaN stands in none."""
+    test, shown = _RELATIONS[relation]
+    if not test(value, bound):
+        raise error(f"{name} must be {relation} {shown(bound)}, got {value!r}")
 
 
 def _check_finite(**values) -> None:
     for name, value in values.items():
         if not np.all(np.isfinite(value)):
             raise ParameterError(f"{name} must be finite, got {value!r}")
+
+
+class _Record:
+    """Base of the parameter dataclasses: refuses a field that is not finite
+    or one outside the class's ``BOUNDS``, a table field -> (relation, bound)."""
+
+    def __post_init__(self):
+        _check_finite(**{f.name: getattr(self, f.name) for f in fields(self)})
+        for name, (relation, bound) in self.BOUNDS.items():
+            _require(name, getattr(self, name), relation, bound)
 
 
 def _resolved(values: np.ndarray) -> bool:
@@ -62,7 +88,7 @@ def _match_scalar(arg, out):
 
 
 @dataclass(frozen=True)
-class FanoModel:
+class FanoModel(_Record):
     """Parameter bundle of the dissipative atom-cavity system.
 
     All frequencies and rates share one unit; kappa = 1 is the conventional
@@ -93,22 +119,9 @@ class FanoModel:
     theta_A: float = 0.0
     theta_C: float = 0.0
 
-    def __post_init__(self):
-        _check_finite(
-            gamma=self.gamma, kappa=self.kappa, g_abs=self.g_abs, eta=self.eta,
-            omega_A=self.omega_A, omega_C=self.omega_C, phi=self.phi,
-            theta_A=self.theta_A, theta_C=self.theta_C,
-        )
-        if self.gamma < 0:
-            raise ParameterError(f"gamma must be >= 0, got {self.gamma}")
-        if self.kappa <= 0:
-            raise ParameterError(f"kappa must be > 0, got {self.kappa}")
-        if self.g_abs < 0:
-            raise ParameterError(f"g_abs must be >= 0, got {self.g_abs}")
-        if self.eta < 0:
-            # eta > 1 is allowed (non-Lindblad regime); eta < 0 would make the
-            # cross rate sqrt(eta*gamma*kappa) imaginary and is rejected.
-            raise ParameterError(f"eta must be >= 0, got {self.eta}")
+    # also the config's model.* bounds; eta < 0 would make gamma_F imaginary
+    BOUNDS = {"gamma": (">=", 0), "kappa": (">", 0), "g_abs": (">=", 0),
+              "eta": (">=", 0)}
 
     @property
     def g(self) -> complex:
@@ -139,7 +152,7 @@ class FanoModel:
 
 
 @dataclass(frozen=True)
-class PoleSpectral:
+class PoleSpectral(_Record):
     """Pole/residue representation of J(omega) = J0 + f(omega).
 
     ``J0 >= 0`` and ``Im z1 < 0`` are enforced; ``r1`` is unconstrained, so a
@@ -151,10 +164,10 @@ class PoleSpectral:
     z1: complex
     r1: complex
 
+    BOUNDS = {"J0": (">=", 0)}
+
     def __post_init__(self):
-        _check_finite(J0=self.J0, z1=self.z1, r1=self.r1)
-        if self.J0 < 0:
-            raise ParameterError(f"J0 must be >= 0, got {self.J0}")
+        super().__post_init__()
         if not self.z1.imag < 0:
             raise ParameterError(f"z1 must lie in the lower half plane, got {self.z1}")
 
@@ -165,7 +178,7 @@ class PoleSpectral:
 
 
 @dataclass(frozen=True)
-class ReducedForm:
+class ReducedForm(_Record):
     """Reduced parameterization of J over the detuning epsilon = 2(omega - omega_C)/kappa.
 
     2 pi J(epsilon) = gamma / (epsilon^2 + 1) * [ |epsilon + sqrt(eta) q|^2
@@ -176,12 +189,7 @@ class ReducedForm:
     q: complex
     eta: float
 
-    def __post_init__(self):
-        _check_finite(gamma=self.gamma, q=self.q, eta=self.eta)
-        if self.gamma < 0:
-            raise ParameterError(f"gamma must be >= 0, got {self.gamma}")
-        if self.eta < 0:
-            raise ParameterError(f"eta must be >= 0, got {self.eta}")
+    BOUNDS = {"gamma": (">=", 0), "eta": (">=", 0)}
 
 
 class MemoryKernel(NamedTuple):
@@ -264,8 +272,7 @@ def memory_kernel(spec: PoleSpectral, tau: float | np.ndarray) -> MemoryKernel:
     decays like exp(Im z1 * tau) = exp(-kappa tau / 2).  Requires tau >= 0.
     """
     t = np.asarray(tau, dtype=float)
-    if not np.all(t >= 0):  # NaN fails too
-        raise DomainError(f"tau must be >= 0, got {tau!r}")
+    _require("tau", float(np.min(t, initial=0.0)), ">=", 0)  # NaN fails too
     regular = _match_scalar(tau, -1j * TWO_PI * spec.r1 * np.exp(-1j * spec.z1 * t))
     return MemoryKernel(delta_weight=TWO_PI * spec.J0, regular=regular)
 
@@ -278,7 +285,7 @@ def kernel_by_quadrature(
     Integrates f(omega) e^{-i omega tau} over [Re z1 - window, Re z1 + window]
     on a uniform grid; the delta part of F is excluded analytically.  For
     tau > 0 this converges to ``memory_kernel(spec, tau).regular`` as window
-    and n_points grow; tau < 0 raises DomainError, as for
+    and n_points grow; tau < 0 raises ParameterError, as for
     :func:`memory_kernel`.  The slowly decaying 1/omega tail of f makes the
     truncation error fall off only like 1/(window * tau), which dominates the
     reported estimate at practical settings.  The sum reads only the samples
@@ -335,8 +342,7 @@ def _kernel_quadrature(
     overflow raise ParameterError.
     """
     _check_finite(tau=taus, window=window)
-    if np.any(taus < 0):
-        raise DomainError(f"tau must be >= 0, got {float(np.min(taus))!r}")
+    _require("tau", float(np.min(taus, initial=0.0)), ">=", 0)
     lo, hi = spec.z1.real - window, spec.z1.real + window
     grid = _grid(lo, hi, n_points, "the quadrature's window and n_points")
     if not math.isfinite((hi - lo + max(-lo, hi)) * float(np.max(taus, initial=1.0))):

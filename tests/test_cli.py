@@ -22,6 +22,7 @@ from fanomode import __version__, cli
 from fanomode.cli import main
 from fanomode.config import DEFAULT_CONFIG, load_config
 from fanomode.errors import ConfigError, FanomodeError
+from fanomode.spectral import FanoModel
 
 from conftest import render_reference
 
@@ -287,14 +288,21 @@ class TestEvolve:
         )
         assert not out.exists()
 
-    @pytest.mark.parametrize("method", ["amplitudes", "qme"])
+    @pytest.mark.parametrize("method", ["amplitudes", "qme", "volterra"])
     def test_overflow_is_solver_failure(self, tmp_path, capsys, method):
-        # used to write NaN rows and exit 0 (amplitudes), or to die with an
-        # uncaught LinAlgError traceback from eigvalsh (qme)
-        code = run("evolve", "--out", str(tmp_path / "nan.csv"),
-                   "--set", f"solver.method={method}", *UNSTABLE)
+        # used to write NaN rows and exit 0 (amplitudes) or 2 (volterra), or
+        # to die with an uncaught LinAlgError traceback from eigvalsh (qme);
+        # Volterra's step guard needs a finer h than UNSTABLE's
+        out = tmp_path / "nan.csv"
+        settings = UNSTABLE if method != "volterra" else (
+            *UNSTABLE, "--set", "solver.h=0.003", "--set", "solver.t_max=900")
+        code = run("evolve", "--out", str(out), "--set", f"solver.method={method}",
+                   *settings)
         assert code == 3
-        assert "not finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("fanomode: solver failure: state is not finite from t = ")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("method", ["amplitudes", "qme"])
     @pytest.mark.parametrize("h", ["0.5", "2.0"])
@@ -818,8 +826,59 @@ class TestConfig:
         assert run("spectrum") == code
         assert capsys.readouterr().err == f"fanomode: {label}: by design\n"
 
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    @pytest.mark.parametrize("key", list(FanoModel.BOUNDS))
+    def test_model_bound_is_refused_by_every_command(self, tmp_path, capsys,
+                                                     command, key):
+        # spectrum reads no model, and exited 0 for these
+        out = tmp_path / "out"
+        relation, bound = FanoModel.BOUNDS[key]
+        assert run(command, "--set", f"model.{key}=-1", "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            f"fanomode: error: 'config.model.{key}' must be {relation} {bound}, "
+            "got -1.0\n"
+        )
+        assert not out.exists()
+
     def test_cli_bad_config_path(self, capsys):
         assert run("spectrum", "--config", "/nonexistent/run.json") == 1
+
+    @pytest.mark.parametrize("target", ["missing/out.csv", "."])
+    def test_unwritable_output_path_is_usage_error(self, tmp_path, capsys, target):
+        # a directory that does not exist, and a directory itself
+        before = sorted(tmp_path.rglob("*"))
+        assert run("spectrum", "--out", str(tmp_path / target)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("fanomode: error: [Errno ")
+        assert err.count("\n") == 1
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_interrupt_exits_130_with_one_line(self, tmp_path):
+        # Ctrl-C signals the whole process group, the forked formatter of
+        # this table too; sent once the output file is open
+        src = str(Path(fanomode.__file__).resolve().parents[1])
+        out = tmp_path / "evolve.csv"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "fanomode.cli", "evolve",
+             "--set", "solver.t_max=2000", "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=src), start_new_session=True,
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while not out.exists() and proc.poll() is None:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            time.sleep(0.3)
+            os.killpg(proc.pid, signal.SIGINT)
+            err = proc.communicate(timeout=60)[1].decode()
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+        assert (proc.returncode, err) == (130, "fanomode: error: interrupted\n")
+        with pytest.raises(ProcessLookupError):  # no process left in the group
+            os.killpg(proc.pid, 0)
 
     def test_cli_usage_error_exit_code(self, capsys):
         assert run("no-such-command") == 1

@@ -521,6 +521,14 @@ class TestSolveVolterra:
         with pytest.raises(StepSizeError):
             solve_volterra(spec, 0.0, 1.0, 1.0, 2e-3)
 
+    def test_overflow_names_the_first_non_finite_time(self):
+        # a kernel that grows the amplitude overflows it within the run:
+        # StepSizeError, as for the amplitudes and the QME, not NaN samples
+        spec = pole_residue_from_model(
+            FanoModel(gamma=0.25, kappa=1.0, g_abs=5.0, eta=400.0))
+        with pytest.raises(StepSizeError, match=r"not finite from t = 148\.362: "):
+            solve_volterra(spec, 0.0, 1.0, 200.0, 2e-3)
+
 
 class TestSolveQME:
     def test_ground_state_is_stationary(self):

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from fanomode.errors import UnsupportedRegimeError
+from fanomode.errors import ParameterError
 from fanomode.fanodiag import (
     fano_alpha,
     fano_lambda,
@@ -111,26 +111,26 @@ class TestIdentity:
     def test_reference_model(self):
         model = FanoModel(gamma=0.25, kappa=1.0, g_abs=0.5, eta=1.0)
         grid = np.linspace(model.omega_C - 20, model.omega_C + 20, 4001)
-        assert verify_lambda_identity(model, grid) < 1e-12
+        assert verify_lambda_identity(model, grid)[-1] < 1e-12
 
     def test_complex_q(self):
         model = FanoModel(gamma=0.25, kappa=1.0, g_abs=0.5, eta=1.0,
                           phi=math.pi / 3.0)
         grid = np.linspace(-20, 20, 4001)
-        assert verify_lambda_identity(model, grid) < 1e-12
+        assert verify_lambda_identity(model, grid)[-1] < 1e-12
 
     def test_random_models(self, rng):
         for _ in range(10):
             model = _eta_one_model(rng)
             grid = np.linspace(model.omega_C - 20, model.omega_C + 20, 4001)
-            assert verify_lambda_identity(model, grid) < 1e-12
+            assert verify_lambda_identity(model, grid)[-1] < 1e-12
 
     def test_gamma_zero_pure_cavity_channel(self):
         # no direct decay channel: Lambda carries only the cavity-mediated
         # Lorentzian and the identity still holds (with J0 = 0)
         model = FanoModel(gamma=0.0, kappa=1.0, g_abs=0.5, eta=1.0)
         grid = np.linspace(-20, 20, 2001)
-        assert verify_lambda_identity(model, grid) < 1e-12
+        assert verify_lambda_identity(model, grid)[-1] < 1e-12
         x = grid - model.omega_C
         got = TWO_PI * np.abs(fano_lambda(model, grid)) ** 2
         want = model.g_abs**2 * model.kappa / (x**2 + model.kappa**2 / 4.0)
@@ -138,7 +138,7 @@ class TestIdentity:
 
     def test_eta_not_one_rejected(self):
         model = FanoModel(gamma=0.25, kappa=1.0, g_abs=0.5, eta=0.999)
-        with pytest.raises(UnsupportedRegimeError):
+        with pytest.raises(ParameterError, match="only for eta = 1"):
             verify_lambda_identity(model, np.linspace(-5, 5, 11))
 
 

@@ -30,7 +30,7 @@ from fanomode.dynamics import (
 )
 from fanomode.embedding import embed_from_model, is_lindblad, spectral_from_qme
 from fanomode.errors import StepSizeError
-from fanomode.fanodiag import _lambda_identity
+from fanomode.fanodiag import verify_lambda_identity
 from fanomode.spectral import (
     FanoModel,
     PoleSpectral,
@@ -110,7 +110,7 @@ def test_embedding_round_trip(model):
 def test_fanodiag_identity(model, psi):
     # the CLI's grid and gate
     grid = np.linspace(model.omega_C - 20.0, model.omega_C + 20.0, 4001)
-    assert _lambda_identity(model, grid, psi)[-1] <= 1e-12
+    assert verify_lambda_identity(model, grid, psi)[-1] <= 1e-12
 
 
 @DETERMINISTIC
@@ -432,8 +432,9 @@ def test_blocked_runs_keep_their_invariants(model, blocks, rest, h):
 
 
 # The exit-code contract over the whole config space: every command and
-# every numeric key.  A key bounded in config.BOUNDS draws on both sides of
-# its bound, any other from the extremes of PROBE, on top of SMALL_RUN.
+# every numeric key.  Each draws from the extremes of PROBE, and a key
+# bounded in config.BOUNDS also on both sides of its bound, on top of
+# SMALL_RUN.
 PROBE = (0.0, 5e-324, 1e-300, 1e-8, 1e-4, 1.0, 1e4, 1e8, 1e150, 1e300, -1e300,
          -1.0, -1e3)
 SMALL_RUN = {
@@ -472,15 +473,14 @@ SIZE_KEYS = ("solver.n_modes", "spectrum.n_points", "kernel.n_points",
 def config_values(key: str):
     if key in NON_NUMERIC:
         return st.sampled_from(NON_NUMERIC[key])
-    relation, bound = BOUNDS.get(key, (None, None))
-    if relation in (">", ">="):
-        sides = [bound - 1, bound, bound + 1]
-        if isinstance(bound, float):
-            sides += [math.nextafter(bound, -math.inf), math.nextafter(bound, math.inf)]
-        return st.sampled_from(sides)
     values = list(PROBE)
     if isinstance(DEFAULTS[key], int):
         values += [int(v) for v in PROBE if v.is_integer()]
+    relation, bound = BOUNDS.get(key, (None, None))
+    if relation in (">", ">="):
+        values += [bound - 1, bound, bound + 1]
+        if isinstance(DEFAULTS[key], float):
+            values += [math.nextafter(bound, -math.inf), math.nextafter(bound, math.inf)]
     return st.sampled_from(values)
 
 

@@ -8,13 +8,15 @@ self-convergence studies (see the frozen tolerances on the kernel tests).
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from fanomode.errors import DomainError, ParameterError
+from fanomode.embedding import EmbeddedQME
+from fanomode.errors import ParameterError
 from fanomode.spectral import (
     FanoModel,
     PoleSpectral,
@@ -82,6 +84,43 @@ class TestFanoModel:
         model = FanoModel(gamma=0.0, kappa=1.0, g_abs=0.5, eta=1.0)
         with pytest.raises(ParameterError):
             model.q
+
+
+# A valid instance of every record, as keyword arguments.
+RECORDS = {
+    FanoModel: {"gamma": 0.25, "kappa": 1.0, "g_abs": 0.5, "eta": 1.0},
+    PoleSpectral: {"J0": 0.04, "z1": -0.5j, "r1": 0.01 + 0.02j},
+    ReducedForm: {"gamma": 1.0, "q": 2.0 + 0j, "eta": 1.0},
+    EmbeddedQME: {"omega_A": 0.0, "omega_C": 0.0, "mu": 0.5 + 0j, "gamma": 0.25,
+                  "kappa": 1.0, "gamma_F": 0.5 + 0j},
+}
+
+
+class TestRecordBounds:
+    @pytest.mark.parametrize("record, name, relation, bound", [
+        (record, name, relation, bound)
+        for record in RECORDS for name, (relation, bound) in record.BOUNDS.items()
+    ])
+    def test_declared_bound(self, record, name, relation, bound):
+        def build(value):
+            return record(**{**RECORDS[record], name: value})
+
+        edge, past = float(bound), math.nextafter(float(bound), -math.inf)
+        if relation == ">=":
+            assert getattr(build(edge), name) == edge
+        for value in [past] + ([edge] if relation == ">" else []):
+            with pytest.raises(ParameterError) as refused:
+                build(value)
+            assert str(refused.value) == f"{name} must be {relation} {bound}, got {value!r}"
+        with pytest.raises(ParameterError, match=f"^{name} must be finite"):
+            build(math.nan)
+
+    @pytest.mark.parametrize("record, name", [
+        (record, field.name) for record in RECORDS for field in dataclasses.fields(record)
+    ])
+    def test_every_field_must_be_finite(self, record, name):
+        with pytest.raises(ParameterError, match=f"^{name} must be finite"):
+            record(**{**RECORDS[record], name: math.inf})
 
 
 class TestPoleResidue:
@@ -270,15 +309,18 @@ class TestMemoryKernel:
         taus = np.linspace(0.0, 5.0, 11)
         kernel = memory_kernel(spec, taus)
         assert kernel.regular.shape == taus.shape
-        with pytest.raises(DomainError):
+        with pytest.raises(ParameterError):
             memory_kernel(spec, -0.1)
         # a NaN tau is refused, not turned into a NaN kernel
-        with pytest.raises(DomainError):
+        with pytest.raises(ParameterError):
             memory_kernel(spec, np.nan)
-        with pytest.raises(DomainError):
+        with pytest.raises(ParameterError):
             memory_kernel(spec, np.array([0.0, np.nan]))
-        with pytest.raises(DomainError):
+        with pytest.raises(ParameterError, match=r"^tau must be >= 0, got -1\.0$"):
             kernel_by_quadrature(spec, -1.0, window=50.0, n_points=1001)
+        # the least tau is tested, so no tau at all is no refusal
+        assert memory_kernel(spec, np.array([])).regular.shape == (0,)
+        assert _kernel_quadrature(spec, np.array([]), 50.0, 1001)[0].shape == (0,)
 
 
 class TestKernelQuadrature:

@@ -21,7 +21,8 @@ found.  An ``evolve`` table and its violations are the trajectory's own
 solver and lays them out.  :func:`main` alone renders, writes and fails: a
 table goes to the output path or to stdout, a report only to an output path;
 the summary prints to stdout after the output; a violation exits 2 after the
-file is written.  A table or report holding a non-finite number is a
+file is written.  A file is written whole or not at all
+(:func:`_write_chunks`).  A table or report holding a non-finite number is a
 violation; numpy's floating-point warnings are silenced in its favour.
 
 Exit codes: 0 success, 1 usage or invalid input, 2 property violation,
@@ -35,6 +36,7 @@ import contextlib
 import json
 import os
 import signal
+import stat
 import sys
 import tempfile
 import textwrap
@@ -101,13 +103,47 @@ def _format_number(x: float) -> str:
 def _write_chunks(path: str, chunks: Generator[str, None, None]) -> None:
     """Write ``chunks`` as they come to ``path``, opened once, or to stdout,
     and close the generator however the writing ends (a closed pipe, an
-    interrupt), so that it stops its work before the exception propagates."""
+    interrupt), so that it stops its work before the exception propagates.
+
+    A file is written whole or not at all: into a temporary file beside
+    ``path``, moved onto it after the last chunk and removed if the writing
+    fails, so a failed run leaves no new file and keeps an earlier one.  The
+    file gets the mode ``open`` would give it.  A path that exists as
+    something other than a regular file (a device, a FIFO, a symlink such as
+    /dev/stdout) is written directly.
+    """
     with contextlib.closing(chunks):
-        if path:
+        if not path:
+            sys.stdout.writelines(chunks)
+            return
+        try:
+            info = os.lstat(path)
+        except OSError:
+            info = None  # no file yet; opening it reports a bad path below
+        if info is not None and not stat.S_ISREG(info.st_mode):
             with open(path, "w", encoding="utf-8", newline="\n") as fh:
                 fh.writelines(chunks)
+            return
+        if info is None:
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = 0o666 & ~umask
         else:
-            sys.stdout.writelines(chunks)
+            mode = stat.S_IMODE(info.st_mode)
+        folder, name = os.path.split(path)
+        try:
+            fd, temp = tempfile.mkstemp(prefix=f".{name}.", dir=folder or ".")
+        except OSError as exc:  # reported against the target, as open does
+            raise OSError(exc.errno, exc.strerror, path) from None
+        try:
+            with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+                os.fchmod(fd, mode)
+                fh.writelines(chunks)
+            os.replace(temp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(temp)
+            raise
 
 
 @dataclass

@@ -415,9 +415,21 @@ def _far_field(kt, u):
     by one FFT of size 2L just before block b is yielded, so the block is
     complete then and only u[j < b] has been read.  The caller fills u up to
     b + _BLOCK - 1 before asking for the next block.  Cost O(n log^2 n).
+
+    The transforms are the pocketfft kernels behind ``np.fft.fft`` and
+    ``np.fft.ifft`` (numpy >= 2.0), called with the same factors (1 forward,
+    1 / 2L inverse), so the sums are those of the public functions bit for
+    bit; each square's transforms run in place in one buffer, sized for the
+    largest square, so no square allocates.
     """
+    from numpy.fft._pocketfft_umath import fft, ifft  # loaded when first run
+
     n = len(u) - 1
     far = np.zeros(n + 1, dtype=complex)
+    # A transformed square has L <= b < n: at most _BLOCK times the largest
+    # power of two not above n / _BLOCK.
+    top = _BLOCK << max(n // _BLOCK, 1).bit_length() - 1
+    work = np.empty(2 * top, dtype=complex)
     spectra = {}  # size L -> FFT of kt[0:2L], kept while the size recurs
     for b in range(_BLOCK, n + 1, _BLOCK):
         # The square whose history block [a, b) ends here: L = _BLOCK times
@@ -431,15 +443,15 @@ def _far_field(kt, u):
         else:
             spectrum = spectra.pop(size, None)
             if spectrum is None:
-                spectrum = np.fft.fft(kt[: 2 * size], 2 * size)
+                spectrum = fft(kt[: 2 * size], 1, out=np.empty(2 * size, complex))
             if b + 2 * size <= n:  # the same size comes round again
                 spectra[size] = spectrum
-            # Linear convolution of u[a:b] with kt[0:2L]; entries L..2L-1
-            # (lags 1..2L-1) do not wrap around.
-            conv = np.fft.fft(u[b - size : b], 2 * size)
+            # Linear convolution of u[a:b] (zero-padded) with kt[0:2L];
+            # entries L..2L-1 (lags 1..2L-1) do not wrap around.
+            conv = fft(u[b - size : b], 1, out=work[: 2 * size])
             conv *= spectrum
             del spectrum  # an uncached spectrum is freed before the inverse FFT
-            conv = np.fft.ifft(conv)
+            ifft(conv, 1 / (2 * size), out=conv)
             end = min(b + size, n + 1)
             far[b:end] += conv[size : size + end - b]
         yield far[b : b + _BLOCK]
@@ -547,14 +559,21 @@ def _volterra_core(kt, damping, c1_0, h):
     )
     x = np.zeros(_BLOCK + 5, dtype=complex)
     x[_BLOCK:] = *values[_START - 2 :], *derivs[_START - 3 :]
+    # The loop's temporaries, allocated once: a start-side correction, the
+    # products response * x and their row sums y.
+    edge = np.empty(_BLOCK, dtype=complex)
+    products = np.empty_like(response)
+    y = np.empty(len(response), dtype=complex)
     for b, far in zip(range(_BLOCK, len(history), _BLOCK), _far_field(kt, history)):
         # A last block shorter than _BLOCK leaves stale forcing in
         # x[size:_BLOCK]; the map is causal, so it reaches only u past n.
         size, m = len(far), b - lead
-        x[:size] = far + start_edge[0] * kt[m : m + size]
-        x[:size] += start_edge[1] * kt[m - 1 : m - 1 + size]
-        x[:size] += start_edge[2] * kt[m - 2 : m - 2 + size]
-        y = np.add.reduce(response * x, axis=1)  # fixed order, unlike BLAS
+        g, term = x[:size], edge[:size]
+        np.add(far, np.multiply(start_edge[0], kt[m : m + size], out=term), out=g)
+        g += np.multiply(start_edge[1], kt[m - 1 : m - 1 + size], out=term)
+        g += np.multiply(start_edge[2], kt[m - 2 : m - 2 + size], out=term)
+        np.multiply(response, x, out=products)
+        np.add.reduce(products, axis=1, out=y)  # fixed order, unlike BLAS
         history[b : b + size] = y[:size]
         x[_BLOCK:] = y[_BLOCK - 2 :]
     return history[lead:]

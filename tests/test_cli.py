@@ -855,7 +855,8 @@ class TestConfig:
 
     def test_interrupt_exits_130_with_one_line(self, tmp_path):
         # Ctrl-C signals the whole process group, the forked formatter of
-        # this table too; sent once the output file is open
+        # this table too; sent once the temporary output file is open, and
+        # it leaves no file behind
         src = str(Path(fanomode.__file__).resolve().parents[1])
         out = tmp_path / "evolve.csv"
         proc = subprocess.Popen(
@@ -866,7 +867,7 @@ class TestConfig:
         )
         try:
             deadline = time.monotonic() + 60
-            while not out.exists() and proc.poll() is None:
+            while not any(tmp_path.iterdir()) and proc.poll() is None:
                 assert time.monotonic() < deadline
                 time.sleep(0.01)
             time.sleep(0.3)
@@ -879,6 +880,60 @@ class TestConfig:
         assert (proc.returncode, err) == (130, "fanomode: error: interrupted\n")
         with pytest.raises(ProcessLookupError):  # no process left in the group
             os.killpg(proc.pid, 0)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("earlier", [None, b"an earlier run's file\n"])
+    def test_failed_write_leaves_no_file(self, tmp_path, earlier):
+        # a file size limit fails the write part way: exit 1, no temporary
+        # file left, and an earlier file at the path kept byte for byte
+        src = str(Path(fanomode.__file__).resolve().parents[1])
+        out = tmp_path / "evolve.csv"
+        if earlier is not None:
+            out.write_bytes(earlier)
+        probe = (
+            "import resource, signal, sys\n"
+            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (200_000, 200_000))\n"
+            "from fanomode.cli import main\n"
+            f"sys.exit(main(['evolve', '--out', {str(out)!r}]))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, timeout=120,
+        )
+        err = result.stderr.decode()
+        assert result.returncode == 1, err
+        assert err.startswith("fanomode: error: [Errno 27] File too large")
+        assert err.count("\n") == 1
+        if earlier is None:
+            assert list(tmp_path.iterdir()) == []
+        else:
+            assert list(tmp_path.iterdir()) == [out]
+            assert out.read_bytes() == earlier
+
+    def test_output_file_mode_follows_umask(self, tmp_path, capsys):
+        out = tmp_path / "spectrum.csv"
+        umask = os.umask(0o027)
+        try:
+            assert run("spectrum", "--out", str(out)) == 0
+        finally:
+            os.umask(umask)
+        assert out.stat().st_mode & 0o777 == 0o640
+        out.chmod(0o604)  # an existing file keeps its mode, as open keeps it
+        assert run("spectrum", "--out", str(out)) == 0
+        assert out.stat().st_mode & 0o777 == 0o604
+        assert list(tmp_path.iterdir()) == [out]
+
+    def test_symlink_target_is_written_through(self, tmp_path, capsys):
+        # not a regular file (like /dev/stdout): written directly, so the
+        # link stays and the file it names gets the output
+        real, link = tmp_path / "real.csv", tmp_path / "link.csv"
+        real.write_text("old\n")
+        link.symlink_to(real)
+        assert run("spectrum", "--out", str(link)) == 0
+        assert link.is_symlink()
+        assert real.read_text().startswith("# fanomode ")
+        assert sorted(tmp_path.iterdir()) == [link, real]
 
     def test_cli_usage_error_exit_code(self, capsys):
         assert run("no-such-command") == 1

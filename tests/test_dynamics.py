@@ -361,6 +361,50 @@ def direct_far_field(kt, u):
     ])
 
 
+def public_fft_far_field(kt, u):
+    """Reference for ``_far_field``'s bits: its square decomposition, one
+    fresh array per transform from the public ``np.fft.fft`` and
+    ``np.fft.ifft``."""
+    n = len(u) - 1
+    far = np.zeros(n + 1, dtype=complex)
+    for b in range(B, n + 1, B):
+        size = B * ((b // B) & -(b // B))
+        if b == n:
+            far[n] += dynamics._dot(kt[size:0:-1], u[n - size : n])
+        else:
+            conv = np.fft.ifft(np.fft.fft(u[b - size : b], 2 * size)
+                               * np.fft.fft(kt[: 2 * size], 2 * size))
+            end = min(b + size, n + 1)
+            far[b:end] += conv[size : size + end - b]
+        yield far[b : b + B]
+
+
+def public_fft_volterra_core(kt, damping, c1_0, h):
+    """Reference for ``_volterra_core``'s bits: its block loop on
+    :func:`public_fft_far_field`, with fresh temporaries per block."""
+    lead = B - dynamics._START
+    n = len(kt) - 1 - lead
+    history = np.zeros(len(kt), dtype=complex)
+    values, derivs = dynamics._volterra_start(kt, damping, c1_0, h)
+    history[lead : lead + dynamics._START] = values[: n + 1]
+    response = dynamics._block_response(
+        kt, damping, h, min(B, n + 1 - dynamics._START))
+    e0, e1, e2 = dynamics._GREGORY_EDGE
+    edge = ((e0 - 1.0) * values[0], (e1 - 1.0) * values[1],
+            (e2 - 1.0) * values[2])
+    x = np.zeros(B + 5, dtype=complex)
+    x[B:] = *values[dynamics._START - 2 :], *derivs[dynamics._START - 3 :]
+    for b, far in zip(range(B, len(history), B), public_fft_far_field(kt, history)):
+        size, m = len(far), b - lead
+        x[:size] = far + edge[0] * kt[m : m + size]
+        x[:size] += edge[1] * kt[m - 1 : m - 1 + size]
+        x[:size] += edge[2] * kt[m - 2 : m - 2 + size]
+        y = np.add.reduce(response * x, axis=1)
+        history[b : b + size] = y[:size]
+        x[B:] = y[B - 2 :]
+    return history[lead:]
+
+
 class TestBlockedHistory:
     # every base-block and square boundary
     @pytest.mark.parametrize(
@@ -387,21 +431,42 @@ class TestBlockedHistory:
     def test_no_fft_of_twice_the_history(self, monkeypatch):
         # at n = 64 * 2^k the last square feeds far[n] alone: a direct dot
         # adds it, where an FFT of size 2n used to
+        from numpy.fft import _pocketfft_umath
+
         n = 4096
         sizes = []
-        fft = np.fft.fft
+        fft = _pocketfft_umath.fft
 
-        def spy(a, size=None, *args, **kwargs):
-            sizes.append(len(a) if size is None else size)
-            return fft(a, size, *args, **kwargs)
+        def spy(a, fct, *args, out, **kwargs):
+            sizes.append(len(out))
+            return fft(a, fct, *args, out=out, **kwargs)
 
-        monkeypatch.setattr(np.fft, "fft", spy)
+        monkeypatch.setattr(_pocketfft_umath, "fft", spy)
         rng = np.random.default_rng(n)
         kt = sampled_kernel("random", rng, n)
         u = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
         for _ in dynamics._far_field(kt, u):
             pass
         assert max(sizes) == n
+
+    @pytest.mark.parametrize(
+        "n",
+        [0, 1, 2, 3, 4, 5, 6, B - 1, B, B + 1, 2 * B, 2 * B + 1, 4 * B - 1, 259,
+         1000, 1029, 16 * B, 4097, 60059],
+    )
+    @pytest.mark.parametrize(
+        "kernel", ["random", "two_exponential", "gaussian_oscillation"]
+    )
+    def test_matches_public_fft_bit_for_bit(self, kernel, n):
+        # the in-place pocketfft kernels give the bits of np.fft.fft / ifft
+        rng = np.random.default_rng(n)
+        kt = sampled_kernel(kernel, rng, n)
+        u = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+        blocks = list(dynamics._far_field(kt, u))
+        want = list(public_fft_far_field(kt, u))
+        assert len(blocks) == len(want) == n // B
+        for got, block in zip(blocks, want):
+            np.testing.assert_array_equal(got, block)
 
     def test_reads_only_the_known_history(self):
         # block b may read u[j] for j < b only: the solver fills u[b..b + B - 1]
@@ -423,6 +488,18 @@ class TestBlockedHistory:
 
 
 class TestSolveVolterra:
+    @pytest.mark.parametrize("t_max", [20.0, 60.0])
+    @pytest.mark.parametrize("model", [
+        PRESET,
+        FanoModel(gamma=0.01, kappa=1.0, g_abs=0.05, eta=1.0, omega_A=1.0),
+    ])
+    def test_samples_match_public_fft_reference(self, monkeypatch, model, t_max):
+        spec = pole_residue_from_model(model)
+        got = solve_volterra(spec, model.omega_A, 1.0, t_max, 1e-3)
+        monkeypatch.setattr(dynamics, "_volterra_core", public_fft_volterra_core)
+        want = solve_volterra(spec, model.omega_A, 1.0, t_max, 1e-3)
+        np.testing.assert_array_equal(got.c1, want.c1)
+
     def test_markovian_decay_exact(self):
         model = FanoModel(gamma=0.25, kappa=1.0, g_abs=0.0, eta=0.0, omega_A=0.7)
         spec = pole_residue_from_model(model)

@@ -59,7 +59,7 @@ from .dynamics import (
     solve_volterra,
 )
 from .embedding import embed_from_model, is_lindblad, kossakowski
-from .errors import FanomodeError, PropertyViolation
+from .errors import FanomodeError, ParameterError, PropertyViolation
 from .fanodiag import verify_lambda_identity
 from .spectral import (
     TWO_PI,
@@ -73,7 +73,6 @@ from .spectral import (
 )
 
 EXIT_OK = 0
-EXIT_USAGE = 1
 EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 
 _UNITS_NOTE = (
@@ -93,7 +92,8 @@ _SPLIT_MIN_VALUES = 60_000
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2; usage is 1
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+        self.exit(ParameterError.exit_code,
+                  f"{self.prog}: {ParameterError.label}: {message}\n")
 
 
 def _format_number(x: float) -> str:
@@ -555,25 +555,20 @@ def main(argv: Sequence[str] | None = None) -> int:
         if output.violations:
             raise PropertyViolation("; ".join(output.violations))
         return EXIT_OK
-    except FanomodeError as exc:  # each class carries its exit code and label
+    except FanomodeError as exc:  # one class per exit code, with its label
         print(f"fanomode: {exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code
     except BrokenPipeError:
         # downstream consumer (e.g. `head`) closed the stream; not an error
-        try:
+        with contextlib.suppress(OSError):
             sys.stdout.close()
-        except OSError:
-            pass
         return EXIT_OK
-    except OSError as exc:
-        print(f"fanomode: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except MemoryError:
-        print("fanomode: error: not enough memory for this run", file=sys.stderr)
-        return EXIT_USAGE
-    except OverflowError:
-        print("fanomode: error: an input overflows floating point", file=sys.stderr)
-        return EXIT_USAGE
+    except (OSError, MemoryError, OverflowError) as exc:  # invalid input too
+        message = (exc if isinstance(exc, OSError)
+                   else "not enough memory for this run" if isinstance(exc, MemoryError)
+                   else "an input overflows floating point")
+        print(f"fanomode: {ParameterError.label}: {message}", file=sys.stderr)
+        return ParameterError.exit_code
     except KeyboardInterrupt:  # a forked formatter is reaped on the way out
         print("fanomode: error: interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED

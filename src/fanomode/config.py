@@ -15,7 +15,7 @@ import json
 import sys
 from typing import Any
 
-from .errors import ConfigError
+from .errors import ParameterError
 from .spectral import FanoModel, _require
 
 SCHEMA_VERSION = 1
@@ -113,11 +113,11 @@ def _merge_strict(base: dict, incoming: Any, path: str) -> None:
     an override and a curve alike: it may hold only the keys of ``base``,
     and an entry that is a table in ``base`` must be one in it too."""
     if not isinstance(incoming, dict):
-        raise ConfigError(f"{path!r} must be a table of keys")
+        raise ParameterError(f"{path!r} must be a table of keys")
     for key, value in incoming.items():
         location = f"{path}.{key}" if path else key
         if key not in base:
-            raise ConfigError(f"unknown config key {location!r}")
+            raise ParameterError(f"unknown config key {location!r}")
         if isinstance(base[key], dict):
             _merge_strict(base[key], value, location)
         else:
@@ -129,34 +129,34 @@ def _check_types(template: Any, value: Any, path: str) -> Any:
         return {k: _check_types(template[k], value[k], f"{path}.{k}") for k in template}
     if isinstance(template, bool):
         if not isinstance(value, bool):
-            raise ConfigError(f"{path!r} must be a boolean, got {value!r}")
+            raise ParameterError(f"{path!r} must be a boolean, got {value!r}")
         return value
     if isinstance(template, int):
         if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{path!r} must be an integer, got {value!r}")
+            raise ParameterError(f"{path!r} must be an integer, got {value!r}")
         if value > sys.maxsize:  # no array has that many points
-            raise ConfigError(f"{path!r} must be at most {sys.maxsize}, got {value}")
+            raise ParameterError(f"{path!r} must be at most {sys.maxsize}, got {value}")
         return value
     if isinstance(template, float):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{path!r} must be a number, got {value!r}")
+            raise ParameterError(f"{path!r} must be a number, got {value!r}")
         if not abs(value) <= sys.float_info.max:  # NaN, inf, or an int beyond float
-            raise ConfigError(f"{path!r} must be a finite number, got {value!r}")
+            raise ParameterError(f"{path!r} must be a finite number, got {value!r}")
         return float(value)
     if isinstance(template, str):
         if not isinstance(value, str):
-            raise ConfigError(f"{path!r} must be a string, got {value!r}")
+            raise ParameterError(f"{path!r} must be a string, got {value!r}")
         return value
     if isinstance(template, list):
         if not isinstance(value, list):
-            raise ConfigError(f"{path!r} must be a list")
+            raise ParameterError(f"{path!r} must be a list")
         out = []
         for i, item in enumerate(value):
             entry = dict(_CURVE_TEMPLATE)
             _merge_strict(entry, item, f"{path}[{i}]")
             out.append(_check_types(_CURVE_TEMPLATE, entry, f"{path}[{i}]"))
         return out
-    raise ConfigError(f"unhandled config entry {path!r}")  # pragma: no cover
+    raise ParameterError(f"unhandled config entry {path!r}")  # pragma: no cover
 
 
 def apply_override(config: dict, assignment: str) -> None:
@@ -164,7 +164,7 @@ def apply_override(config: dict, assignment: str) -> None:
     when possible and kept as a string otherwise."""
     key, sep, raw = assignment.partition("=")
     if not sep or not key:
-        raise ConfigError(f"override {assignment!r} is not of the form key=value")
+        raise ParameterError(f"override {assignment!r} is not of the form key=value")
     try:
         value = json.loads(raw)
     except ValueError:  # not JSON, or an integer too long to convert
@@ -183,26 +183,25 @@ def load_config(path: str | None = None, overrides: list[str] | None = None) -> 
             with open(path, encoding="utf-8") as fh:
                 incoming = json.load(fh)
         except OSError as exc:
-            raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
+            raise ParameterError(f"cannot read config file {path!r}: {exc}") from exc
         except ValueError as exc:  # not JSON, or an integer too long to convert
-            raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from exc
+            raise ParameterError(f"config file {path!r} is not valid JSON: {exc}") from exc
         if not isinstance(incoming, dict):
-            raise ConfigError("config file must hold a JSON object")
+            raise ParameterError("config file must hold a JSON object")
         if "schema_version" not in incoming:
-            raise ConfigError("config file must carry a schema_version field")
+            raise ParameterError("config file must carry a schema_version field")
         _merge_strict(config, incoming, "")
     for assignment in overrides or []:
         apply_override(config, assignment)
     config = _check_types(DEFAULT_CONFIG, config, "config")
     if config["schema_version"] != SCHEMA_VERSION:
-        raise ConfigError(
+        raise ParameterError(
             f"unsupported schema_version {config['schema_version']!r} "
             f"(this build reads version {SCHEMA_VERSION})"
         )
     for key, (relation, bound) in BOUNDS.items():
         section, name = key.split(".")
-        _require(f"'config.{key}'", config[section][name], relation, bound,
-                 ConfigError)
+        _require(f"'config.{key}'", config[section][name], relation, bound)
     return config
 
 

@@ -54,7 +54,7 @@ import numpy as np
 
 from .chebyshev import _chebyshev_nodes, _chebyshev_order, _paired_phase_sum
 from .embedding import EmbeddedQME, kossakowski
-from .errors import ParameterError, RecurrenceError, SpectralError, StepSizeError
+from .errors import ParameterError, SolverFailure
 from .spectral import (
     TWO_PI, PoleSpectral, _grid, _phase_table, _require, _resolved, evaluate_J,
     memory_kernel,
@@ -95,7 +95,11 @@ class Trajectory:
     Amplitude-type methods fill ``c1`` (and, when defined, ``b1``/``pi_j``,
     or the comb oracle's ``reservoir_population``); the master-equation
     method fills ``rho`` with shape (n+1, 3, 3).
-    ``metadata`` snapshots every input needed to reproduce the run.
+    ``metadata`` holds ``c1_0``, ``t_max``, ``h`` and the model solved:
+    ``qme`` (amplitudes, qme) or ``spec`` and ``omega_A`` (volterra), enough
+    to rerun the run.  The comb's holds ``omega_A``, ``n_modes`` and
+    ``delta_omega`` but not the comb, so it cannot rerun the run, and the
+    diagnostics of :func:`solve_discretized`.
     :meth:`observables` gives the run's table columns and the invariants it
     breaks, computed when asked for, never by a solver.
     """
@@ -281,7 +285,7 @@ def _propagate(gen: np.ndarray, y0, times: np.ndarray) -> np.ndarray:
     then y_{Bk + j} = P_j z_k, filled 32 blocks at a time by adding the d
     products P_j[:, c] z_k[c] in the order c = 0..d - 1.  All sums have a
     fixed order, unlike BLAS, so runs are bit-for-bit reproducible.  A
-    sample that is not finite raises StepSizeError (:func:`_check_states`).
+    sample that is not finite raises SolverFailure (:func:`_check_states`).
     """
     n, d = len(times) - 1, len(gen)
     # Only the powers the run reaches: j <= n.
@@ -306,11 +310,11 @@ def _propagate(gen: np.ndarray, y0, times: np.ndarray) -> np.ndarray:
 
 
 def _check_states(states: np.ndarray, times: np.ndarray) -> None:
-    """Raise StepSizeError naming the first of ``times`` whose state, that
+    """Raise SolverFailure naming the first of ``times`` whose state, that
     row of ``states``, is not finite."""
     if not np.isfinite(states).all():
         finite = np.isfinite(states.reshape(len(times), -1)).all(axis=1)
-        raise StepSizeError(
+        raise SolverFailure(
             f"state is not finite from t = {times[np.argmin(finite)]:.6g}: the "
             "model's generator grows the state past the floating-point range"
         )
@@ -543,7 +547,7 @@ def _volterra_core(kt, damping, c1_0, h):
     """
     kernel_scale = max(abs(kt[0]), damping)
     if h * kernel_scale > 0.1:
-        raise StepSizeError(
+        raise SolverFailure(
             f"h * max|kernel| = {h * kernel_scale:.3g} > 0.1; reduce h"
         )
     lead = _BLOCK - _START
@@ -597,7 +601,7 @@ def solve_volterra(
     fourth-order Adams-Moulton steps taken 64 at a time, and a Taylor start
     from the samples.  Global error O(h^4).  A step at which the samples
     would not resolve the kernel, h |z1 - omega_A| > _RESOLUTION, raises
-    StepSizeError before the run, and a sample that overflows raises it
+    SolverFailure before the run, and a sample that overflows raises it
     after (:func:`_check_states`).
     """
     times = _time_grid(t_max, h)
@@ -607,7 +611,7 @@ def solve_volterra(
     # slower kernel, so no test on the samples can see them.
     resolution = h * abs(spec.z1 - omega_A)
     if resolution > _RESOLUTION:
-        raise StepSizeError(
+        raise SolverFailure(
             f"h * |z1 - omega_A| = {resolution:.3g} > {_RESOLUTION}: the kernel's "
             "oscillation and decay are not resolved; reduce h"
         )
@@ -695,7 +699,7 @@ def build_discretized(
     Requires n_modes >= 100 and window >= 20 pole widths so that the comb
     can stand in for the continuum, frequencies that are finite and
     strictly increasing in floating point, and finite J samples and
-    couplings.  A genuinely negative J sample raises :class:`SpectralError`;
+    couplings.  A genuinely negative J sample raises :class:`SolverFailure`;
     roundoff-level negatives at a spectral zero are clamped to 0.
     """
     _require("n_modes", n_modes, ">=", 100)
@@ -715,7 +719,7 @@ def build_discretized(
         )
     scale = spec.J0 + abs(spec.r1) / spec.kappa
     if np.min(j_vals) < -1e-12 * max(scale, 1e-300):
-        raise SpectralError(
+        raise SolverFailure(
             f"spectral function is negative on the grid (min {np.min(j_vals):.3g})"
         )
     j_vals = np.maximum(j_vals, 0.0)
@@ -923,7 +927,7 @@ def solve_discretized(
     like t_max^2.  Only the comb's samples of J enter, never the pole form or
     the kernel.  A comb with |g| = 0 leaves the atom in its free rotation,
     psi_0 = 1.  t_max past half the comb's recurrence time, where the
-    finite comb stops mimicking the continuum, raises RecurrenceError.
+    finite comb stops mimicking the continuum, raises SolverFailure.
 
     The state is normalized, so the reservoir population is
     |c1(0)|^2 (1 - |psi_0(t)|^2).  The moments are those of a positive
@@ -934,7 +938,7 @@ def solve_discretized(
     eigenvalues split off.
     """
     if t_max >= 0.5 * res.recurrence_time:
-        raise RecurrenceError(
+        raise SolverFailure(
             f"t_max = {t_max} exceeds half the recurrence time "
             f"{res.recurrence_time:.3g} of the comb; increase n_modes"
         )

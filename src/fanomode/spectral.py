@@ -35,13 +35,12 @@ _RELATIONS = {  # relation -> (test of a value against the bound, bound as read)
 }
 
 
-def _require(name: str, value: Any, relation: str, bound: Any,
-             error: type[Exception] = ParameterError) -> None:
-    """Raise ``error`` "<name> must be <relation> <bound>, got <value>"
+def _require(name: str, value: Any, relation: str, bound: Any) -> None:
+    """Raise ParameterError "<name> must be <relation> <bound>, got <value>"
     unless ``value`` stands in ``relation`` to ``bound``; NaN stands in none."""
     test, shown = _RELATIONS[relation]
     if not test(value, bound):
-        raise error(f"{name} must be {relation} {shown(bound)}, got {value!r}")
+        raise ParameterError(f"{name} must be {relation} {shown(bound)}, got {value!r}")
 
 
 def _check_finite(**values) -> None:

@@ -18,10 +18,15 @@ import numpy as np
 import pytest
 
 import fanomode
-from fanomode import __version__, cli
+from fanomode import __version__, cli, errors
 from fanomode.cli import main
 from fanomode.config import DEFAULT_CONFIG, load_config
-from fanomode.errors import ConfigError, FanomodeError
+from fanomode.errors import (
+    FanomodeError,
+    ParameterError,
+    PropertyViolation,
+    SolverFailure,
+)
 from fanomode.spectral import FanoModel
 
 from conftest import render_reference
@@ -634,25 +639,25 @@ class TestConfig:
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"schema_version": 1, "model": {"gama": 0.5}}))
-        with pytest.raises(ConfigError, match="gama"):
+        with pytest.raises(ParameterError, match="gama"):
             load_config(str(cfg), [])
-        with pytest.raises(ConfigError, match="unknown"):
+        with pytest.raises(ParameterError, match="unknown"):
             load_config(None, ["solver.stepsize=0.1"])
 
     def test_schema_version_required(self, tmp_path):
         cfg = tmp_path / "nover.json"
         cfg.write_text(json.dumps({"model": {"gamma": 0.5}}))
-        with pytest.raises(ConfigError, match="schema_version"):
+        with pytest.raises(ParameterError, match="schema_version"):
             load_config(str(cfg), [])
-        with pytest.raises(ConfigError, match="schema_version"):
+        with pytest.raises(ParameterError, match="schema_version"):
             load_config(None, ["schema_version=2"])
 
     def test_type_checking(self):
-        with pytest.raises(ConfigError, match="number"):
+        with pytest.raises(ParameterError, match="number"):
             load_config(None, ["model.gamma=fast"])
-        with pytest.raises(ConfigError, match="integer"):
+        with pytest.raises(ParameterError, match="integer"):
             load_config(None, ["spectrum.n_points=12.5"])
-        with pytest.raises(ConfigError, match="boolean"):
+        with pytest.raises(ParameterError, match="boolean"):
             load_config(None, ["output.header=1"])
 
     @pytest.mark.parametrize(
@@ -660,23 +665,23 @@ class TestConfig:
         ids=["nan", "inf", "-inf", "int_beyond_float"],
     )
     def test_non_finite_number_rejected(self, tmp_path, literal):
-        with pytest.raises(ConfigError, match="finite"):
+        with pytest.raises(ParameterError, match="finite"):
             load_config(None, [f"kernel.tau_max={literal}"])
-        with pytest.raises(ConfigError, match="finite"):
+        with pytest.raises(ParameterError, match="finite"):
             load_config(None, [f'spectrum.curves=[{{"eta":{literal}}}]'])
         cfg = tmp_path / "run.json"
         cfg.write_text('{"schema_version": 1, "solver": {"c1_re": %s}}' % literal)
-        with pytest.raises(ConfigError, match="finite"):
+        with pytest.raises(ParameterError, match="finite"):
             load_config(str(cfg), [])
 
     def test_integer_too_long_to_parse_rejected(self, tmp_path):
         # used to escape as a ValueError traceback from json
         digits = "1" + "0" * 5000
-        with pytest.raises(ConfigError, match="must be a number"):
+        with pytest.raises(ParameterError, match="must be a number"):
             load_config(None, [f"kernel.tau_max={digits}"])
         cfg = tmp_path / "run.json"
         cfg.write_text('{"schema_version": 1, "kernel": {"tau_max": %s}}' % digits)
-        with pytest.raises(ConfigError, match="not valid JSON"):
+        with pytest.raises(ParameterError, match="not valid JSON"):
             load_config(str(cfg), [])
 
     @pytest.mark.parametrize("argv", [
@@ -704,7 +709,7 @@ class TestConfig:
         assert not out.exists()
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"schema_version": 1, "output": {"format": "xml"}}))
-        with pytest.raises(ConfigError, match="csv, json"):
+        with pytest.raises(ParameterError, match="csv, json"):
             load_config(str(cfg), [])
 
     @pytest.mark.parametrize("argv", [
@@ -807,24 +812,57 @@ class TestConfig:
         if document is not None:
             path = tmp_path / "run.json"
             path.write_text(json.dumps(document))
-        with pytest.raises(ConfigError, match=match):
+        with pytest.raises(ParameterError, match=match):
             load_config(path and str(path), overrides)
 
     def test_defaults_are_not_mutated(self):
         load_config(None, ["model.gamma=0.9"])
         assert DEFAULT_CONFIG["model"]["gamma"] == 0.25
 
-    @pytest.mark.parametrize("code, label", [(1, "error"), (3, "solver failure")])
-    def test_error_exits_by_its_class(self, capsys, monkeypatch, code, label):
-        # a subclass main never names exits by its own code and label
-        failure = type("Failure", (FanomodeError,), {"exit_code": code, "label": label})
+    def test_one_error_class_per_exit_code(self):
+        classes = [value for value in vars(errors).values() if isinstance(value, type)
+                   and issubclass(value, FanomodeError) and value is not FanomodeError]
+        assert sorted((c.exit_code, c.label) for c in classes) == [
+            (1, "error"), (2, "property violation"), (3, "solver failure")]
 
+    @pytest.mark.parametrize("error", [ParameterError, PropertyViolation, SolverFailure],
+                             ids=lambda error: f"{error.exit_code}-{error.label}")
+    def test_error_exits_by_its_class(self, capsys, monkeypatch, error):
         def fail(config):
-            raise failure("by design")
+            raise error("by design")
 
         monkeypatch.setitem(cli._COMMANDS, "spectrum", (fail, "fails"))
-        assert run("spectrum") == code
-        assert capsys.readouterr().err == f"fanomode: {label}: by design\n"
+        assert run("spectrum") == error.exit_code
+        assert capsys.readouterr().err == f"fanomode: {error.label}: by design\n"
+
+    @pytest.mark.parametrize("argv, code, line", [
+        # J(omega) < 0 under the comb (eta = 1.2 > 1)
+        (("evolve", "--set", "solver.method=discretized", "--set", "model.eta=1.2",
+          "--set", "solver.t_max=1"),
+         3, "solver failure: spectral function is negative on the grid (min -0.00796)"),
+        # the comb's recurrence horizon
+        (("evolve", "--set", "solver.method=discretized", "--set", "solver.t_max=400"),
+         3, "solver failure: t_max = 400.0 exceeds half the recurrence time 314 "
+            "of the comb; increase n_modes"),
+        # Volterra's resolution guard
+        (("evolve", "--set", "solver.method=volterra", "--set", "model.omega_C=50",
+          "--set", "solver.h=0.3", "--set", "solver.t_max=60"),
+         3, "solver failure: h * |z1 - omega_A| = 15 > 0.1: the kernel's "
+            "oscillation and decay are not resolved; reduce h"),
+        # a generator that overflows the state
+        (("evolve", "--set", "solver.method=volterra", "--set", "solver.h=0.003",
+          "--set", "solver.t_max=900", "--set", "model.g_abs=5", "--set", "model.eta=50"),
+         3, "solver failure: state is not finite from t = 479.055: the model's "
+            "generator grows the state past the floating-point range"),
+        # a config bound
+        (("spectrum", "--set", "model.gamma=-1"),
+         1, "error: 'config.model.gamma' must be >= 0, got -1.0"),
+    ])
+    def test_failure_prints_one_line_and_writes_no_file(self, tmp_path, capsys,
+                                                         argv, code, line):
+        assert run(*argv, "--out", str(tmp_path / "out")) == code
+        assert capsys.readouterr().err == f"fanomode: {line}\n"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", list(cli._COMMANDS))
     @pytest.mark.parametrize("key", list(FanoModel.BOUNDS))

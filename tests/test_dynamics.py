@@ -25,12 +25,7 @@ from fanomode.dynamics import (
     solve_volterra,
 )
 from fanomode.embedding import EmbeddedQME, embed_from_model, kossakowski
-from fanomode.errors import (
-    ParameterError,
-    RecurrenceError,
-    SpectralError,
-    StepSizeError,
-)
+from fanomode.errors import ParameterError, SolverFailure
 from fanomode.spectral import FanoModel, PoleSpectral, pole_residue_from_model
 
 from conftest import (
@@ -349,7 +344,7 @@ class TestPropagate:
 
     def test_overflow_names_the_first_non_finite_time(self):
         times = 0.5 * np.arange(400)
-        with pytest.raises(StepSizeError, match=r"not finite from t = 177\.5: "):
+        with pytest.raises(SolverFailure, match=r"not finite from t = 177\.5: "):
             dynamics._propagate(np.array([[2.0 + 0.0j]]), (1.0,), times)
 
 
@@ -595,15 +590,15 @@ class TestSolveVolterra:
     def test_step_size_guard(self):
         model = FanoModel(gamma=0.25, kappa=1.0, g_abs=10.0, eta=1.0)
         spec = pole_residue_from_model(model)  # |2 pi r1| ~ |g|^2 = 100
-        with pytest.raises(StepSizeError):
+        with pytest.raises(SolverFailure):
             solve_volterra(spec, 0.0, 1.0, 1.0, 2e-3)
 
     def test_overflow_names_the_first_non_finite_time(self):
         # a kernel that grows the amplitude overflows it within the run:
-        # StepSizeError, as for the amplitudes and the QME, not NaN samples
+        # SolverFailure, as for the amplitudes and the QME, not NaN samples
         spec = pole_residue_from_model(
             FanoModel(gamma=0.25, kappa=1.0, g_abs=5.0, eta=400.0))
-        with pytest.raises(StepSizeError, match=r"not finite from t = 148\.362: "):
+        with pytest.raises(SolverFailure, match=r"not finite from t = 148\.362: "):
             solve_volterra(spec, 0.0, 1.0, 200.0, 2e-3)
 
 
@@ -699,11 +694,11 @@ class TestSolveQME:
 
     def test_unstable_step_raises(self):
         # a generator that grows the state (at eta = 50 the largest real
-        # eigenvalue is 2.9 for the QME) overflows it: StepSizeError, not inf
+        # eigenvalue is 2.9 for the QME) overflows it: SolverFailure, not inf
         qme = embed_from_model(FanoModel(gamma=0.25, kappa=1.0, g_abs=5.0, eta=50.0))
-        with pytest.raises(StepSizeError, match="not finite"):
+        with pytest.raises(SolverFailure, match="not finite"):
             solve_qme(qme, 1.0, 1800.0, 0.9)
-        with pytest.raises(StepSizeError, match="not finite"):
+        with pytest.raises(SolverFailure, match="not finite"):
             solve_amplitudes(qme, 1.0, 1800.0, 0.9)
 
     def test_invalid_initial_state(self):
@@ -755,7 +750,7 @@ class TestDiscretizedReservoir:
         with pytest.raises(ParameterError):
             build_discretized(spec, 10.0, 1001)
         corrupt = PoleSpectral(J0=0.0, z1=-0.5j, r1=(1j / TWO_PI) * (-0.25))
-        with pytest.raises(SpectralError):
+        with pytest.raises(SolverFailure):
             build_discretized(corrupt, 40.0, 1001)
 
     @pytest.mark.parametrize(
@@ -784,7 +779,7 @@ class TestDiscretizedReservoir:
     def test_recurrence_guard(self):
         spec = pole_residue_from_model(PRESET)
         res = build_discretized(spec, 40.0, 101)  # recurrence ~ 7.9/kappa
-        with pytest.raises(RecurrenceError):
+        with pytest.raises(SolverFailure):
             solve_discretized(res, 0.0, 1.0, 4.0, 1e-3)
 
     def test_flat_limit_reaches_markov(self):
@@ -1162,7 +1157,7 @@ class TestTrajectory:
 
     def test_initial_amplitude_outside_the_unit_disc(self):
         # a NaN c1(0) is refused up front, not run into NaN samples or a
-        # StepSizeError that blames the generator
+        # SolverFailure that blames the generator
         spec = pole_residue_from_model(PRESET)
         qme = embed_from_model(PRESET)
         reservoir = build_discretized(spec, 40.0, 801)

@@ -29,7 +29,7 @@ from fanomode.dynamics import (
     solve_volterra,
 )
 from fanomode.embedding import embed_from_model, is_lindblad, spectral_from_qme
-from fanomode.errors import StepSizeError
+from fanomode.errors import ParameterError, PropertyViolation, SolverFailure
 from fanomode.fanodiag import verify_lambda_identity
 from fanomode.spectral import (
     FanoModel,
@@ -390,7 +390,7 @@ def test_admitted_volterra_runs_agree_with_amplitudes(model, h):
     resolution = h * abs(spec.z1 - model.omega_A)
     try:
         volterra = solve_volterra(spec, model.omega_A, 1.0, 10.0, h)
-    except StepSizeError as exc:
+    except SolverFailure as exc:
         assert resolution > dynamics._RESOLUTION or "max|kernel|" in str(exc)
         return
     assert resolution <= dynamics._RESOLUTION
@@ -466,6 +466,9 @@ NUMERIC_KEYS = sorted(
 # A valid run larger than this is slow, not a question of the contract;
 # one of 1e15 samples or more (8 PB) fails at once on any host.
 SAMPLE_BUDGET = 20_000
+# the label that leads a failing run's stderr line, by exit code
+LABELS = {error.exit_code: error.label
+          for error in (ParameterError, PropertyViolation, SolverFailure)}
 SIZE_KEYS = ("solver.n_modes", "spectrum.n_points", "kernel.n_points",
              "kernel.quadrature_points", "fanodiag.n_points")
 
@@ -529,9 +532,10 @@ def run_samples(settings_: dict) -> list[float]:
 @example(command="lindblad-check", methods=[("compare.method_b", "x")],
          overrides=[("model.kappa", 1.0)])
 def test_cli_keeps_the_exit_code_contract_everywhere(command, methods, overrides):
-    # exits 0-3 and nothing escapes; a failure prints one stderr line, a
-    # usage error writes no file, and a table that passes is finite, its
-    # first column (the grid it is sampled on) strictly increasing
+    # exits 0-3 and nothing escapes; a failure prints one stderr line led by
+    # its class's label, a usage error or solver failure writes no file, and
+    # a table that passes is finite, its first column (the grid it is
+    # sampled on) strictly increasing
     settings_ = {**SMALL_RUN, **dict(overrides)}
     assume(all(n <= SAMPLE_BUDGET or n >= 1e15 for n in run_samples(settings_)))
     fmt = dict(overrides).get("output.format", "csv")
@@ -547,9 +551,9 @@ def test_cli_keeps_the_exit_code_contract_everywhere(command, methods, overrides
         if any(key in METHOD_KEYS and value not in SOLVERS for key, value in methods):
             assert code == 1
         if code:
-            assert err.getvalue().startswith("fanomode: ")
+            assert err.getvalue().startswith(f"fanomode: {LABELS[code]}: ")
             assert err.getvalue().count("\n") == 1
-        if code == 1:
+        if code in (1, 3):
             assert not os.path.exists(out)
         if code == 0 and command not in ("lindblad-check", "decay-rate"):
             if fmt == "json":

@@ -23,8 +23,6 @@ SCHEMA_VERSION = 1
 _FORMATS = ("csv", "json")
 _METHODS = ("volterra", "amplitudes", "qme", "discretized")
 
-_CURVE_TEMPLATE = {"eta": 1.0, "q_abs": 2.0, "delta_phi": 0.0}
-
 DEFAULT_CONFIG: dict[str, Any] = {
     "schema_version": SCHEMA_VERSION,
     "model": {
@@ -151,10 +149,10 @@ def _check_types(template: Any, value: Any, path: str) -> Any:
         if not isinstance(value, list):
             raise ParameterError(f"{path!r} must be a list")
         out = []
-        for i, item in enumerate(value):
-            entry = dict(_CURVE_TEMPLATE)
+        for i, item in enumerate(value):  # each entry merges into the first default
+            entry = dict(template[0])
             _merge_strict(entry, item, f"{path}[{i}]")
-            out.append(_check_types(_CURVE_TEMPLATE, entry, f"{path}[{i}]"))
+            out.append(_check_types(template[0], entry, f"{path}[{i}]"))
         return out
     raise ParameterError(f"unhandled config entry {path!r}")  # pragma: no cover
 

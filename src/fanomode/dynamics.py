@@ -227,6 +227,14 @@ _PADE13 = tuple(
 )
 
 
+# Largest h |A - i Im diag A|_1, A the generator less its free rotation (a
+# phase the exponential keeps entry by entry), at which amplitudes and QME
+# resolve the step's exponential.  On Lindblad models whose coupling sets it
+# (n = 1e2-1e6 steps), runs broke an invariant from 2.4e4 and overflowed
+# from 2e16.
+_STEP_LIMIT = 1e3
+
+
 # Steps per block: amplitudes and QME step only the block starts and fill
 # each block from the powers of their step.  Volterra sums pairs j < m
 # inside one base block of its history convolution directly, all other
@@ -285,8 +293,15 @@ def _propagate(gen: np.ndarray, y0, times: np.ndarray) -> np.ndarray:
     then y_{Bk + j} = P_j z_k, filled 32 blocks at a time by adding the d
     products P_j[:, c] z_k[c] in the order c = 0..d - 1.  All sums have a
     fixed order, unlike BLAS, so runs are bit-for-bit reproducible.  A
-    sample that is not finite raises SolverFailure (:func:`_check_states`).
+    sample that is not finite raises SolverFailure (:func:`_check_states`),
+    and so does a step |gen - i Im diag gen|_1 > _STEP_LIMIT, before the run.
     """
+    step = np.linalg.norm(gen - np.diag(1j * gen.diagonal().imag), 1)
+    if not step <= _STEP_LIMIT:
+        raise SolverFailure(
+            f"h * |generator less its rotation|_1 = {step:.3g} > {_STEP_LIMIT:g}: the "
+            "step's exponential is not resolved in floating point; reduce h"
+        )
     n, d = len(times) - 1, len(gen)
     # Only the powers the run reaches: j <= n.
     powers = _expm(np.arange(min(n, _BLOCK) + 1)[:, None, None] * gen)
@@ -356,9 +371,9 @@ def solve_amplitudes(
         ],
         dtype=complex,
     )
+    states = _propagate(h * a_mat, (c1_0, 0.0), times)
     gm_t = kossakowski(qme).T
     exact = _expm(h * np.block([[-a_mat.conj().T, gm_t], [np.zeros((2, 2)), a_mat]]))
-    states = _propagate(h * a_mat, (c1_0, 0.0), times)
 
     # Re(x^H Q_h x) = Re sum_k x_k conj((Q_h x)_k), over one (n, 2) product
     gained = states[:-1] @ (exact[2:, 2:].conj().T @ exact[:2, 2:]).T
@@ -388,12 +403,11 @@ def solve_amplitudes(
 # start supplies u[0.._START - 1]; every later sample is stepped.
 _GREGORY_EDGE = (3.0 / 8.0, 7.0 / 6.0, 23.0 / 24.0)
 _START = 5
-# Largest h |z1 - omega_A| Volterra runs at: its kernel samples must resolve
-# the oscillation and decay of e^{-i (z1 - omega_A) tau}.  Against
-# solve_amplitudes (T = 10; kappa 0.1-100, |omega_C - omega_A| 0.01-300, g up
-# to the kernel-size guard, h 1e-3-0.1) the worst error was 7e-5 at 0.1,
-# 2.3e-4 at 0.2 and 6.2e-4 at 0.3, and 0.04 where only kappa was unresolved
-# (kappa = 100, h = 0.1).
+# Largest h max(sqrt|k(0)|, pi J0, |z1 - omega_A|), h times the kernel's
+# fastest rate, that Volterra's samples resolve.  Against solve_amplitudes
+# (T = 10; 1080 models, kappa 0.1-10, gamma 0.01-3, g 0.05-5, eta 0-1,
+# omega_A 0, -1, 3) the worst error at the largest admitted step was 3.1e-4
+# (kappa = gamma = 3, g = 0.1, eta = 1; 5 models above 2e-4), 0.016 at 0.2.
 _RESOLUTION = 0.1
 
 
@@ -545,11 +559,6 @@ def _volterra_core(kt, damping, c1_0, h):
     on u[0..2] and of the carried u[b - 2], u[b - 1], f[b - 3..b - 1]: one
     fixed-order product per block, so results are bit-for-bit reproducible.
     """
-    kernel_scale = max(abs(kt[0]), damping)
-    if h * kernel_scale > 0.1:
-        raise SolverFailure(
-            f"h * max|kernel| = {h * kernel_scale:.3g} > 0.1; reduce h"
-        )
     lead = _BLOCK - _START
     n = len(kt) - 1 - lead
     history = np.zeros(len(kt), dtype=complex)  # u[j] at lead + j
@@ -599,21 +608,22 @@ def solve_volterra(
     kernel's samples alone, never from its one-pole form: a fourth-order
     Gregory history sum, blocked by FFT (O(n log^2 n) for n steps), implicit
     fourth-order Adams-Moulton steps taken 64 at a time, and a Taylor start
-    from the samples.  Global error O(h^4).  A step at which the samples
-    would not resolve the kernel, h |z1 - omega_A| > _RESOLUTION, raises
-    SolverFailure before the run, and a sample that overflows raises it
-    after (:func:`_check_states`).
+    from the samples.  Global error O(h^4).  A step that would not resolve
+    the kernel's rates, h max(sqrt|k(0)|, pi J0, |z1 - omega_A|) >
+    _RESOLUTION, raises SolverFailure before the kernel is sampled, and a
+    sample that overflows raises it after (:func:`_check_states`).
     """
     times = _time_grid(t_max, h)
     c0 = _c0_from_c1(c1_0)
-    # The one read of the pole besides sampling the kernel, and it only
-    # decides whether the run starts: aliased samples are those of a valid,
-    # slower kernel, so no test on the samples can see them.
-    resolution = h * abs(spec.z1 - omega_A)
-    if resolution > _RESOLUTION:
+    # |z1 - omega_A| is the one read of the pole besides sampling the kernel,
+    # and it only decides whether the run starts: aliased samples are those
+    # of a valid, slower kernel, so no test on the samples can see them.
+    k = memory_kernel(spec, 0.0)  # the omega_A shift is a phase of 1 at tau = 0
+    rate = max(math.sqrt(abs(k.regular)), k.delta_weight / 2, abs(spec.z1 - omega_A))
+    if not h * rate <= _RESOLUTION:
         raise SolverFailure(
-            f"h * |z1 - omega_A| = {resolution:.3g} > {_RESOLUTION}: the kernel's "
-            "oscillation and decay are not resolved; reduce h"
+            f"h * max(sqrt|k(0)|, pi J0, |z1 - omega_A|) = {h * rate:.3g} > "
+            f"{_RESOLUTION}: the kernel's rates are not resolved; reduce h"
         )
     kernel = memory_kernel(
         PoleSpectral(J0=spec.J0, z1=spec.z1 - omega_A, r1=spec.r1),

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import shlex
 import signal
 import subprocess
 import sys
@@ -341,7 +342,8 @@ class TestEvolve:
         out = tmp_path / "c1.csv"
         assert run(*argv, "--out", str(out)) == 3
         err = capsys.readouterr().err
-        assert err.startswith("fanomode: solver failure: h * |z1 - omega_A| = ")
+        assert err.startswith("fanomode: solver failure: "
+                              "h * max(sqrt|k(0)|, pi J0, |z1 - omega_A|) = ")
         assert err.count("\n") == 1
         assert not out.exists()
 
@@ -844,11 +846,11 @@ class TestConfig:
         (("evolve", "--set", "solver.method=discretized", "--set", "solver.t_max=400"),
          3, "solver failure: t_max = 400.0 exceeds half the recurrence time 314 "
             "of the comb; increase n_modes"),
-        # Volterra's resolution guard
+        # Volterra's step rule, here at the pole's rate |z1 - omega_A| = 50
         (("evolve", "--set", "solver.method=volterra", "--set", "model.omega_C=50",
           "--set", "solver.h=0.3", "--set", "solver.t_max=60"),
-         3, "solver failure: h * |z1 - omega_A| = 15 > 0.1: the kernel's "
-            "oscillation and decay are not resolved; reduce h"),
+         3, "solver failure: h * max(sqrt|k(0)|, pi J0, |z1 - omega_A|) = 15 > 0.1: "
+            "the kernel's rates are not resolved; reduce h"),
         # a generator that overflows the state
         (("evolve", "--set", "solver.method=volterra", "--set", "solver.h=0.003",
           "--set", "solver.t_max=900", "--set", "model.g_abs=5", "--set", "model.eta=50"),
@@ -857,6 +859,18 @@ class TestConfig:
         # a config bound
         (("spectrum", "--set", "model.gamma=-1"),
          1, "error: 'config.model.gamma' must be >= 0, got -1.0"),
+        # Volterra's step rule at the coupling sqrt|k(0)| = 0.2: the run
+        # exited 0, and erred by 4.3e-2 against amplitudes
+        (("evolve", "--set", "solver.method=volterra", "--set", "model.kappa=0.01",
+          "--set", "model.g_abs=0.2", "--set", "model.gamma=0.001",
+          "--set", "solver.h=2", "--set", "solver.t_max=10"),
+         3, "solver failure: h * max(sqrt|k(0)|, pi J0, |z1 - omega_A|) = 0.4 > 0.1: "
+            "the kernel's rates are not resolved; reduce h"),
+        # a step exponential past floating point: a Lindblad run, which
+        # exited 3 naming a generator that grows the state
+        (("evolve", "--set", "model.g_abs=1e100", "--set", "solver.t_max=1"),
+         3, "solver failure: h * |generator less its rotation|_1 = 1e+97 > 1000: "
+            "the step's exponential is not resolved in floating point; reduce h"),
     ])
     def test_failure_prints_one_line_and_writes_no_file(self, tmp_path, capsys,
                                                          argv, code, line):
@@ -995,6 +1009,19 @@ class TestImportCost:
             capture_output=True, text=True, check=True,
         )
         assert result.stdout == "False\n"
+
+
+def test_readme_examples_run_as_documented(tmp_path, monkeypatch):
+    # each command of README's Examples block, exit 2 where its line says so
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    block = readme.split("Examples:\n\n```sh\n", 1)[1].split("```", 1)[0]
+    commands = block.replace("\\\n", " ").splitlines()
+    assert len(commands) == 6
+    monkeypatch.chdir(tmp_path)
+    for line in commands:
+        argv = shlex.split(line, comments=True)
+        assert argv[0] == "fanomode"
+        assert (line, main(argv[1:])) == (line, 2 if "exits 2" in line else 0)
 
 
 # IEEE edge values: signed zeros, the smallest subnormal and normal, the

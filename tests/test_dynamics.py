@@ -8,6 +8,7 @@ and measured self-convergence studies whose tolerances are frozen below.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 
@@ -588,10 +589,29 @@ class TestSolveVolterra:
             assert coarse / fine == pytest.approx(16.0, rel=0.2)
 
     def test_step_size_guard(self):
+        # sqrt|k(0)| ~ |g| = 10: h = 0.02 does not resolve it, h = 2e-3 does
+        # (an error of 2.7e-8); h |k(0)| = 0.2 > 0.1 used to refuse h = 2e-3
         model = FanoModel(gamma=0.25, kappa=1.0, g_abs=10.0, eta=1.0)
-        spec = pole_residue_from_model(model)  # |2 pi r1| ~ |g|^2 = 100
-        with pytest.raises(SolverFailure):
-            solve_volterra(spec, 0.0, 1.0, 1.0, 2e-3)
+        spec = pole_residue_from_model(model)
+        with pytest.raises(SolverFailure, match=r"= 0\.2 > 0\.1: .*; reduce h$"):
+            solve_volterra(spec, 0.0, 1.0, 1.0, 0.02)
+        volterra = solve_volterra(spec, 0.0, 1.0, 1.0, 2e-3)
+        amplitudes = solve_amplitudes(embed_from_model(model), 1.0, 1.0, 2e-3)
+        assert np.max(np.abs(volterra.c1 - amplitudes.c1)) <= 1e-7
+
+    def test_admission_is_unit_free(self):
+        # the default model with every rate times s, at h = 0.1 / s: one run
+        # in other units, admitted at every s (s = 100 used to be refused,
+        # h |k(0)| = 3.12) and refused at every s at h = 0.3 / s
+        samples = []
+        for s in (0.01, 1.0, 100.0):
+            model = FanoModel(gamma=0.25 * s, kappa=s, g_abs=0.5 * s, eta=1.0)
+            spec = pole_residue_from_model(model)
+            samples.append(solve_volterra(spec, 0.0, 1.0, 10.0 / s, 0.1 / s).c1_abs)
+            with pytest.raises(SolverFailure, match="reduce h"):
+                solve_volterra(spec, 0.0, 1.0, 30.0 / s, 0.3 / s)
+        for other in samples[1:]:
+            assert np.max(np.abs(other - samples[0])) <= 1e-12
 
     def test_overflow_names_the_first_non_finite_time(self):
         # a kernel that grows the amplitude overflows it within the run:
@@ -700,6 +720,17 @@ class TestSolveQME:
             solve_qme(qme, 1.0, 1800.0, 0.9)
         with pytest.raises(SolverFailure, match="not finite"):
             solve_amplitudes(qme, 1.0, 1800.0, 0.9)
+
+    @pytest.mark.parametrize("solve", [solve_amplitudes, solve_qme])
+    def test_step_past_floating_point_is_refused(self, solve):
+        # |g| = 1e100 is of Lindblad form, but the step's exponential
+        # overflowed and the run was blamed on a generator that grows the
+        # state; at h |g| = 200 (a norm of 200 or 400) the run is clean
+        lindblad = FanoModel(gamma=0.25, kappa=1.0, g_abs=1e100, eta=1.0)
+        with pytest.raises(SolverFailure, match=r"= [12]e\+97 > 1000: .*; reduce h$"):
+            solve(embed_from_model(lindblad), 1.0, 1.0, 1e-3)
+        near = embed_from_model(dataclasses.replace(lindblad, g_abs=2e5))
+        assert solve(near, 1.0, 1.0, 1e-3).observables()[1] == []
 
     def test_invalid_initial_state(self):
         qme = embed_from_model(PRESET)
